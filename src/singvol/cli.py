@@ -68,8 +68,13 @@ def _parse_class(cone, text: str) -> QVector:
 def _emit(report: dict, out: str | None) -> None:
     text = sio.to_json(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInputError(
+                f"cannot write {out}: {exc}", reason="unwritable-output"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -371,24 +376,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error class; the first matching entry wins.
+_EXIT_CODES = ((MalformedInputError, 2), (InternalConsistencyError, 3), (SingvolError, 1))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         report, code = args.fn(args)
-    except MalformedInputError as exc:
-        _emit({"error": {"reason": exc.reason, "message": str(exc)}}, getattr(args, "out", None))
-        return 2
-    except InternalConsistencyError as exc:
-        _emit({"error": {"reason": exc.reason, "message": str(exc)}}, getattr(args, "out", None))
-        return 3
-    except DomainError as exc:
-        _emit({"error": {"reason": exc.reason, "message": str(exc)}}, getattr(args, "out", None))
-        return 1
+        _emit(report, out)
+        return code
     except SingvolError as exc:
-        _emit({"error": {"reason": exc.reason, "message": str(exc)}}, getattr(args, "out", None))
-        return 1
-    _emit(report, getattr(args, "out", None))
+        error = {"error": {"reason": exc.reason, "message": str(exc)}}
+        code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
+    try:
+        _emit(error, out)
+    except MalformedInputError:  # --out itself is unwritable
+        _emit(error, None)
     return code
 
 

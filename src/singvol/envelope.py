@@ -71,15 +71,9 @@ def _solve_on_support(
 ) -> QVector:
     """The divisor supported on ``support`` whose intersections there match
     ``target``; unique because principal submatrices stay negative definite."""
-    n = len(graph.vertices)
     if not support:
-        return QVector.zero(n)
-    sub = graph.intersection_form.restrict(support)
-    part = sub.solve(QVector(target[i] for i in support))
-    coeffs = [Fraction(0)] * n
-    for pos, i in enumerate(support):
-        coeffs[i] = part[pos]
-    return QVector(coeffs)
+        return QVector.zero(len(graph.vertices))
+    return graph.intersection_form.solve(target, support)
 
 
 def _finish(graph: ResolutionGraph, a: ExcDivisor, n_coeffs: QVector) -> ZariskiDecomposition:

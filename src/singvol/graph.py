@@ -25,6 +25,11 @@ from .errors import InternalConsistencyError, MalformedInputError
 from .lattice import QVector, SymForm, rat_str
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Vertex:
     """An exceptional curve: identifier, self-intersection, genus."""
@@ -61,18 +66,18 @@ class ResolutionGraph:
             if v.id in seen:
                 raise MalformedInputError(f"duplicate vertex id {v.id!r}")
             seen.add(v.id)
-            if not isinstance(v.self_int, int) or v.self_int > -1:
+            if not _is_int(v.self_int) or v.self_int > -1:
                 raise MalformedInputError(
                     f"vertex {v.id!r}: self-intersection must be an integer <= -1"
                 )
-            if not isinstance(v.genus, int) or v.genus < 0:
+            if not _is_int(v.genus) or v.genus < 0:
                 raise MalformedInputError(f"vertex {v.id!r}: genus must be an integer >= 0")
         for e in self.edges:
             if e.i not in seen or e.j not in seen:
                 raise MalformedInputError(f"edge ({e.i!r}, {e.j!r}) references unknown vertex")
             if e.i == e.j:
                 raise MalformedInputError(f"edge at {e.i!r} joins a vertex to itself")
-            if not isinstance(e.mult, int) or e.mult < 1:
+            if not _is_int(e.mult) or e.mult < 1:
                 raise MalformedInputError(
                     f"edge ({e.i!r}, {e.j!r}): multiplicity must be an integer >= 1"
                 )
@@ -128,7 +133,8 @@ class ResolutionGraph:
         """Gram matrix: self-intersections on the diagonal, summed edge
         multiplicities off it."""
         n = len(self.vertices)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        zero = Fraction(0)  # one shared object makes the symmetry check cheap
+        rows = [[zero] * n for _ in range(n)]
         for k, v in enumerate(self.vertices):
             rows[k][k] = Fraction(v.self_int)
         for e in self.edges:
@@ -158,8 +164,13 @@ class ResolutionGraph:
         vertex. When the model is relatively minimal (all ``k_j >= 0``)
         the coefficients must come out nonnegative; a violation there
         would be a solver bug and raises, while models carrying
-        (-1)-vertices may legitimately have negative entries.
+        (-1)-vertices may legitimately have negative entries. The solve
+        runs once per graph; later calls return the same divisor.
         """
+        return self._canonical_pullback
+
+    @cached_property
+    def _canonical_pullback(self) -> "ExcDivisor":
         k = self.canonical_intersections()
         b = self.intersection_form.solve(-k)
         if all(entry >= 0 for entry in k) and not b.is_nonnegative():

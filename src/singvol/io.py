@@ -172,10 +172,18 @@ def digest(doc: Any) -> str:
 
 
 def load_json(path: str) -> Any:
+    """Parse a JSON file; every read or decode failure is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise MalformedInputError(f"no such file: {path}", reason="missing-file") from exc
+    except OSError as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc}", reason="unreadable-file") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8: {exc}", reason="invalid-encoding") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}", reason="invalid-json") from exc
+    except RecursionError as exc:
+        raise MalformedInputError(f"JSON in {path} is nested too deeply",
+                                  reason="too-deeply-nested") from exc

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
 
-from .envelope import nef_envelope_trace, volume
+from .envelope import VolumeReport, nef_envelope_trace, volume
 from .errors import MalformedInputError
 from .graph import Edge, ExcDivisor, ResolutionGraph, Vertex
 from .lattice import QVector, rat_str
@@ -160,7 +160,8 @@ class ModelTower:
         return self.models[-1]
 
     @cached_property
-    def _volumes(self):
+    def volumes(self) -> tuple[VolumeReport, ...]:
+        """``volume(models[t])`` for every level, computed once."""
         return tuple(volume(g) for g in self.models)
 
 
@@ -218,7 +219,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         g, g2 = tower.models[t], tower.models[t + 1]
         nid = tower.new_ids[t]
 
-        vol, vol2 = tower._volumes[t], tower._volumes[t + 1]
+        vol, vol2 = tower.volumes[t], tower.volumes[t + 1]
         record(t, "volume-constant", vol2.volume == vol.volume,
                rat_str(vol.volume), rat_str(vol2.volume))
 

@@ -115,6 +115,30 @@ def test_invalid_json_exits_2(tmp_path, capsys) -> None:
     assert doc["error"]["reason"] == "invalid-json"
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys) -> None:
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"vertices": [{"id": "\xe9", "self_int": -2, "genus": 0}], "edges": []}')
+    code, doc = run(capsys, "graph", "vol", str(bad))
+    assert code == 2
+    assert doc["error"]["reason"] == "invalid-encoding"
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys) -> None:
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, doc = run(capsys, "graph", "vol", str(bad))
+    assert code == 2
+    assert doc["error"]["reason"] == "too-deeply-nested"
+
+
+def test_unwritable_out_path_exits_2_on_stdout(tmp_path, capsys) -> None:
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, doc = run(capsys, "graph", "vol", "catalog:E6", "--out", str(target))
+    assert code == 2
+    assert doc["error"]["reason"] == "unwritable-output"
+    assert not target.exists()
+
+
 def test_unknown_catalog_name_exits_2(capsys) -> None:
     code, doc = run(capsys, "graph", "vol", "catalog:Z9")
     assert code == 2

@@ -46,6 +46,27 @@ def test_make_rejects_malformed_graphs(vertices, edges) -> None:
         ResolutionGraph.make(vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ((("a", True, 0), ("b", -2, 0)), (("a", "b"),)),    # self_int
+        ((("a", -2, True), ("b", -2, 0)), (("a", "b"),)),   # genus
+        ((("a", -2, False), ("b", -2, 0)), (("a", "b"),)),  # genus
+        ((("a", -2, 0), ("b", -2, 0)), (("a", "b", True),)),  # mult
+    ],
+)
+def test_make_rejects_bool_fields(vertices, edges) -> None:
+    # bool is an int subclass; the library rejects it like the JSON reader does
+    with pytest.raises(MalformedInputError):
+        ResolutionGraph.make(vertices, edges)
+
+
+def test_canonical_pullback_is_solved_once() -> None:
+    g = two_vertex_example()
+    assert g.mumford_pullback_canonical() is g.mumford_pullback_canonical()
+    assert g.discrepancy_report().b is g.mumford_pullback_canonical()
+
+
 def test_not_negative_definite_reason() -> None:
     with pytest.raises(MalformedInputError) as exc:
         ResolutionGraph.make((("a", -1, 0), ("b", -1, 0)), (("a", "b"),))

@@ -157,3 +157,122 @@ def _grid(n: int, values) -> list[tuple]:
     for _ in range(n):
         combos = [c + (v,) for c in combos for v in values]
     return combos
+
+
+# -- the elimination kernel against sympy -------------------------------------------
+
+
+def _sympy_matrix(sympy, form: SymForm):
+    return sympy.Matrix(form.dim, form.dim, lambda i, j: sympy.Rational(
+        form.entry(i, j).numerator, form.entry(i, j).denominator))
+
+
+def _as_fraction(value) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+def _check_against_sympy(sympy, form: SymForm, rng: Random) -> None:
+    m = _sympy_matrix(sympy, form)
+    minors = form.leading_principal_minors()
+    assert minors == tuple(_as_fraction(m[:k, :k].det()) for k in range(1, form.dim + 1))
+    assert form.det() == _as_fraction(m.det())
+    rhs = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(form.dim))
+    if form.det() == 0:
+        with pytest.raises(SingularSystemError):
+            form.solve(rhs)
+        return
+    b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs])
+    assert form.solve(rhs) == tuple(_as_fraction(x) for x in m.LUsolve(b))
+
+
+def _graph_form(rng: Random, n: int, extra_edges: int) -> SymForm:
+    """Intersection-style matrix of a random tree plus extra edges, with
+    multiplicity-2 edges; irreducibly diagonally dominant, hence negative
+    definite."""
+    rows = [[0] * n for _ in range(n)]
+    edges = [(rng.randrange(k), k) for k in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(extra_edges if n > 2 else 0)]
+    for a, b in edges:
+        mult = rng.choice((1, 1, 2))
+        rows[a][b] += mult
+        rows[b][a] += mult
+    for i in range(n):
+        rows[i][i] = -(sum(rows[i]) + rng.randint(0 if i else 1, 2))
+    return SymForm(rows)
+
+
+def test_kernel_matches_sympy_on_seeded_graphs() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = Random(2026)
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        form = _graph_form(rng, n, extra_edges=trial % 3)
+        assert form.is_negative_definite()
+        _check_against_sympy(sympy, form, rng)
+
+
+def test_kernel_matches_sympy_on_cycles() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = Random(11)
+    for n in range(3, 14):
+        rows = [[0] * n for _ in range(n)]
+        for k in range(n):
+            rows[k][(k + 1) % n] = rows[(k + 1) % n][k] = 1
+            rows[k][k] = -rng.choice((2, 2, 3))
+        rows[0][0] = -3
+        _check_against_sympy(sympy, SymForm(rows), rng)
+
+
+def test_kernel_matches_sympy_on_degenerate_forms() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = Random(5)
+    special = [
+        ((0, 1), (1, 0)),                      # zero leading minor, then nonzero
+        ((1, 1, 0), (1, 1, 1), (0, 1, 1)),     # zero minor in the middle
+        ((0, 0, 1), (0, 0, 2), (1, 2, 3)),     # two zero minors, then nonzero
+        ((-1, 1), (1, -1)),                    # singular
+        ((0, 0), (0, 0)),                      # zero
+        ((1, 0), (0, -1)),                     # indefinite
+        ((2, 1, 1), (1, 2, 1), (1, 1, 2)),     # positive definite
+    ]
+    for rows in special:
+        _check_against_sympy(sympy, SymForm(rows), rng)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        _check_against_sympy(sympy, SymForm(rows), rng)
+
+
+def test_kernel_matches_sympy_on_rational_forms() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = Random(8)
+    _check_against_sympy(sympy, SymForm(((Fraction(1, 2), Fraction(1, 3)),
+                                         (Fraction(1, 3), Fraction(-1, 4)))), rng)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        _check_against_sympy(sympy, SymForm(rows), rng)
+
+
+def test_solve_on_support_matches_sympy_submatrix() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        form = _graph_form(rng, n, extra_edges=1)
+        support = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        rhs = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+        x = form.solve(rhs, support)
+        sub = _sympy_matrix(sympy, form.restrict(support))
+        b = sympy.Matrix([sympy.Rational(rhs[i].numerator, rhs[i].denominator)
+                          for i in support])
+        expected = dict(zip(support, (_as_fraction(v) for v in sub.LUsolve(b))))
+        assert x == tuple(expected.get(i, Fraction(0)) for i in range(n))
+        assert form.solve(rhs, ()) == QVector.zero(n)

@@ -141,6 +141,14 @@ def test_volume_constant_along_tower() -> None:
     assert vols == [F(4), F(4), F(4)]
 
 
+def test_tower_volumes_are_public_and_cached() -> None:
+    base = ResolutionGraph.make((("v", -1, 2),))
+    tower = ModelTower(base, (FreeBlowup("v"), FreeBlowup("b1")))
+    assert tower.volumes is tower.volumes
+    assert [r.volume for r in tower.volumes] == [F(4), F(4), F(4)]
+    assert tower.volumes[-1] == volume(tower.top)
+
+
 def test_determinant_magnitude_preserved() -> None:
     base = a_chain(3)
     d0 = abs(base.intersection_form.det())
