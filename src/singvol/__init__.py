@@ -13,10 +13,7 @@ The package computes, entirely in rational arithmetic:
 """
 
 from .cone import (
-    BoundaryClass,
-    LcVerdict,
     PolarizedCone,
-    RigidClass,
     boundary_class,
     cone_log_discrepancy,
     curve_cone,
@@ -28,27 +25,12 @@ from .cone import (
     vol_plus_table,
     vol_upper_bound,
 )
-from .envelope import (
-    VolumeReport,
-    ZariskiDecomposition,
-    nef_envelope_trace,
-    volume,
-    zariski_oracle,
-)
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    MalformedInputError,
-    OracleSizeError,
-    SingularSystemError,
-    SingvolError,
-)
-from .graph import DiscrepancyReport, Edge, ExcDivisor, ResolutionGraph, Vertex
+from .envelope import nef_envelope_trace, volume, zariski_oracle
+from .errors import DomainError, MalformedInputError, OracleSizeError, SingularSystemError
+from .graph import Edge, ResolutionGraph, Vertex
 from .lattice import QVector, SymForm, rat, rat_str
 from .tower import (
-    BlowupStep,
     FreeBlowup,
-    InvarianceReport,
     ModelTower,
     SatelliteBlowup,
     blow_up,
@@ -60,30 +42,19 @@ from .tower import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupStep",
-    "BoundaryClass",
-    "DiscrepancyReport",
     "DomainError",
     "Edge",
-    "ExcDivisor",
     "FreeBlowup",
-    "InternalConsistencyError",
-    "InvarianceReport",
-    "LcVerdict",
     "MalformedInputError",
     "ModelTower",
     "OracleSizeError",
     "PolarizedCone",
     "QVector",
     "ResolutionGraph",
-    "RigidClass",
     "SatelliteBlowup",
     "SingularSystemError",
-    "SingvolError",
     "SymForm",
     "Vertex",
-    "VolumeReport",
-    "ZariskiDecomposition",
     "blow_up",
     "boundary_class",
     "cone_log_discrepancy",

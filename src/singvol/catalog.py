@@ -101,13 +101,7 @@ def ruled_surface_cone() -> PolarizedCone:
         k_class=QVector([-2, 0]),
         h_class=QVector([1, 1]),
         rigid=(RigidClass(QVector([1, 0]), (("C0", Fraction(1)),)),),
-        name="paper-ruled-surface",
     )
-
-
-def elliptic_cone(degree: int = 1) -> PolarizedCone:
-    """Cone over an elliptic curve (``K_V = 0``) of degree ``d``."""
-    return curve_cone(1, degree, name=f"elliptic-cone-{degree}" if degree != 1 else "elliptic-cone")
 
 
 _GRAPH_FIXED = {
@@ -132,7 +126,7 @@ _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
 
 _CONE_FIXED = {
     "paper-ruled-surface": ruled_surface_cone,
-    "elliptic-cone": elliptic_cone,
+    "elliptic-cone": lambda: curve_cone(1, 1),
 }
 
 _CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
@@ -142,7 +136,7 @@ _CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     ),
     (
         re.compile(r"^elliptic-cone-(\d+)$"),
-        lambda m: elliptic_cone(int(m.group(1))),
+        lambda m: curve_cone(1, int(m.group(1))),
     ),
 )
 

@@ -39,20 +39,20 @@ from .randgen import random_divisor, random_graph, random_tower
 from .tower import envelope_pullback_check, invariance_report
 
 
-def _load_graph(source: str):
-    if source.startswith("catalog:"):
-        graph = cat.graph_by_name(source[len("catalog:"):])
-    else:
-        graph = sio.graph_from_doc(sio.load_json(source))
-    return graph, {"source": source, "digest": sio.digest(graph.to_doc())}
+# Catalog lookup and JSON parser of each command group's input.
+_LOADERS = {"graph": (cat.graph_by_name, sio.graph_from_doc),
+            "cone": (cat.cone_by_name, sio.cone_from_doc)}
 
 
-def _load_cone(source: str):
-    if source.startswith("catalog:"):
-        cone = cat.cone_by_name(source[len("catalog:"):])
+def _load(args):
+    """The graph or cone of ``args.source``, ``catalog:<name>`` or a JSON
+    file, with the report's ``inputs`` record."""
+    by_name, from_doc = _LOADERS[args.group]
+    if args.source.startswith("catalog:"):
+        obj = by_name(args.source[len("catalog:"):])
     else:
-        cone = sio.cone_from_doc(sio.load_json(source))
-    return cone, {"source": source, "digest": sio.digest(cone.to_doc())}
+        obj = from_doc(sio.load_json(args.source))
+    return obj, {"source": args.source, "digest": sio.digest(obj.to_doc())}
 
 
 def _parse_class(cone, text: str) -> QVector:
@@ -83,13 +83,13 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _cmd_graph_vol(args) -> tuple[dict, int]:
-    graph, inputs = _load_graph(args.source)
+    graph, inputs = _load(args)
     report = volume(graph)
     return {"command": "graph vol", "inputs": inputs, "result": report.to_doc()}, 0
 
 
 def _cmd_graph_discrepancies(args) -> tuple[dict, int]:
-    graph, inputs = _load_graph(args.source)
+    graph, inputs = _load(args)
     return {
         "command": "graph discrepancies",
         "inputs": inputs,
@@ -98,7 +98,7 @@ def _cmd_graph_discrepancies(args) -> tuple[dict, int]:
 
 
 def _cmd_graph_lc(args) -> tuple[dict, int]:
-    graph, inputs = _load_graph(args.source)
+    graph, inputs = _load(args)
     report = volume(graph)
     return {
         "command": "graph lc",
@@ -108,7 +108,7 @@ def _cmd_graph_lc(args) -> tuple[dict, int]:
 
 
 def _cmd_graph_lcmod(args) -> tuple[dict, int]:
-    graph, inputs = _load_graph(args.source)
+    graph, inputs = _load(args)
     report = graph.discrepancy_report()
     return {
         "command": "graph lcmod",
@@ -204,7 +204,7 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
 
 
 def _cmd_cone_bound(args) -> tuple[dict, int]:
-    cone, inputs = _load_cone(args.source)
+    cone, inputs = _load(args)
     a = rat(args.a)
     bound = vol_upper_bound(cone, a)  # domain error when a <= 0 or no boundary
     bc = boundary_class(cone, a)
@@ -221,7 +221,7 @@ def _cmd_cone_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_cone_valuation(args) -> tuple[dict, int]:
-    cone, inputs = _load_cone(args.source)
+    cone, inputs = _load(args)
     cls = _parse_class(cone, args.cls)
     if args.k < 1:
         raise DomainError("--k must be a positive integer")
@@ -241,7 +241,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
 
 
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
-    cone, inputs = _load_cone(args.source)
+    cone, inputs = _load(args)
     if args.m < 1:
         raise DomainError("--m must be a positive integer")
     value = limiting_discrepancy(cone, args.m)

@@ -80,7 +80,6 @@ class PolarizedCone:
         k_class: QVector,
         h_class: QVector,
         rigid: Sequence[RigidClass] = (),
-        name: str | None = None,
     ) -> None:
         if dim_x not in (2, 3):
             raise MalformedInputError("dim_X must be 2 or 3")
@@ -109,7 +108,6 @@ class PolarizedCone:
                         "rigid representative needs named components with positive "
                         "coefficients"
                     )
-        self.name = name
         self._validate_geometry()
 
     def _check_vec(self, v: QVector, what: str) -> QVector:
@@ -136,7 +134,7 @@ class PolarizedCone:
         """
         gens = self.pseff_gens
         n = len(self.basis)
-        if _rank(gens) != n:
+        if len(_echelon(gens, n)[0]) != n:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
                 reason="cone-not-full-dimensional",
@@ -149,15 +147,23 @@ class PolarizedCone:
             normals.add(QVector([1]) if positive.pop() else QVector([-1]))
         else:
             for subset in combinations(gens, n - 1):
-                normal = _kernel_direction(subset, n)
-                if normal is None:
+                pivots, rows = _echelon(subset, n)
+                if len(pivots) != n - 1:
                     continue
+                # the kernel is a line: 1 on the free column, and each
+                # pivot coordinate is minus that row's entry there
+                free = next(c for c in range(n) if c not in pivots)
+                coords = [Fraction(0)] * n
+                coords[free] = Fraction(1)
+                for row, col in zip(rows, pivots):
+                    coords[col] = -row[free]
+                normal = QVector(coords)
                 values = [normal.dot(g) for g in gens]
                 if all(v >= 0 for v in values) and any(v > 0 for v in values):
                     normals.add(_primitive(normal))
                 elif all(v <= 0 for v in values) and any(v < 0 for v in values):
                     normals.add(_primitive(-normal))
-        if _rank(tuple(normals)) != n:
+        if len(_echelon(tuple(normals), n)[0]) != n:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
         return tuple(sorted(normals))
 
@@ -269,52 +275,31 @@ class PolarizedCone:
         return doc
 
 
-def _rank(vectors: Sequence[QVector]) -> int:
+def _echelon(
+    vectors: Sequence[QVector], n: int
+) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss-Jordan reduction of the rows ``vectors`` (``n`` columns each).
+
+    Returns the pivot columns and the nonzero reduced rows, row ``k``
+    holding a 1 in the ``k``-th pivot column and 0 in every other one;
+    the rank is the number of pivots.
+    """
     rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pv
-                for c in range(cols):
-                    rows[r][c] -= f * rows[rank][c]
-        rank += 1
-    return rank
-
-
-def _kernel_direction(rows: Sequence[QVector], n: int) -> QVector | None:
-    """A spanning vector of the kernel of the row system, if 1-dimensional."""
-    if _rank(rows) != n - 1:
-        return None
-    mat = [list(r) for r in rows]
-    # Reduce and read off the single free column.
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        top = rows[rank] = [x / pv for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] != 0:
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, top)]
         pivots.append(col)
-        rank += 1
-    free = next(c for c in range(n) if c not in pivots)
-    coords = [Fraction(0)] * n
-    coords[free] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        coords[col] = -mat[row_idx][free]
-    return QVector(coords)
+    return pivots, rows[: len(pivots)]
 
 
 def _primitive(v: QVector) -> QVector:
@@ -694,7 +679,7 @@ def vol_plus_table(cone: PolarizedCone, a_seq: Sequence) -> dict:
     }
 
 
-def curve_cone(genus: int, degree: int, name: str | None = None) -> PolarizedCone:
+def curve_cone(genus: int, degree: int) -> PolarizedCone:
     """The cone over a smooth genus-``g`` curve polarized by degree ``d``."""
     if genus < 0 or degree < 1:
         raise DomainError("need genus >= 0 and degree >= 1")
@@ -706,7 +691,6 @@ def curve_cone(genus: int, degree: int, name: str | None = None) -> PolarizedCon
         pseff_gens=(QVector([1]),),
         k_class=QVector([2 * genus - 2]),
         h_class=QVector([degree]),
-        name=name,
     )
 
 

@@ -66,16 +66,6 @@ class VolumeReport:
         return doc
 
 
-def _solve_on_support(
-    graph: ResolutionGraph, support: tuple[int, ...], target: QVector
-) -> QVector:
-    """The divisor supported on ``support`` whose intersections there match
-    ``target``; unique because principal submatrices stay negative definite."""
-    if not support:
-        return QVector.zero(len(graph.vertices))
-    return graph.intersection_form.solve(target, support)
-
-
 def _finish(graph: ResolutionGraph, a: ExcDivisor, n_coeffs: QVector) -> ZariskiDecomposition:
     n_div = ExcDivisor(graph, n_coeffs)
     p_div = a - n_div
@@ -105,14 +95,17 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)  # revalidates the length
     m_a = a.intersections()
+    form = graph.intersection_form
     working = {j for j, x in enumerate(m_a) if x < 0}
     rounds = 0
     while True:
         rounds += 1
         if rounds > len(graph.vertices) + 1:
             raise InternalConsistencyError("active set failed to stabilize")
-        n_coeffs = _solve_on_support(graph, tuple(sorted(working)), m_a)
-        p_ints = graph.intersection_form.apply(a.coeffs - n_coeffs)
+        # N is supported on the working set and matches A's intersections
+        # there; unique because principal submatrices stay negative definite.
+        n_coeffs = form.solve(m_a, sorted(working))
+        p_ints = form.apply(a.coeffs - n_coeffs)
         violators = {
             j for j, x in enumerate(p_ints) if j not in working and x < 0
         }
@@ -145,7 +138,7 @@ def zariski_oracle(
     feasible: list[QVector] = []
     for size in range(r + 1):
         for subset in combinations(range(r), size):
-            n_coeffs = _solve_on_support(graph, subset, m_a)
+            n_coeffs = form.solve(m_a, subset)
             if not n_coeffs.is_nonnegative():
                 continue
             p = a.coeffs - n_coeffs
@@ -169,10 +162,10 @@ def volume(graph: ResolutionGraph) -> VolumeReport:
     nonnegative ``A`` forces ``P = 0``, while a negative entry of ``A``
     pins ``P != 0`` and negative definiteness makes ``-P . P > 0``.
     """
-    a = graph.log_discrepancy_divisor()
-    dec = nef_envelope_trace(graph, a)
+    discrepancies = graph.discrepancy_report()
+    dec = nef_envelope_trace(graph, discrepancies.ell)
     vol = -dec.p.self_intersection()
-    is_lc = a.coeffs.is_nonnegative()
+    is_lc = discrepancies.is_lc
     if vol < 0:
         raise InternalConsistencyError(f"volume came out negative: {vol}")
     if (vol == 0) != is_lc:

@@ -13,6 +13,11 @@ solution of ``M b = -k`` where ``k_j = 2 genus_j - 2 - self_int_j`` by
 adjunction. Log discrepancies are ``ell = 1 - b``; the singularity is log
 canonical when every ``ell_j >= 0``, and the vertices with ``ell_j < 0``
 are exactly the centers a log-canonical modification must keep.
+
+All of these come from one cached ``DiscrepancyReport`` per graph, built
+on the one cached solve for ``b`` that ``mumford_pullback_canonical``
+returns; ``log_discrepancy_divisor`` and ``discrepancy_report`` return
+parts of it.
 """
 
 from __future__ import annotations
@@ -158,19 +163,21 @@ class ResolutionGraph:
         return QVector(2 * v.genus - 2 - v.self_int for v in self.vertices)
 
     def mumford_pullback_canonical(self) -> "ExcDivisor":
-        """The exceptional part ``B`` of the canonical pullback.
-
-        Solves ``M b = -k`` so that ``(K_Y + B) . E_j = 0`` for every
-        vertex. When the model is relatively minimal (all ``k_j >= 0``)
-        the coefficients must come out nonnegative; a violation there
-        would be a solver bug and raises, while models carrying
-        (-1)-vertices may legitimately have negative entries. The solve
-        runs once per graph; later calls return the same divisor.
-        """
+        """The exceptional part ``B`` of the canonical pullback."""
         return self._canonical_pullback
+
+    def log_discrepancy_divisor(self) -> "ExcDivisor":
+        """Coefficient vector ``ell = 1 - b``, one entry per vertex."""
+        return self._discrepancies.ell
+
+    def discrepancy_report(self) -> "DiscrepancyReport":
+        return self._discrepancies
 
     @cached_property
     def _canonical_pullback(self) -> "ExcDivisor":
+        """The one solve of ``M b = -k``. On a relatively minimal model (all
+        ``k_j >= 0``) a negative entry of ``b`` would be a solver bug and
+        raises; models carrying (-1)-vertices may legitimately have them."""
         k = self.canonical_intersections()
         b = self.intersection_form.solve(-k)
         if all(entry >= 0 for entry in k) and not b.is_nonnegative():
@@ -180,27 +187,16 @@ class ResolutionGraph:
             )
         return ExcDivisor(self, b)
 
-    def log_discrepancy_divisor(self) -> "ExcDivisor":
-        """Coefficient vector ``ell = 1 - b``, one entry per vertex."""
-        b = self.mumford_pullback_canonical().coeffs
-        return ExcDivisor(self, QVector(1 - x for x in b))
-
-    def is_log_canonical(self) -> bool:
-        return self.log_discrepancy_divisor().coeffs.is_nonnegative()
-
-    def lc_modification_support(self) -> frozenset[str]:
-        """Vertices with negative log discrepancy."""
-        ell = self.log_discrepancy_divisor().coeffs
-        return frozenset(v.id for v, x in zip(self.vertices, ell) if x < 0)
-
-    def discrepancy_report(self) -> "DiscrepancyReport":
+    @cached_property
+    def _discrepancies(self) -> "DiscrepancyReport":
+        """``B`` with ``ell = 1 - b`` and the lc data derived from it."""
         b = self.mumford_pullback_canonical()
-        ell = ExcDivisor(self, QVector(1 - x for x in b.coeffs))
-        is_lc = ell.coeffs.is_nonnegative()
-        support = frozenset(v.id for v, x in zip(self.vertices, ell.coeffs) if x < 0)
+        ell = QVector(1 - x for x in b.coeffs)
+        is_lc = ell.is_nonnegative()
+        support = frozenset(v.id for v, x in zip(self.vertices, ell) if x < 0)
         if is_lc != (not support):
             raise InternalConsistencyError("lc flag disagrees with its support")
-        return DiscrepancyReport(b=b, ell=ell, is_lc=is_lc, lc_mod_support=support)
+        return DiscrepancyReport(b, ExcDivisor(self, ell), is_lc, support)
 
     def to_doc(self) -> dict:
         return {

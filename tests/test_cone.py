@@ -23,7 +23,7 @@ from singvol import (
     vol_upper_bound,
     volume,
 )
-from singvol.catalog import cone_over_curve, elliptic_cone, ruled_surface_cone
+from singvol.catalog import cone_by_name, cone_over_curve, ruled_surface_cone
 
 F = Fraction
 
@@ -48,6 +48,28 @@ def ruled_without_rigidity() -> PolarizedCone:
 def test_ruled_surface_cone_facets() -> None:
     c = ruled_surface_cone()
     assert set(n for n in c.facet_normals) == {(F(0), F(1)), (F(1), F(0))}
+
+
+def test_facets_skip_dependent_generator_subsets() -> None:
+    # (0, 0, 2) is parallel to (0, 0, 1): that pair spans no hyperplane, and
+    # a normal made up for it would be x >= 0, which supports the cone only
+    # along one ray and is no facet
+    gens = (vec(1, 1, 1), vec(1, -1, 1), vec(0, 0, 1))
+
+    def cone(pseff_gens) -> PolarizedCone:
+        return PolarizedCone(
+            dim_x=3,
+            basis=("a", "b", "c"),
+            form=SymForm(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            nef_gens=(vec(1, 0, 2),),
+            pseff_gens=pseff_gens,
+            k_class=vec(-1, -1, -1),
+            h_class=vec(1, 0, 2),
+        )
+
+    with_pair = cone(gens + (vec(0, 0, 2),))
+    assert with_pair.facet_normals == cone(gens).facet_normals
+    assert set(with_pair.facet_normals) == {vec(-1, 0, 1), vec(1, -1, 0), vec(1, 1, 0)}
 
 
 def test_membership_and_boundary() -> None:
@@ -80,7 +102,7 @@ def test_h_power_and_degree() -> None:
 def test_cone_validation_rejects_bad_data() -> None:
     form = SymForm(((0, 1), (1, 0)))
     # H on the boundary is not an ample polarization
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError) as exc:
         PolarizedCone(
             dim_x=3,
             basis=("C0", "F"),
@@ -90,8 +112,9 @@ def test_cone_validation_rejects_bad_data() -> None:
             k_class=vec(-2, 0),
             h_class=vec(1, 0),
         )
+    assert exc.value.reason == "h-not-ample"
     # generators that do not span
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError) as exc:
         PolarizedCone(
             dim_x=3,
             basis=("C0", "F"),
@@ -101,8 +124,9 @@ def test_cone_validation_rejects_bad_data() -> None:
             k_class=vec(-2, 0),
             h_class=vec(1, 0),
         )
+    assert exc.value.reason == "cone-not-full-dimensional"
     # non-salient cone (contains a line)
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError) as exc:
         PolarizedCone(
             dim_x=3,
             basis=("C0", "F"),
@@ -112,6 +136,7 @@ def test_cone_validation_rejects_bad_data() -> None:
             k_class=vec(-2, 0),
             h_class=vec(0, 1),
         )
+    assert exc.value.reason == "cone-not-salient"
     with pytest.raises(MalformedInputError):
         PolarizedCone(
             dim_x=4,  # only surfaces and threefolds
@@ -261,7 +286,7 @@ def test_lc_boundary_exists_verdict_trio() -> None:
     assert no.forced_a == F(0)
     assert len(no.certificate) == 3
 
-    yes = lc_boundary_exists(elliptic_cone(1))
+    yes = lc_boundary_exists(cone_by_name("elliptic-cone"))
     assert yes.exists is True
     assert yes.forced_a == F(0)
 
@@ -302,7 +327,7 @@ def test_vol_plus_table_rows_and_verdicts() -> None:
 
 
 def test_vol_plus_table_lc_case_claims_all_truncations_vanish() -> None:
-    table = vol_plus_table(elliptic_cone(1), [F(1), F(1, 2)])
+    table = vol_plus_table(cone_by_name("elliptic-cone"), [F(1), F(1, 2)])
     claims = {v["claim"] for v in table["verdicts"]}
     assert "all-truncated-volumes-zero" in claims
     assert table["lc_boundary"]["exists"] is True

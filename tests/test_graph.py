@@ -65,6 +65,7 @@ def test_canonical_pullback_is_solved_once() -> None:
     g = two_vertex_example()
     assert g.mumford_pullback_canonical() is g.mumford_pullback_canonical()
     assert g.discrepancy_report().b is g.mumford_pullback_canonical()
+    assert g.log_discrepancy_divisor() is g.discrepancy_report().ell
 
 
 def test_not_negative_definite_reason() -> None:
