@@ -6,9 +6,11 @@ gives the single exceptional divisor ``E = V``, with co-normal bundle
 ``H``; sections of ``m H - D``-type classes govern the order of vanishing
 along ``E``. Everything here is numerical: classes live in a small exact
 lattice spanned by ``num_basis``, effectivity means membership in the
-pseudo-effective cone (decided by exact rational linear programming over
-its generators), and the only non-numerical input is the optional rigidity
-annotation saying that some class has a unique effective representative.
+pseudo-effective cone (decided exactly by its facet inequalities, which are
+enumerated from the generators and kept as one integer matrix, so every
+facet test is an integer dot product), and the only non-numerical input is
+the optional rigidity annotation saying that some class has a unique
+effective representative.
 
 The key quantities:
 
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -53,6 +56,13 @@ STATUS_COMPUTED = "computed-exact"
 STATUS_CITED = "cited-not-computed"
 STATUS_OPEN = "open-not-computed"
 
+# Facet enumeration reduces every (n-1)-subset of the pseudo-effective
+# generators; a cone with more subsets than this is refused as too large.
+# At the limit, enumeration took about 4 s for 316 generators on the moment
+# curve at basis 3 (2-vCPU machine, Python 3.11); perfbench's largest cone
+# has C(13, 3) = 286 subsets.
+MAX_FACET_SUBSETS = 50_000
+
 
 @dataclass(frozen=True)
 class RigidClass:
@@ -65,6 +75,15 @@ class RigidClass:
 
     cls: QVector
     only_rep: tuple[tuple[str, Fraction], ...]
+
+
+class _FacetMatrix(NamedTuple):
+    """The facet normals as ``int`` rows, and ``phi(H)`` for each row as an
+    integer over ``h_den``, the common denominator of ``H``."""
+
+    rows: tuple[tuple[int, ...], ...]
+    phi_h: tuple[int, ...]
+    h_den: int
 
 
 class PolarizedCone:
@@ -123,59 +142,86 @@ class PolarizedCone:
 
     @cached_property
     def facet_normals(self) -> tuple[QVector, ...]:
-        """Primitive inequalities cutting out the pseudo-effective cone.
+        """Primitive integer inequalities cutting out the pseudo-effective cone.
 
-        The cone must be full-dimensional (the generators span) and salient
-        (the normals span back); both are schema requirements and are
-        rejected here otherwise. Every facet of a full-dimensional cone is
-        spanned by ``dim - 1`` of its generators, so enumerating those
-        subsets finds every facet; extra supporting hyperplanes that turn
-        up are valid inequalities and harmless.
+        Each generator is scaled to an integer ray (a positive multiple, so
+        the cone is unchanged). The cone must be full-dimensional (the rays
+        span) and salient (the normals span back); both are schema
+        requirements and are rejected here otherwise. Every facet of a
+        full-dimensional cone is spanned by ``dim - 1`` of its generators:
+        each such subset that is independent is reduced by :func:`_echelon`,
+        its kernel read off as a primitive integer normal, and the normal
+        kept, pointing inwards, when no ray lies strictly on each side of it.
+        Extra supporting hyperplanes that turn up are valid inequalities and
+        harmless. A cone with more than ``MAX_FACET_SUBSETS`` subsets is
+        refused before any is reduced (``reason="too-large"``).
         """
-        gens = self.pseff_gens
         n = len(self.basis)
-        if len(_echelon(gens, n)[0]) != n:
+        subsets = math.comb(len(self.pseff_gens), n - 1)
+        if subsets > MAX_FACET_SUBSETS:
+            raise DomainError(
+                f"facet enumeration over {subsets} generator subsets exceeds the "
+                f"limit of {MAX_FACET_SUBSETS}",
+                reason="too-large",
+            )
+        rays = [_numerators(g)[1] for g in self.pseff_gens]
+        if len(_echelon(rays, n)[0]) != n:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
                 reason="cone-not-full-dimensional",
             )
-        normals: set[QVector] = set()
+        normals: set[tuple[int, ...]] = set()
         if n == 1:
-            positive = {g[0] > 0 for g in gens if g[0] != 0}
+            positive = {r[0] > 0 for r in rays if r[0] != 0}
             if len(positive) != 1:
                 raise MalformedInputError("cone is not salient", reason="cone-not-salient")
-            normals.add(QVector([1]) if positive.pop() else QVector([-1]))
+            normals.add((1,) if positive.pop() else (-1,))
         else:
-            for subset in combinations(gens, n - 1):
+            for subset in combinations(rays, n - 1):
                 pivots, rows = _echelon(subset, n)
                 if len(pivots) != n - 1:
                     continue
-                # the kernel is a line: 1 on the free column, and each
-                # pivot coordinate is minus that row's entry there
+                # the kernel is a line: l = lcm of the pivot entries on the
+                # free column, and each pivot coordinate is -l * (that row's
+                # free entry) / (its pivot entry)
                 free = next(c for c in range(n) if c not in pivots)
-                coords = [Fraction(0)] * n
-                coords[free] = Fraction(1)
+                scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+                normal = [0] * n
+                normal[free] = scale
                 for row, col in zip(rows, pivots):
-                    coords[col] = -row[free]
-                normal = QVector(coords)
-                values = [normal.dot(g) for g in gens]
-                if all(v >= 0 for v in values) and any(v > 0 for v in values):
-                    normals.add(_primitive(normal))
-                elif all(v <= 0 for v in values) and any(v < 0 for v in values):
-                    normals.add(_primitive(-normal))
-        if len(_echelon(tuple(normals), n)[0]) != n:
+                    normal[col] = -row[free] * (scale // row[col])
+                sides = set()
+                for ray in rays:
+                    v = sum(map(mul, normal, ray))
+                    if v:
+                        sides.add(v > 0)
+                        if len(sides) == 2:
+                            break
+                if len(sides) == 1:
+                    # divide by the gcd, negated when the rays lie below
+                    g = math.gcd(*normal) if sides.pop() else -math.gcd(*normal)
+                    normals.add(tuple(x // g for x in normal))
+        if len(_echelon(list(normals), n)[0]) != n:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
-        return tuple(sorted(normals))
+        return tuple(QVector(phi) for phi in sorted(normals))
+
+    @cached_property
+    def _facets(self) -> _FacetMatrix:
+        rows = tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
+        h_den, h_num = _numerators(self.h_class)
+        return _FacetMatrix(rows, tuple(sum(map(mul, r, h_num)) for r in rows), h_den)
 
     def contains(self, cls: QVector) -> bool:
-        """Exact pseudo-effective cone membership."""
-        cls = self._check_vec(cls, "class")
-        return all(phi.dot(cls) >= 0 for phi in self.facet_normals)
+        """Exact pseudo-effective cone membership: no facet functional is
+        negative on ``cls``."""
+        num = _numerators(self._check_vec(cls, "class"))[1]
+        return all(sum(map(mul, row, num)) >= 0 for row in self._facets.rows)
 
     def on_boundary(self, cls: QVector) -> bool:
         cls = self._check_vec(cls, "class")
+        num = _numerators(cls)[1]
         return self.contains(cls) and any(
-            phi.dot(cls) == 0 for phi in self.facet_normals
+            sum(map(mul, row, num)) == 0 for row in self._facets.rows
         )
 
     def min_h_multiple(self, cls: QVector) -> Fraction:
@@ -185,19 +231,29 @@ class PolarizedCone:
         ``t >= phi(cls) / phi(H)``; the optimum is the largest such ratio,
         clamped at zero.
         """
-        cls = self._check_vec(cls, "class")
-        t = Fraction(0)
-        for phi in self.facet_normals:
-            t = max(t, phi.dot(cls) / phi.dot(self.h_class))
-        return t
+        p, q = self._slope(cls)
+        return Fraction(max(p, 0), q)
+
+    def _slope(self, cls: QVector) -> tuple[int, int]:
+        """The largest ``phi(cls) / phi(H)`` over the facets, unclamped, as
+        ``(p, q)`` with ``q > 0``: ``t H - cls`` is pseudo-effective exactly
+        when ``t >= p / q``. Ratios are compared by cross-multiplying, every
+        ``phi(H)`` being positive."""
+        den, num = _numerators(self._check_vec(cls, "class"))
+        facets = self._facets
+        best = best_h = None
+        for row, phi_h in zip(facets.rows, facets.phi_h):
+            v = sum(map(mul, row, num))
+            if best is None or v * best_h > best * phi_h:
+                best, best_h = v, phi_h
+        return best * facets.h_den, best_h * den
 
     def _validate_geometry(self) -> None:
-        for phi in self.facet_normals:
-            if phi.dot(self.h_class) <= 0:
-                raise MalformedInputError(
-                    "H is not interior to the pseudo-effective cone (not ample)",
-                    reason="h-not-ample",
-                )
+        if any(phi_h <= 0 for phi_h in self._facets.phi_h):
+            raise MalformedInputError(
+                "H is not interior to the pseudo-effective cone (not ample)",
+                reason="h-not-ample",
+            )
         for g in self.pseff_gens:
             if g.is_zero():
                 raise MalformedInputError("zero vector among pseff generators")
@@ -276,37 +332,41 @@ class PolarizedCone:
 
 
 def _echelon(
-    vectors: Sequence[QVector], n: int
-) -> tuple[list[int], list[list[Fraction]]]:
-    """Gauss-Jordan reduction of the rows ``vectors`` (``n`` columns each).
+    vectors: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan reduction of the integer rows ``vectors``
+    (``n`` columns each).
 
     Returns the pivot columns and the nonzero reduced rows, row ``k``
-    holding a 1 in the ``k``-th pivot column and 0 in every other one;
-    the rank is the number of pivots.
+    nonzero in the ``k``-th pivot column and 0 in every other one; the rank
+    is the number of pivots. Eliminating with pivot row ``top`` replaces a
+    row by ``top[col] * row - row[col] * top`` divided by its gcd, which
+    keeps the entries small.
     """
     rows = [list(v) for v in vectors]
     pivots: list[int] = []
     for col in range(n):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        top = rows[rank] = [x / pv for x in rows[rank]]
+        top = rows[rank]
+        pv = top[col]
         for r, row in enumerate(rows):
-            if r != rank and row[col] != 0:
-                f = row[col]
-                rows[r] = [x - f * y for x, y in zip(row, top)]
+            f = row[col]
+            if f and r != rank:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, rows[: len(pivots)]
 
 
-def _primitive(v: QVector) -> QVector:
-    denoms = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * denoms) for x in v]
-    g = math.gcd(*ints)
-    return QVector(Fraction(x, g) for x in ints)
+def _numerators(v: QVector) -> tuple[int, list[int]]:
+    """``v`` over its common denominator ``d``: ``(d, [d * x for x in v])``."""
+    den = math.lcm(*(x.denominator for x in v))
+    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:
@@ -478,10 +538,7 @@ def lc_boundary_exists(cone: PolarizedCone) -> LcVerdict:
     proportional to ``H`` with ratio <= 0 gives the empty boundary as a
     witness. Anything else is honestly unknown.
     """
-    a_min = max(
-        (phi.dot(cone.k_class) / phi.dot(cone.h_class) for phi in cone.facet_normals),
-        default=Fraction(0),
-    )
+    a_min = Fraction(*cone._slope(cone.k_class))
     effectivity = (
         f"effectivity: -K_V + a*H is pseudo-effective only for a >= {rat_str(a_min)} "
         "(exact LP over the pseff generators)"

@@ -1,10 +1,12 @@
 """Command line surface: reports, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
 from singvol.cli import main
+from singvol.cone import MAX_FACET_SUBSETS
 
 GRAPH_DOC = {
     "vertices": [
@@ -177,6 +179,28 @@ def test_cone_bound_without_effective_boundary_exits_1(capsys) -> None:
     code, doc = run(capsys, "cone", "bound", "catalog:cone-g2-d1", "--a", "1/2")
     assert code == 1
     assert doc["error"]["reason"] == "boundary-not-effective"
+
+
+def test_cone_too_large_for_facet_enumeration_exits_1(tmp_path, capsys) -> None:
+    # basis 5 on the moment curve: C(m, 4) generator subsets, over the limit
+    m = next(m for m in range(5, 200) if math.comb(m, 4) > MAX_FACET_SUBSETS)
+    gens = [[str(t ** p) for p in range(5)] for t in range(-(m // 2), m - m // 2)]
+    h = [str(sum(int(g[p]) for g in gens)) for p in range(5)]
+    doc = {
+        "dim_X": 3,
+        "num_basis": ["e0", "e1", "e2", "e3", "e4"],
+        "form": [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+        "nef_gens": [h],
+        "pseff_gens": gens,
+        "K_V": ["0"] * 5,
+        "H": h,
+    }
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "cone", "limiting", str(path), "--m", "1")
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
+    assert str(MAX_FACET_SUBSETS) in out["error"]["message"]
 
 
 def test_cone_valuation(capsys) -> None:

@@ -1,6 +1,8 @@
 """Polarized cones, valuations, boundary verdicts, the dcc scan."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -386,3 +388,175 @@ def test_cone_doc_round_values() -> None:
     assert doc["num_basis"] == ["C0", "F"]
     assert doc["K_V"] == ["-2", "0"]
     assert doc["H"] == ["1", "1"]
+
+
+# -- differential test against a Fraction reference ------------------------------
+#
+# The reference is the earlier all-Fraction implementation: Gauss-Jordan over
+# each (n-1)-subset of the generators as given, and every facet functional a
+# Fraction dot product. The library runs the same tests on integer rows.
+
+
+def _ref_echelon(vectors, n):
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        top = rows[rank] = [x / pv for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] != 0:
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return pivots, rows[: len(pivots)]
+
+
+def _ref_primitive(v):
+    denoms = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * denoms) for x in v]
+    g = math.gcd(*ints)
+    return QVector(F(x, g) for x in ints)
+
+
+def _ref_facets(gens, n):
+    if len(_ref_echelon(gens, n)[0]) != n:
+        raise MalformedInputError("", reason="cone-not-full-dimensional")
+    normals = set()
+    if n == 1:
+        positive = {g[0] > 0 for g in gens if g[0] != 0}
+        if len(positive) != 1:
+            raise MalformedInputError("", reason="cone-not-salient")
+        normals.add(QVector([1]) if positive.pop() else QVector([-1]))
+    else:
+        for subset in combinations(gens, n - 1):
+            pivots, rows = _ref_echelon(subset, n)
+            if len(pivots) != n - 1:
+                continue
+            free = next(c for c in range(n) if c not in pivots)
+            coords = [F(0)] * n
+            coords[free] = F(1)
+            for row, col in zip(rows, pivots):
+                coords[col] = -row[free]
+            normal = QVector(coords)
+            values = [normal.dot(g) for g in gens]
+            if all(v >= 0 for v in values) and any(v > 0 for v in values):
+                normals.add(_ref_primitive(normal))
+            elif all(v <= 0 for v in values) and any(v < 0 for v in values):
+                normals.add(_ref_primitive(-normal))
+    if len(_ref_echelon(tuple(normals), n)[0]) != n:
+        raise MalformedInputError("", reason="cone-not-salient")
+    return tuple(sorted(normals))
+
+
+def _ref_cone(form, nef, gens, k_class, h):
+    """The reference facets, or the error the reference validation raises."""
+    n = len(h)
+    facets = _ref_facets(gens, n)
+    if any(phi.dot(h) <= 0 for phi in facets):
+        raise MalformedInputError("", reason="h-not-ample")
+    for g in gens:
+        if g.is_zero():
+            raise MalformedInputError("")
+        if form.pair(h, g) <= 0:
+            raise MalformedInputError("", reason="h-not-ample")
+    for v in nef:
+        if not all(phi.dot(v) >= 0 for phi in facets):
+            raise MalformedInputError("")
+    return facets
+
+
+def _ref_min_h(facets, h, cls):
+    return max([F(0)] + [phi.dot(cls) / phi.dot(h) for phi in facets])
+
+
+def _random_rational(rng, bound=6):
+    return F(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 5)))
+
+
+def _random_cone_data(rng):
+    """Rational generators around a random direction, a parallel duplicate,
+    and, now and then, a defect that the validation must reject."""
+    n = rng.randint(1, 5)
+    w = [rng.randint(1, 3) * rng.choice((1, -1)) for _ in range(n)]
+    gens = []
+    while len(gens) < n + rng.randint(0, 3):
+        g = [_random_rational(rng) for _ in range(n)]
+        if sum(a * b for a, b in zip(w, g)) > 0:
+            gens.append(QVector(g))
+    gens.append(gens[0].scale(F(rng.randint(1, 4), rng.randint(1, 3))))
+    h = sum(gens[1:], gens[0]).scale(F(rng.randint(1, 5), rng.randint(1, 4)))
+    h = h + QVector(_random_rational(rng, 1) for _ in range(n))
+    defect = rng.randrange(12)
+    if defect == 0:
+        gens.append(-gens[1])  # contains a line
+    elif defect == 1:
+        gens = [QVector.unit(n, 0).scale(g[0]) for g in gens]  # on one axis
+    elif defect == 2:
+        h = gens[-1]  # on a ray
+    elif defect == 3:
+        gens.insert(rng.randrange(len(gens)), QVector.zero(n))
+    rng.shuffle(gens)
+    # the identity plus a large multiple of w w^T makes H . g > 0 in most
+    # draws; with weight 0 it often fails
+    weight = 0 if defect == 4 else 50 + 10 * n
+    form = SymForm([[weight * w[i] * w[j] + int(i == j) for j in range(n)] for i in range(n)])
+    nef = [h]
+    if defect == 5:
+        nef.append(QVector(_random_rational(rng) for _ in range(n)))
+    k_class = (h.scale(-rng.randint(1, 2)) if rng.random() < 0.2
+               else QVector(_random_rational(rng) for _ in range(n)))
+    return n, form, nef, gens, k_class, h
+
+
+def test_integer_facet_kernel_matches_fraction_reference() -> None:
+    rng = Random(20240)
+    accepted = rejected = 0
+    for _ in range(500):
+        n, form, nef, gens, k_class, h = _random_cone_data(rng)
+        try:
+            expected = _ref_cone(form, nef, gens, k_class, h)
+        except MalformedInputError as exc:
+            expected = exc
+        try:
+            cone = PolarizedCone(
+                dim_x=3, basis=[f"b{i}" for i in range(n)], form=form, nef_gens=nef,
+                pseff_gens=gens, k_class=k_class, h_class=h,
+            )
+        except MalformedInputError as exc:
+            assert isinstance(expected, MalformedInputError), (gens, h, exc.reason)
+            assert type(exc) is type(expected) and exc.reason == expected.reason, (gens, h)
+            rejected += 1
+            continue
+        assert not isinstance(expected, Exception), (gens, h, expected.reason)
+        accepted += 1
+        assert cone.facet_normals == expected
+        classes = [k_class, h, gens[0], -gens[0], QVector.zero(n)]
+        classes += [QVector(_random_rational(rng) for _ in range(n)) for _ in range(3)]
+        for cls in classes:
+            values = [phi.dot(cls) for phi in expected]
+            assert cone.contains(cls) == all(v >= 0 for v in values)
+            assert cone.on_boundary(cls) == (all(v >= 0 for v in values) and 0 in values)
+            limit = _ref_min_h(expected, h, cls)
+            assert cone.min_h_multiple(cls) == limit
+            for k in (1, 2, 5):
+                assert natural_valuation(cone, cls, k) == max(0, math.ceil(k * limit))
+        a_min = max(phi.dot(k_class) / phi.dot(h) for phi in expected)
+        verdict = lc_boundary_exists(cone)
+        assert f"a >= {a_min} (" in verdict.certificate[0]
+        i = next(i for i, x in enumerate(h) if x != 0)
+        ratio = k_class[i] / h[i]
+        witness = ratio <= 0 and k_class == h.scale(ratio)
+        if a_min > 0:
+            assert (verdict.exists, verdict.forced_a) == (False, None)
+        elif witness:
+            assert verdict.exists is True
+            assert verdict.forced_a == (F(0) if a_min == 0 else None)
+        else:
+            assert verdict.exists is None
+            assert verdict.forced_a == (F(0) if a_min == 0 else None)
+    assert accepted >= 250 and rejected >= 100, (accepted, rejected)

@@ -19,8 +19,9 @@ from singvol.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# Written into the working directory as ``tower.json``; a relative path
-# keeps the report's ``source`` field independent of where the test runs.
+# Written into the working directory as ``tower.json`` and ``cone.json``; a
+# relative path keeps the report's ``source`` field independent of where the
+# test runs.
 TOWER_DOC = {
     "base": {
         "vertices": [
@@ -34,6 +35,25 @@ TOWER_DOC = {
         {"kind": "satellite", "i": "c", "j": "b1"},
         {"kind": "satellite", "i": "c", "j": "t"},
     ],
+}
+
+# A basis-4 cone over six points of the moment curve (1, t, t^2, t^3), one of
+# them at t = 1/2, with half their sum as H: eight facets, rational entries.
+CONE_DOC = {
+    "dim_X": 3,
+    "num_basis": ["e0", "e1", "e2", "e3"],
+    "form": [[110, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    "nef_gens": [["3", "3/4", "61/8", "153/16"]],
+    "pseff_gens": [
+        ["1", "-2", "4", "-8"],
+        ["1", "-1", "1", "-1"],
+        ["1", "0", "0", "0"],
+        ["1", "1/2", "1/4", "1/8"],
+        ["1", "1", "1", "1"],
+        ["1", "3", "9", "27"],
+    ],
+    "K_V": ["1/3", "1/3", "1/3", "1/3"],
+    "H": ["3", "3/4", "61/8", "153/16"],
 }
 
 
@@ -54,6 +74,11 @@ def _cases() -> dict[str, list[str]]:
             "cone", "valuation", source, "--class", cls, "--k", "5",
         ]
         cases[f"cone-limiting-{name}"] = ["cone", "limiting", source, "--m", "6"]
+    cases["cone-bound-moment-4"] = ["cone", "bound", "cone.json", "--a", "1/2"]
+    cases["cone-valuation-moment-4"] = [
+        "cone", "valuation", "cone.json", "--class", "1/2,-1/3,2,5/7", "--k", "5",
+    ]
+    cases["cone-limiting-moment-4"] = ["cone", "limiting", "cone.json", "--m", "6"]
     cases["cone-counterexample"] = ["cone", "counterexample"]
     cases["cone-dcc-scan"] = ["cone", "dcc-scan", "--g-max", "20", "--a-max", "10"]
     cases["catalog-list"] = ["catalog", "list"]
@@ -68,6 +93,7 @@ CASES = _cases()
 def _run(argv: list[str]) -> dict:
     """Run one command in the current directory; return its golden record."""
     Path("tower.json").write_text(json.dumps(TOWER_DOC), encoding="utf-8")
+    Path("cone.json").write_text(json.dumps(CONE_DOC), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))

@@ -1,12 +1,13 @@
-"""The benchmark's tracer still sees the graph and envelope work.
+"""The benchmark's tracer still sees the graph, envelope and cone work.
 
 ``perfbench/tracer.py`` wraps singvol's functions by name. A deleted target
 makes the benchmark exit with a ``LookupError``; a target that still exists
-but is no longer on the call path makes its spans read 0. This test catches
-both by tracing one volume computation.
+but is no longer on the call path makes its spans read 0. These tests catch
+both by tracing one volume computation and one cone.
 """
 
 import importlib
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,21 +21,31 @@ def _tracer_module() -> dict:
     return tracer
 
 
-def test_tracer_records_every_graph_and_envelope_span_of_a_volume() -> None:
+def _traced(run):
+    """Run ``run(modules)`` under a tracer; return its result and the tracer."""
     tracer = _tracer_module()
     modules = SimpleNamespace(**{
         name: importlib.import_module(f"singvol.{name}")
         for name in {target[0] for target in tracer["TARGETS"]}
     })
-    catalog = importlib.import_module("singvol.catalog")
     tr = tracer["Tracer"](modules)  # raises LookupError on a missing target
     tr.install()
     try:
+        return run(modules), tr
+    finally:
+        tr.uninstall()
+
+
+def test_tracer_records_every_graph_and_envelope_span_of_a_volume() -> None:
+    catalog = importlib.import_module("singvol.catalog")
+
+    def run(modules):
         graph = catalog.graph_by_name("cone-g2-d1")
         report = modules.envelope.volume(graph)
         modules.envelope.zariski_oracle(graph, graph.log_discrepancy_divisor())
-    finally:
-        tr.uninstall()
+        return report
+
+    report, tr = _traced(run)
     assert report.volume > 0
     by = tr.summary()["by_name"]
     spans = [n for n in tr.names if n.startswith(("graph.", "envelope."))]
@@ -42,3 +53,31 @@ def test_tracer_records_every_graph_and_envelope_span_of_a_volume() -> None:
                      "graph.canonical", "graph.construct"]
     assert all(by[n]["calls"] >= 1 for n in spans), {n: by[n]["calls"] for n in spans}
     assert by["graph.canonical"]["calls"] == 1
+
+
+def test_tracer_records_every_cone_span_of_a_cone_item() -> None:
+    # the steps of one benchmark cone: construct, lc verdict, bound table and
+    # valuations, on a basis-3 cone over eight points of the moment curve
+    def run(modules):
+        lat, cone = modules.lattice, modules.cone
+        gens = [lat.QVector([1, t, t * t]) for t in range(-4, 4)]
+        h = lat.QVector([sum(col) for col in zip(*gens)])
+        pc = cone.PolarizedCone(
+            dim_x=3, basis=["e0", "e1", "e2"],
+            form=lat.SymForm([[100, 0, 0], [0, -1, 0], [0, 0, -1]]), nef_gens=[h],
+            pseff_gens=gens, k_class=-(h + gens[0]), h_class=h,
+        )
+        verdict = cone.lc_boundary_exists(pc)
+        cone.vol_plus_table(pc, [1, Fraction(1, 2)])
+        values = [cone.natural_valuation(pc, gens[0], k) for k in (1, 2, 5)]
+        return pc, verdict, values
+
+    (pc, verdict, values), tr = _traced(run)
+    assert len(pc.facet_normals) == 8
+    assert verdict.exists is None and values == [1, 1, 3]  # ceil(5k/12)
+    by = tr.summary()["by_name"]
+    spans = ["cone.construct", "cone.contains", "cone.facets", "cone.lc_verdict",
+             "cone.table", "cone.valuation"]
+    assert all(by[n]["calls"] >= 1 for n in spans), {n: by[n]["calls"] for n in spans}
+    assert by["cone.facets"]["calls"] == 1
+    assert by["cone.facets"]["amount"] == 8
