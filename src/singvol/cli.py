@@ -27,7 +27,12 @@ from .cone import (
     vol_upper_bound,
     STATUS_CITED,
 )
-from .envelope import nef_envelope_trace, volume, zariski_oracle
+from .envelope import (
+    ORACLE_MAX_VERTICES,
+    nef_envelope_trace,
+    volume,
+    zariski_oracle,
+)
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -136,9 +141,9 @@ def _cmd_graph_blowup(args) -> tuple[dict, int]:
 def _cmd_graph_random_suite(args) -> tuple[dict, int]:
     if args.count < 1 or args.max_vertices < 1:
         raise DomainError("need --count >= 1 and --max-vertices >= 1")
-    if args.max_vertices > 12:
+    if args.max_vertices > ORACLE_MAX_VERTICES:
         raise DomainError(
-            "--max-vertices above 12 would exceed the oracle bound",
+            f"--max-vertices above {ORACLE_MAX_VERTICES} would exceed the oracle bound",
             reason="oracle-size",
         )
     rng = Random(args.seed)

@@ -21,13 +21,17 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalConsistencyError, OracleSizeError
+from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
 from .graph import ExcDivisor, ResolutionGraph
 from .lattice import QVector
+
+# The most vertices the exponential oracle accepts (2^12 subsets).
+ORACLE_MAX_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,7 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     return _finish(graph, a, n_coeffs)
 
 
-def zariski_oracle(
-    graph: ResolutionGraph, a: ExcDivisor, max_vertices: int = 12
-) -> ZariskiDecomposition:
+def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
     """Exponential ground-truth envelope: try every candidate active set.
 
     For each subset ``S`` of vertices solve the complementarity system
@@ -125,25 +127,46 @@ def zariski_oracle(
     candidates with ``N >= 0`` and ``P . E_j >= 0`` everywhere, and return
     the componentwise-maximal ``P``. Existence and uniqueness of the
     maximal element are asserted, not assumed.
+
+    The subsets are walked depth first, each extending its parent by one
+    larger vertex, so each costs one pivot on its parent's elimination
+    (:func:`_subset_walk`). Both feasibility tests are integer sign tests;
+    only feasible candidates become ``Fraction`` vectors. Graphs with more
+    than :data:`ORACLE_MAX_VERTICES` vertices are refused.
     """
     r = len(graph.vertices)
-    if r > max_vertices:
+    if r > ORACLE_MAX_VERTICES:
         raise OracleSizeError(
-            f"oracle bound exceeded: {r} vertices > {max_vertices}"
+            f"oracle bound exceeded: {r} vertices > {ORACLE_MAX_VERTICES}"
         )
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)
     m_a = a.intersections()
-    form = graph.intersection_form
+    scale, sparse = graph.intersection_form._integral()
+    den = math.lcm(*(x.denominator for x in m_a))
+    # The system scaled by L * den: (L M)_S (den N)_S = L den (A . E)_S.
+    c = [scale * x.numerator * (den // x.denominator) for x in m_a]
     feasible: list[QVector] = []
-    for size in range(r + 1):
-        for subset in combinations(range(r), size):
-            n_coeffs = form.solve(m_a, subset)
-            if not n_coeffs.is_nonnegative():
-                continue
-            p = a.coeffs - n_coeffs
-            if form.apply(p).is_nonnegative():
-                feasible.append(p)
+    visited = 0
+    for d, y in _subset_walk(sparse, c):
+        visited += 1
+        # den * d * (N_i, L (P . E_j)) = (y_i, d c_j - (L M y)_j); den, L > 0
+        if not _same_sign(y.values(), d):
+            continue
+        my = [d * cj for cj in c]
+        for i, v in y.items():
+            for j, x in sparse[i]:
+                my[j] -= x * v
+        if not _same_sign(my, d):
+            continue
+        n_coeffs = [Fraction(0)] * r
+        for i, v in y.items():
+            n_coeffs[i] = Fraction(v, d * den)
+        feasible.append(a.coeffs - QVector(n_coeffs))
+    if visited != 2 ** r:
+        raise InternalConsistencyError(
+            f"oracle visited {visited} vertex subsets, not 2^{r}"
+        )
     if not feasible:
         raise InternalConsistencyError("no feasible Zariski candidate found")
     p_max = QVector(max(vals) for vals in zip(*feasible))
@@ -152,6 +175,64 @@ def zariski_oracle(
             "feasible candidates have no componentwise-maximal element"
         )
     return _finish(graph, a, a.coeffs - p_max)
+
+
+def _same_sign(values: Iterable[int], d: int) -> bool:
+    """Every nonzero value has the sign of ``d``: ``v / d >= 0`` for all."""
+    return min(values, default=0) >= 0 if d > 0 else max(values, default=0) <= 0
+
+
+def _subset_walk(
+    sparse: Sequence[Sequence[tuple[int, int]]], c: Sequence[int]
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Solve ``K_S y = d c_S`` for every subset ``S``, depth first.
+
+    ``sparse`` holds the integer matrix ``K`` (symmetric, every principal
+    minor nonzero) as ``(column, value)`` rows, ``c`` the right-hand side.
+    Yields ``(d, y)`` once per subset, with ``d = det K_S`` (1 for the
+    empty set) and ``y`` the integer solution on ``S`` as ``{vertex: value}``.
+
+    A subset's fraction-free (Bareiss) Schur complement holds the rows and
+    columns of the vertices above its largest one, with ``c`` as a last
+    column. A child adds one such vertex ``v`` and pivots on it: each entry
+    becomes ``(p a_ij - a_iv a_vj) / p_prev``, an exact division, with ``p``
+    the child's pivot ``det K_{S+v}`` and ``p_prev = det K_S``. The pivot
+    rows kept along the path give ``y`` by fraction-free back-substitution.
+    """
+    r = len(c)
+    first = [[0] * r + [cj] for cj in c]
+    for i, row in enumerate(sparse):
+        for j, x in row:
+            first[i][j] = x
+    yield 1, {}
+    path: list[tuple[int, int, list[int], int]] = []  # (vertex, pivot, row, lo)
+    # (depth, lo, rows, prev, q): pivot on rows[q], the vertex lo + q, of the
+    # complement over the vertices from lo on, whose own pivot was prev
+    stack = [(0, 0, first, 1, q) for q in reversed(range(r))]
+    while stack:
+        depth, lo, rows, prev, q = stack.pop()
+        top = rows[q]
+        d = top[q]
+        if not d:
+            raise SingularSystemError("principal submatrix is singular")
+        del path[depth:]
+        path.append((lo + q, d, top, lo))
+        y: dict[int, int] = {}
+        for v, p, row, base in reversed(path):
+            acc = d * row[-1]
+            for u, yu in y.items():
+                acc -= row[u - base] * yu
+            y[v] = acc // p
+        yield d, y
+        if q + 1 < len(rows):
+            tail = top[q + 1:]
+            below = [
+                [(d * x - row[q] * t) // prev for x, t in zip(row[q + 1:], tail)]
+                for row in rows[q + 1:]
+            ]
+            stack.extend(
+                (depth + 1, lo + q + 1, below, d, k) for k in reversed(range(len(below)))
+            )
 
 
 def volume(graph: ResolutionGraph) -> VolumeReport:

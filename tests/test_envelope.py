@@ -1,6 +1,7 @@
 """Nef envelopes, the subset oracle, volumes."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -12,6 +13,9 @@ from singvol import (
     volume,
     zariski_oracle,
 )
+from singvol.envelope import ORACLE_MAX_VERTICES, _finish
+from singvol.errors import InternalConsistencyError
+from singvol.lattice import QVector
 from singvol.randgen import random_divisor, random_graph
 
 F = Fraction
@@ -90,9 +94,77 @@ def test_cone_volume_closed_form_grid() -> None:
 
 
 def test_oracle_size_guard() -> None:
+    assert ORACLE_MAX_VERTICES == 12
     g = chain(*([-2] * 13))
     with pytest.raises(OracleSizeError):
         zariski_oracle(g, g.zero_divisor())
+
+
+def reference_oracle(graph: ResolutionGraph, a) -> object:
+    """The oracle as it was before the depth-first walk: one independent
+    ``SymForm.solve`` per vertex subset, in size order, with ``Fraction``
+    feasibility checks."""
+    r = len(graph.vertices)
+    m_a = a.intersections()
+    form = graph.intersection_form
+    feasible = []
+    for size in range(r + 1):
+        for subset in combinations(range(r), size):
+            n_coeffs = form.solve(m_a, subset)
+            if not n_coeffs.is_nonnegative():
+                continue
+            p = a.coeffs - n_coeffs
+            if form.apply(p).is_nonnegative():
+                feasible.append(p)
+    if not feasible:
+        raise InternalConsistencyError("no feasible Zariski candidate found")
+    p_max = QVector(max(vals) for vals in zip(*feasible))
+    if p_max not in feasible:
+        raise InternalConsistencyError(
+            "feasible candidates have no componentwise-maximal element"
+        )
+    return _finish(graph, a, a.coeffs - p_max)
+
+
+def _differential_divisor(rng: Random, g: ResolutionGraph, kind: int):
+    """A random rational divisor (kind 0), an already nef one, so N = 0
+    (kind 1), or one with every coefficient <= 0 (kind 2)."""
+    if kind == 1:
+        w = random_divisor(rng, g, 0, 3).coeffs  # A . E = w >= 0
+        return g.divisor(g.intersection_form.solve(w))
+    if kind == 2:
+        return random_divisor(rng, g, -3, 0)
+    return random_divisor(rng, g)
+
+
+def test_oracle_matches_per_subset_reference_seeded() -> None:
+    # 1-10 vertices, with extra cycle edges and multiplicity-2 edges
+    rng = Random(520)
+    seen = set()
+    for case in range(300):
+        g = random_graph(rng, 10)
+        a = _differential_divisor(rng, g, case % 3)
+        dec = zariski_oracle(g, a)
+        assert dec == reference_oracle(g, a), case
+        if case % 3 == 1:
+            assert dec.n.coeffs.is_zero() and dec.p == a
+        pairs = [frozenset((e.i, e.j)) for e in g.edges]
+        seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
+        seen.add(("mult-2", any(e.mult == 2 for e in g.edges)))
+        seen.add(("N = 0", dec.n.coeffs.is_zero()))
+    assert all((k, True) in seen for k in ("cycle", "mult-2", "N = 0")), seen
+    assert ("N = 0", False) in seen
+
+
+def test_oracle_matches_per_subset_reference_at_the_bound() -> None:
+    rng = Random(521)
+    g = random_graph(rng, ORACLE_MAX_VERTICES, ORACLE_MAX_VERTICES)
+    a = random_divisor(rng, g)
+    assert len(g.vertices) == ORACLE_MAX_VERTICES
+    dec = zariski_oracle(g, a)
+    assert dec == reference_oracle(g, a)
+    assert dec == nef_envelope_trace(g, a)
+    assert dec.active and dec.p.coeffs != a.coeffs
 
 
 def test_trace_equals_oracle_seeded() -> None:

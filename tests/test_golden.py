@@ -66,6 +66,11 @@ def _cases() -> dict[str, list[str]]:
     cases["graph-random-suite"] = [
         "graph", "random-suite", "--count", "20", "--max-vertices", "6", "--seed", "7",
     ]
+    # the oracle's edge: the largest graphs it accepts, and the first refused
+    cases["graph-random-suite-12"] = [
+        "graph", "random-suite", "--count", "4", "--max-vertices", "12", "--seed", "6",
+    ]
+    cases["error-oracle-size"] = ["graph", "random-suite", "--max-vertices", "13"]
     for name, cls in (("paper-ruled-surface", "1,-1"), ("elliptic-cone", "1"),
                       ("elliptic-cone-2", "3/2")):
         source = f"catalog:{name}"

@@ -81,3 +81,22 @@ def test_tracer_records_every_cone_span_of_a_cone_item() -> None:
     assert all(by[n]["calls"] >= 1 for n in spans), {n: by[n]["calls"] for n in spans}
     assert by["cone.facets"]["calls"] == 1
     assert by["cone.facets"]["amount"] == 8
+
+
+def test_oracle_runs_no_production_solve() -> None:
+    # the oracle keeps its own elimination, so the trace's solves and the
+    # oracle share no code; the benchmark counts solves by enclosing span
+    catalog = importlib.import_module("singvol.catalog")
+
+    def run(modules):
+        graph = catalog.graph_by_name("E8")
+        a = graph.log_discrepancy_divisor() - graph.basis_divisor("v4").scale(3)
+        trace = modules.envelope.nef_envelope_trace(graph, a)
+        return trace, modules.envelope.zariski_oracle(graph, a)
+
+    (trace, oracle), tr = _traced(run)
+    assert trace == oracle and oracle.active and not oracle.p.coeffs.is_zero()
+    summary = tr.summary()
+    assert summary["by_name"]["envelope.oracle"]["calls"] == 1
+    assert summary["inside"][("envelope.trace", "lattice.solve")][0] >= 1
+    assert ("envelope.oracle", "lattice.solve") not in summary["inside"]
