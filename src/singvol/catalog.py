@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cone import PolarizedCone, RigidClass, curve_cone
 from .errors import DomainError, MalformedInputError
-from .graph import ResolutionGraph
+from .graph import ResolutionGraph, check_graph_size
 from .lattice import QVector, SymForm
 
 
@@ -110,10 +110,18 @@ _GRAPH_FIXED = {
     "E8": e8,
 }
 
+
+def _vertex_count(match) -> int:
+    """The number in ``A<n>``, ``D<n>`` or ``cusp-<L>``, checked as a size."""
+    n = int(match.group(1))
+    check_graph_size(n)
+    return n
+
+
 _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
-    (re.compile(r"^A(\d+)$"), lambda m: a_n(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: d_n(int(m.group(1)))),
-    (re.compile(r"^cusp-(\d+)$"), lambda m: cusp_cycle(int(m.group(1)))),
+    (re.compile(r"^A(\d+)$"), lambda m: a_n(_vertex_count(m))),
+    (re.compile(r"^D(\d+)$"), lambda m: d_n(_vertex_count(m))),
+    (re.compile(r"^cusp-(\d+)$"), lambda m: cusp_cycle(_vertex_count(m))),
     (
         re.compile(r"^simple-elliptic-(\d+)$"),
         lambda m: simple_elliptic(int(m.group(1))),
@@ -147,6 +155,8 @@ def _build_named(name: str, build, match) -> object:
     try:
         return build(match)
     except DomainError as exc:
+        if exc.reason == "too-large":  # a valid name, beyond the size limit
+            raise
         raise MalformedInputError(
             f"catalog name {name!r} has invalid parameters: {exc}"
         ) from exc

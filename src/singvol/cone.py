@@ -48,7 +48,7 @@ from .errors import (
     InternalConsistencyError,
     MalformedInputError,
 )
-from .lattice import QVector, SymForm, rat, rat_str
+from .lattice import QVector, SymForm, numerators, rat, rat_str
 
 # Report-label vocabulary. Claims carried by citation are present for
 # completeness of the record but were not (and cannot be) desk-checked here.
@@ -164,7 +164,7 @@ class PolarizedCone:
                 f"limit of {MAX_FACET_SUBSETS}",
                 reason="too-large",
             )
-        rays = [_numerators(g)[1] for g in self.pseff_gens]
+        rays = [numerators(g)[1] for g in self.pseff_gens]
         if len(_echelon(rays, n)[0]) != n:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
@@ -208,18 +208,18 @@ class PolarizedCone:
     @cached_property
     def _facets(self) -> _FacetMatrix:
         rows = tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
-        h_den, h_num = _numerators(self.h_class)
+        h_den, h_num = numerators(self.h_class)
         return _FacetMatrix(rows, tuple(sum(map(mul, r, h_num)) for r in rows), h_den)
 
     def contains(self, cls: QVector) -> bool:
         """Exact pseudo-effective cone membership: no facet functional is
         negative on ``cls``."""
-        num = _numerators(self._check_vec(cls, "class"))[1]
+        num = numerators(self._check_vec(cls, "class"))[1]
         return all(sum(map(mul, row, num)) >= 0 for row in self._facets.rows)
 
     def on_boundary(self, cls: QVector) -> bool:
         cls = self._check_vec(cls, "class")
-        num = _numerators(cls)[1]
+        num = numerators(cls)[1]
         return self.contains(cls) and any(
             sum(map(mul, row, num)) == 0 for row in self._facets.rows
         )
@@ -239,7 +239,7 @@ class PolarizedCone:
         ``(p, q)`` with ``q > 0``: ``t H - cls`` is pseudo-effective exactly
         when ``t >= p / q``. Ratios are compared by cross-multiplying, every
         ``phi(H)`` being positive."""
-        den, num = _numerators(self._check_vec(cls, "class"))
+        den, num = numerators(self._check_vec(cls, "class"))
         facets = self._facets
         best = best_h = None
         for row, phi_h in zip(facets.rows, facets.phi_h):
@@ -361,12 +361,6 @@ def _echelon(
                 rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, rows[: len(pivots)]
-
-
-def _numerators(v: QVector) -> tuple[int, list[int]]:
-    """``v`` over its common denominator ``d``: ``(d, [d * x for x in v])``."""
-    den = math.lcm(*(x.denominator for x in v))
-    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:

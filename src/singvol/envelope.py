@@ -11,9 +11,15 @@ Zariski decomposition: ``N >= 0``, ``P`` nef, and ``P . E_j = 0`` wherever
 Two independent routes are provided and kept separate on purpose:
 
 * :func:`nef_envelope_trace`, the production active-set iteration, at most
-  one linear solve per vertex;
+  one linear solve per vertex, with integer right-hand sides and integer
+  sign tests; for ``A >= 0`` it runs no round, since every nef divisor is
+  ``<= 0`` (``-M^-1 >= 0`` entrywise on a connected negative-definite
+  graph) and so ``P = 0``;
 * :func:`zariski_oracle`, brute force over all ``2^r`` candidate active
   sets, used as ground truth at small sizes.
+
+Both end in :func:`_finish`, which certifies ``N >= 0``, ``P`` nef and
+``P . N = 0`` by integer sign tests over one denominator.
 
 The volume of the singularity is ``-P . P`` for ``A`` the log-discrepancy
 divisor; it is nonnegative and vanishes exactly in the log canonical case.
@@ -21,14 +27,14 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector
+from .lattice import QVector, numerators
 
 # The most vertices the exponential oracle accepts (2^12 subsets).
 ORACLE_MAX_VERTICES = 12
@@ -71,52 +77,75 @@ class VolumeReport:
 
 
 def _finish(graph: ResolutionGraph, a: ExcDivisor, n_coeffs: QVector) -> ZariskiDecomposition:
+    """Certify ``N`` as the negative part of ``A``, by integer sign tests
+    over one denominator ``den``: ``den N >= 0``, ``L den (P . E_j) >= 0``
+    and ``sum_j den N_j * L den (P . E_j) = 0``; return ``A = P + N``."""
     n_div = ExcDivisor(graph, n_coeffs)
-    p_div = a - n_div
-    if not n_coeffs.is_nonnegative():
+    r = len(n_coeffs)
+    den, nums = numerators((*a.coeffs, *n_coeffs))
+    n_num = nums[r:]
+    p_num = [x - v for x, v in zip(nums, n_num)]
+    if min(n_num) < 0:
         raise InternalConsistencyError(
             f"negative part has a negative coefficient: N = {n_coeffs!r}"
         )
-    if not p_div.intersections().is_nonnegative():
+    sparse = graph.intersection_form._integral[1]
+    mp = [sum([x * p_num[j] for j, x in row]) for row in sparse]
+    if min(mp) < 0:
         raise InternalConsistencyError("claimed nef part meets a curve negatively")
-    if graph.intersection_form.pair(p_div.coeffs, n_div.coeffs) != 0:
+    if sum(map(mul, n_num, mp)):
         raise InternalConsistencyError("P and N are not orthogonal")
-    active = frozenset(
-        v.id for v, c in zip(graph.vertices, n_coeffs) if c != 0
-    )
+    p_div = ExcDivisor(graph, QVector(Fraction(v, den) for v in p_num))
+    active = frozenset(v.id for v, c in zip(graph.vertices, n_num) if c)
     return ZariskiDecomposition(p=p_div, n=n_div, active=active)
 
 
 def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
     """Active-set computation of the nef envelope of ``A``.
 
-    Start from the vertices ``A`` meets negatively, solve for the negative
-    part on that set, then grow the set by every vertex the candidate nef
-    part still meets negatively. The set only grows, so at most ``r``
-    rounds run. The final ``N`` must be nonnegative; if not, that is an
-    internal error, never repaired silently.
+    ``A >= 0`` runs no round: its envelope is ``P = 0`` (module docstring).
+    Otherwise start from the vertices ``A`` meets negatively, solve for the
+    negative part on that set, then grow the set by every vertex the
+    candidate nef part still meets negatively. The set only grows, so at
+    most ``r`` rounds run, each one solve with the integer right-hand side
+    ``c = L den (A . E)`` and integer sign tests. :func:`_finish` certifies
+    the result; a failure is an internal error, never repaired silently.
     """
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)  # revalidates the length
-    m_a = a.intersections()
+    den, a_num = numerators(a.coeffs)
+    if min(a_num) >= 0:
+        return _finish(graph, a, a.coeffs)
     form = graph.intersection_form
-    working = {j for j, x in enumerate(m_a) if x < 0}
+    scale, sparse = form._integral
+    c = [sum([x * a_num[j] for j, x in row]) for row in sparse]
+    working = {j for j, x in enumerate(c) if x < 0}
     rounds = 0
     while True:
         rounds += 1
         if rounds > len(graph.vertices) + 1:
             raise InternalConsistencyError("active set failed to stabilize")
-        # N is supported on the working set and matches A's intersections
-        # there; unique because principal submatrices stay negative definite.
-        n_coeffs = form.solve(m_a, sorted(working))
-        p_ints = form.apply(a.coeffs - n_coeffs)
-        violators = {
-            j for j, x in enumerate(p_ints) if j not in working and x < 0
-        }
+        # x = L den N is supported on the working set, where M x = c; unique
+        # because principal submatrices stay negative definite.
+        support = sorted(working)
+        x = form.solve(c, support)
+        q, y = numerators([x[i] for i in support])
+        # q L (L den (P . E_j)) = q L c_j - (L M y)_j; q, L, den > 0. Off the
+        # working set only the neighbours of its vertices can turn negative.
+        my: dict[int, int] = {}
+        for i, yi in zip(support, y):
+            for j, v in sparse[i]:
+                my[j] = my.get(j, 0) + v * yi
+        qc = q * scale
+        violators = {j for j, v in my.items() if j not in working and qc * c[j] < v}
         if not violators:
             break
         working |= violators
-    return _finish(graph, a, n_coeffs)
+    n_coeffs = [Fraction(0)] * len(c)
+    q *= scale * den
+    for i, yi in zip(support, y):
+        n_coeffs[i] = Fraction(yi, q)
+    return _finish(graph, a, QVector(n_coeffs))
 
 
 def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
@@ -141,11 +170,10 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
         )
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)
-    m_a = a.intersections()
-    scale, sparse = graph.intersection_form._integral()
-    den = math.lcm(*(x.denominator for x in m_a))
+    scale, sparse = graph.intersection_form._integral
     # The system scaled by L * den: (L M)_S (den N)_S = L den (A . E)_S.
-    c = [scale * x.numerator * (den // x.denominator) for x in m_a]
+    den, c = numerators(a.intersections())
+    c = [scale * x for x in c]
     feasible: list[QVector] = []
     visited = 0
     for d, y in _subset_walk(sparse, c):

@@ -5,7 +5,11 @@ irreducible exceptional curve with its self-intersection and genus, each
 edge an intersection point with multiplicity. The associated intersection
 matrix must be negative definite (Mumford), and the graph connected; both
 are enforced at construction, so every ``ResolutionGraph`` in existence is
-a valid resolution dual graph.
+a valid resolution dual graph. The matrix goes to the form as sparse
+integer rows, parallel edges merged, and definiteness is tested in one
+leaf-first elimination pass, so building a tree costs O(vertices + edges)
+steps before big-integer growth. Graphs read from a document or a catalog
+name are refused above :data:`MAX_GRAPH_VERTICES` vertices.
 
 The numerical pullback of the canonical class is the unique exceptional
 divisor ``B`` with ``(K_Y + B) . E_j = 0`` for every vertex, i.e. the
@@ -26,8 +30,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InternalConsistencyError, MalformedInputError
+from .errors import DomainError, InternalConsistencyError, MalformedInputError
 from .lattice import QVector, SymForm, rat_str
+
+# The most vertices of a graph read from a document or a catalog name. The
+# trace's rounds cost O(n^2) on long non-lc arms, which sets the value.
+MAX_GRAPH_VERTICES = 700
+
+
+def check_graph_size(count: int) -> None:
+    """Refuse a graph of ``count`` vertices, before it is built, if too large."""
+    if count > MAX_GRAPH_VERTICES:
+        raise DomainError(f"graph has {count} vertices, above the limit of "
+                          f"{MAX_GRAPH_VERTICES}", reason="too-large")
 
 
 def _is_int(value) -> bool:
@@ -136,17 +151,12 @@ class ResolutionGraph:
     @cached_property
     def intersection_form(self) -> SymForm:
         """Gram matrix: self-intersections on the diagonal, summed edge
-        multiplicities off it."""
-        n = len(self.vertices)
-        zero = Fraction(0)  # one shared object makes the symmetry check cheap
-        rows = [[zero] * n for _ in range(n)]
-        for k, v in enumerate(self.vertices):
-            rows[k][k] = Fraction(v.self_int)
+        multiplicities off it, handed over as sparse integer rows."""
+        rows = [{k: v.self_int} for k, v in enumerate(self.vertices)]
         for e in self.edges:
             a, b = self._index[e.i], self._index[e.j]
-            rows[a][b] += e.mult
-            rows[b][a] += e.mult
-        return SymForm(rows)
+            rows[a][b] = rows[b][a] = rows[a].get(b, 0) + e.mult
+        return SymForm.sparse(rows)
 
     def divisor(self, coeffs) -> "ExcDivisor":
         return ExcDivisor(self, QVector(coeffs))

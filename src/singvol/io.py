@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from .cone import PolarizedCone, RigidClass
 from .errors import MalformedInputError
-from .graph import Edge, ResolutionGraph, Vertex
+from .graph import Edge, ResolutionGraph, Vertex, check_graph_size
 from .lattice import QVector, SymForm, rat
 from .tower import FreeBlowup, ModelTower, SatelliteBlowup
 
@@ -57,6 +57,7 @@ def graph_from_doc(doc: Any) -> ResolutionGraph:
     doc = _take(_require_mapping(doc, "graph"), "graph", ("vertices", "edges"))
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise MalformedInputError("graph vertices and edges must be lists")
+    check_graph_size(len(doc["vertices"]))
     vertices = []
     for v in doc["vertices"]:
         v = _take(_require_mapping(v, "vertex"), "vertex", ("id", "self_int", "genus"))

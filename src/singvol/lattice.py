@@ -5,11 +5,17 @@ decompositions, cone membership) runs on this layer, so it is deliberately
 small and completely exact: coefficients are ``fractions.Fraction`` with
 arbitrary-precision integers underneath, and no float ever appears.
 
-Minors, determinants and solves share one fraction-free elimination on
-Python ints (Bareiss, "Sylvester's identity and multistep
+A form is stored as sparse integer rows, the nonzero entries of ``L * M``
+with ``L`` the lcm of the denominators. A resolution graph hands these
+rows over directly, so its form costs O(vertices + edges) to build; the
+dense ``Fraction`` matrix is built only when asked for. Minors,
+determinants, the definiteness test and solves share one fraction-free
+elimination on Python ints (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) over the
-nonzero entries of the matrix; results become ``Fraction`` only when they
-are returned.
+nonzero entries. Definiteness and solves eliminate leaves first, where a
+tree gets no fill-in; Sylvester's criterion holds for the leading minors
+of any symmetric reordering. The mat-vec and the pairing are integer sums
+over one denominator; results become ``Fraction`` only when returned.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MalformedInputError, SingularSystemError
 
@@ -123,35 +129,62 @@ def _qvector(entries: Iterable[Fraction]) -> QVector:
     return tuple.__new__(QVector, entries)
 
 
-class SymForm:
-    """Symmetric bilinear form given by its exact Gram matrix.
+def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [d * x for x in values])`` with ``d`` the lcm of the denominators
+    (an int counts as denominator 1)."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
-    The matrix must be square and symmetric; anything else is rejected at
-    construction. Minors, the determinant and solves all run through one
-    fraction-free elimination on Python ints (:func:`_eliminate`); a form
-    with non-integral entries is scaled by the lcm of their denominators
-    first. The scaled integer rows (nonzero entries only, which also serve
-    the mat-vec) and the leading minors are built on first use and cached.
+
+class SymForm:
+    """Symmetric bilinear form given by its exact Gram matrix ``M``.
+
+    Built from dense rows of rationals or, with :meth:`sparse`, from the
+    nonzero entries of an integer matrix. It keeps ``_integral = (L, rows)``:
+    ``L`` the lcm of the denominators and the nonzero entries of ``L * M``
+    as ``(column, int)`` pairs sorted by column. That is canonical, so
+    equality and hashing use it. The dense ``rows`` and the leading minors
+    are built on first use and cached.
     """
 
-    __slots__ = ("rows", "_scaled", "_minors")
+    __slots__ = ("_rows", "_integral", "_minors")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
         mat = tuple(QVector(row) for row in rows)
-        n = len(mat)
+        if any(len(row) != len(mat) for row in mat):
+            raise MalformedInputError("form matrix is not square")
+        scale = math.lcm(*(x.denominator for row in mat for x in row))
+        self._init(mat, scale, [
+            {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
+            for row in mat
+        ])
+
+    @classmethod
+    def sparse(cls, rows: Sequence[Mapping[int, int]]) -> "SymForm":
+        """The form of the integer matrix with entries ``rows[i][j]`` and
+        zeros elsewhere. No dense matrix is built, so a graph's form costs
+        O(vertices + edges)."""
+        if any(isinstance(x, bool) or not isinstance(x, int)
+               for row in rows for x in row.values()):
+            raise MalformedInputError("sparse form entries must be integers")
+        form = object.__new__(cls)
+        form._init(None, 1, rows)
+        return form
+
+    def _init(self, rows, scale: int, sparse: Sequence[Mapping[int, int]]) -> None:
+        n = len(sparse)
         if n == 0:
             raise MalformedInputError("form must have at least one row")
-        for row in mat:
-            if len(row) != n:
-                raise MalformedInputError("form matrix is not square")
-        for i, (row, col) in enumerate(zip(mat, zip(*mat))):
-            if row != col:  # tuple equality, which skips identical entries
-                j = next(j for j in range(n) if row[j] != col[j])
-                raise MalformedInputError(
-                    f"form matrix is not symmetric at ({i}, {j})"
-                )
-        object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "_scaled", None)
+        for i, row in enumerate(sparse):
+            for j, x in row.items():
+                if not (isinstance(j, int) and 0 <= j < n):
+                    raise MalformedInputError(f"column {j!r} out of range for dimension {n}")
+                if sparse[j].get(i, 0) != x:
+                    raise MalformedInputError(f"form matrix is not symmetric at ({i}, {j})")
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_integral", (scale, tuple(
+            tuple(sorted((j, x) for j, x in row.items() if x)) for row in sparse
+        )))
         object.__setattr__(self, "_minors", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -159,54 +192,64 @@ class SymForm:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._integral[1])
+
+    @property
+    def rows(self) -> tuple[QVector, ...]:
+        """The dense Gram matrix."""
+        if self._rows is None:
+            scale, sparse = self._integral
+            dense = [[0] * len(sparse) for _ in sparse]
+            for row, out in zip(sparse, dense):
+                for j, x in row:
+                    out[j] = Fraction(x, scale)
+            object.__setattr__(self, "_rows", tuple(QVector(row) for row in dense))
+        return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def _integral(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """``(L, rows)``: the lcm ``L`` of the entries' denominators and the
-        nonzero entries of ``L * M`` as ``(column, int)`` pairs, row by row."""
-        if self._scaled is None:
-            nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in self.rows]
-            scale = math.lcm(*(x.denominator for row in nonzero for _, x in row))
-            sparse = tuple(
-                tuple((j, x.numerator * (scale // x.denominator)) for j, x in row)
-                for row in nonzero
+    def _check_len(self, v: Sequence, what: str = "vector") -> None:
+        if len(v) != self.dim:
+            raise MalformedInputError(
+                f"{what} length {len(v)} does not match form dimension {self.dim}"
             )
-            object.__setattr__(self, "_scaled", (scale, sparse))
-        return self._scaled
+
+    def _block(self, order: Sequence[int]) -> list[dict[int, int]]:
+        """The scaled principal block on ``order``, renumbered by position."""
+        pos = {i: k for k, i in enumerate(order)}
+        sparse = self._integral[1]
+        return [{pos[j]: a for j, a in sparse[i] if j in pos} for i in order]
 
     def apply(self, v: QVector) -> QVector:
         """Matrix-vector product ``M v``, over the nonzero entries only."""
-        if len(v) != self.dim:
-            raise MalformedInputError(
-                f"vector length {len(v)} does not match form dimension {self.dim}"
-            )
-        scale, sparse = self._integral()
-        den = math.lcm(*(x.denominator for x in v))
-        num = [x.numerator * (den // x.denominator) for x in v]
+        self._check_len(v)
+        scale, sparse = self._integral
+        den, num = numerators(v)
         den *= scale
         return _qvector(
             Fraction(sum([a * num[j] for j, a in row]), den) for row in sparse
         )
 
     def pair(self, a: QVector, b: QVector) -> Fraction:
-        """Evaluate the form: ``a . M . b``."""
-        return a.dot(self.apply(b))
+        """Evaluate the form, ``a . M . b``, as one integer sparse sum."""
+        self._check_len(a)
+        self._check_len(b)
+        scale, sparse = self._integral
+        (da, na), (db, nb) = numerators(a), numerators(b)
+        total = sum(x * sum([c * nb[j] for j, c in row]) for x, row in zip(na, sparse) if x)
+        return Fraction(total, scale * da * db)
 
-    def solve(self, rhs: QVector, support: Sequence[int] | None = None) -> QVector:
-        """Solve ``M x = rhs`` exactly; raises SingularSystemError if singular.
+    def solve(self, rhs: Sequence[RationalLike], support: Sequence[int] | None = None) -> QVector:
+        """Solve ``M x = rhs`` (ints or Fractions) exactly; raises
+        SingularSystemError if singular.
 
         With ``support``, solve the principal subsystem on those indices
         instead: ``x`` vanishes off ``support`` and ``(M x)_i = rhs_i`` for
         every ``i`` in it; entries of ``rhs`` off the support are ignored.
         """
         n = self.dim
-        if len(rhs) != n:
-            raise MalformedInputError(
-                f"rhs length {len(rhs)} does not match form dimension {n}"
-            )
+        self._check_len(rhs, "rhs")
         # Graphs mostly list a vertex before the ones hanging off it (blowups
         # append theirs), so reverse order eliminates leaves first and a
         # tree gets no fill-in.
@@ -217,14 +260,10 @@ class SymForm:
         m = len(order)
         if not m:
             return _qvector(x)
-        pos = {i: k for k, i in enumerate(order)}
-        scale, sparse = self._integral()
-        den = math.lcm(*(rhs[i].denominator for i in order))
-        rows = []
-        for i in order:
-            row = {pos[j]: a for j, a in sparse[i] if j in pos}
-            row[m] = scale * rhs[i].numerator * (den // rhs[i].denominator)
-            rows.append(row)
+        den, num = numerators([rhs[i] for i in order])
+        rows = self._block(order)
+        for row, c in zip(rows, num):
+            row[m] = self._integral[0] * c
         pivots, _ = _eliminate(rows, m, pivoting=True)
         if not pivots[-1]:
             raise SingularSystemError("form matrix is singular")
@@ -252,7 +291,7 @@ class SymForm:
         zero leading minor does each remaining block get a pass of its own.
         """
         if self._minors is None:
-            scale, sparse = self._integral()
+            scale, sparse = self._integral
             n = self.dim
             minors, _ = _eliminate([dict(r) for r in sparse], n, pivoting=False)
             for k in range(len(minors) + 1, n + 1):
@@ -265,29 +304,23 @@ class SymForm:
         return self._minors
 
     def is_negative_definite(self) -> bool:
-        """Leading-principal-minor test: sign(m_k) = (-1)^k with m_k != 0."""
-        sign = 1
-        for m in self.leading_principal_minors():
-            sign = -sign
-            if m == 0 or (m > 0) != (sign > 0):
-                return False
-        return True
+        """Sylvester's criterion, the k x k leading minors of sign (-1)^k,
+        in the leaf-first order of :meth:`solve`: it holds for any symmetric
+        reordering, and there a tree is eliminated without fill-in. One pass
+        without pivoting; it stops at a zero minor, which fails the test."""
+        n = self.dim
+        pivots, _ = _eliminate(self._block(range(n - 1, -1, -1)), n, pivoting=False)
+        return all(p and (p < 0) == (k % 2 == 0) for k, p in enumerate(pivots))
 
     def restrict(self, indices: Sequence[int]) -> "SymForm":
         """Principal submatrix on the given index list (order preserved)."""
         return SymForm([[self.rows[i][j] for j in indices] for i in indices])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymForm) and self.rows == other.rows
+        return isinstance(other, SymForm) and self._integral == other._integral
 
     def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __iter__(self) -> Iterator[QVector]:
-        return iter(self.rows)
-
-    def __repr__(self) -> str:
-        return "SymForm(" + "; ".join(str(list(map(rat_str, r))) for r in self.rows) + ")"
+        return hash(self._integral)
 
     def to_doc(self) -> list[list[str]]:
         return [row.to_doc() for row in self.rows]

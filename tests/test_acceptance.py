@@ -161,3 +161,42 @@ def test_criterion_8_citation_labels(capsys) -> None:
         out = capsys.readouterr().out
         assert code == 0
         assert "caveat" in out
+
+
+def _random_tree(rng: Random, n: int) -> tuple[list, list]:
+    """A random tree listed root first, with multiplicity-2 edges, genus and
+    diagonally dominant weights; the root has genus >= 1, so it is not lc."""
+    parent = [rng.randrange(k) for k in range(1, n)]
+    mult = [rng.choice((1, 1, 1, 2)) for _ in range(1, n)]
+    load = [0] * n
+    for k in range(1, n):
+        load[k] += mult[k - 1]
+        load[parent[k - 1]] += mult[k - 1]
+    vertices = [(f"v{k}", -(load[k] + max(rng.choice((0, 1, 1, 2)), k == 0)),
+                 rng.randint(1, 2) if k == 0 else rng.choice((0, 0, 0, 0, 0, 1, 2)))
+                for k in range(n)]
+    edges = [(f"v{parent[k - 1]}", f"v{k}", mult[k - 1]) for k in range(1, n)]
+    return vertices, edges
+
+
+def test_criterion_9_large_tree_construction() -> None:
+    vertices, edges = _random_tree(Random(0), 400)
+    with criterion(9, "a random 400-vertex tree builds (definiteness test included)", 1.0):
+        graph = ResolutionGraph.make(vertices, edges)
+        assert len(graph.vertices) == 400
+
+
+def test_criterion_10_oversized_catalog_graph_refused(capsys) -> None:
+    with criterion(10, "graph lc catalog:A3000 ends with a JSON error, exit 1", 2.0):
+        code = main(["graph", "lc", "catalog:A3000"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert '"reason": "too-large"' in out
+
+
+def test_criterion_11_long_chain_volume() -> None:
+    graph = ResolutionGraph.make([(f"v{k}", -3, 0) for k in range(320)],
+                                 [(f"v{k}", f"v{k + 1}") for k in range(319)])
+    with criterion(11, "volume of the 320-vertex (-3)-chain, a cyclic quotient", 1.0):
+        rep = volume(graph)
+        assert rep.volume == 0 and rep.is_lc

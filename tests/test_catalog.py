@@ -121,3 +121,17 @@ def test_catalog_entries_lists_everything() -> None:
         graph_by_name(name)
     for name in entries["cones"]["fixed"]:
         cone_by_name(name)
+
+
+def test_oversized_pattern_names_are_refused_before_building() -> None:
+    from singvol import DomainError
+    from singvol.graph import MAX_GRAPH_VERTICES
+
+    n = MAX_GRAPH_VERTICES
+    assert len(graph_by_name(f"A{n}").vertices) == n
+    for name in (f"A{n + 1}", f"D{n + 1}", f"cusp-{n + 1}", "A3000"):
+        with pytest.raises(DomainError) as exc:
+            graph_by_name(name)
+        assert exc.value.reason == "too-large"
+    with pytest.raises(MalformedInputError):
+        graph_by_name("A0")

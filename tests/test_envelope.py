@@ -13,9 +13,10 @@ from singvol import (
     volume,
     zariski_oracle,
 )
-from singvol.envelope import ORACLE_MAX_VERTICES, _finish
+from singvol.envelope import ORACLE_MAX_VERTICES, ZariskiDecomposition, _finish
 from singvol.errors import InternalConsistencyError
-from singvol.lattice import QVector
+from singvol.graph import ExcDivisor
+from singvol.lattice import QVector, SymForm
 from singvol.randgen import random_divisor, random_graph
 
 F = Fraction
@@ -239,3 +240,103 @@ def test_volume_report_doc_uses_rational_strings() -> None:
     assert doc["P"] == {"v": "-2"}
     assert doc["N"] == {"v": "0"}
     assert doc["active"] == []
+
+
+def reference_trace(graph: ResolutionGraph, a) -> object:
+    """The trace as it was before its integer rounds: every round applies
+    the form to ``Fraction`` vectors, ``A >= 0`` takes rounds like any other
+    divisor, and the three certificate checks run in ``Fraction``s."""
+    apply = graph.intersection_form.apply
+    m_a = apply(a.coeffs)
+    working = {j for j, x in enumerate(m_a) if x < 0}
+    while True:
+        n_coeffs = graph.intersection_form.solve(m_a, sorted(working))
+        p_ints = apply(a.coeffs - n_coeffs)
+        violators = {j for j, x in enumerate(p_ints) if j not in working and x < 0}
+        if not violators:
+            break
+        working |= violators
+    p = a.coeffs - n_coeffs
+    assert n_coeffs.is_nonnegative()
+    assert apply(p).is_nonnegative()
+    assert p.dot(apply(n_coeffs)) == 0
+    active = frozenset(v.id for v, c in zip(graph.vertices, n_coeffs) if c != 0)
+    return ZariskiDecomposition(ExcDivisor(graph, p), ExcDivisor(graph, n_coeffs), active)
+
+
+def _reference_graph(rng: Random) -> ResolutionGraph:
+    """1-40 vertices: a random tree listed root first, extra cycle edges and
+    multiplicity-2 edges, genus, and diagonally dominant weights."""
+    n = rng.randint(1, 40)
+    edges = [(f"v{rng.randrange(k)}", f"v{k}", rng.choice((1, 1, 1, 2))) for k in range(1, n)]
+    if n >= 3 and rng.random() < 0.4:
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.sample(range(n), 2)
+            edges.append((f"v{a}", f"v{b}", 1))
+    load = {f"v{k}": 0 for k in range(n)}
+    for a, b, mult in edges:
+        load[a] += mult
+        load[b] += mult
+    vertices = [(v, -(load[v] + rng.choice((0, 1, 1, 2)) + (k == 0)),
+                 rng.choice((0, 0, 0, 0, 1, 2))) for k, v in enumerate(load)]
+    return ResolutionGraph.make(vertices, edges)
+
+
+def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
+    solves = []
+    real_solve = SymForm.solve
+
+    def counting_solve(self, rhs, support=None):
+        solves.append(1)
+        return real_solve(self, rhs, support)
+
+    monkeypatch.setattr(SymForm, "solve", counting_solve)
+    rng = Random(606)
+    seen = set()
+    kinds = ("mixed", "nonnegative", "nonpositive", "log-discrepancy")
+    for case in range(320):
+        g = _reference_graph(rng)
+        kind = kinds[case % 4]
+        if kind == "mixed":
+            a = random_divisor(rng, g)
+        elif kind == "nonnegative":
+            a = random_divisor(rng, g, 0, 3)
+        elif kind == "nonpositive":
+            a = random_divisor(rng, g, -3, 0)
+        else:
+            a = g.log_discrepancy_divisor()
+        expected = reference_trace(g, a)
+        del solves[:]
+        dec = nef_envelope_trace(g, a)
+        assert dec == expected, case
+        if a.coeffs.is_nonnegative():
+            assert not solves, case  # the A >= 0 shortcut runs no round
+            assert dec.n == a and dec.p.coeffs.is_zero()
+        pairs = [frozenset((e.i, e.j)) for e in g.edges]
+        seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
+        seen.add(("mult-2", any(e.mult == 2 for e in g.edges)))
+        seen.add(("genus", any(v.genus for v in g.vertices)))
+        seen.add(("rational", any(c.denominator > 1 for c in a.coeffs)))
+        seen.add(("N = 0", dec.n.coeffs.is_zero()))
+        seen.add(("P = 0", dec.p.coeffs.is_zero()))
+    for key in ("cycle", "mult-2", "genus", "rational", "N = 0", "P = 0"):
+        assert {(key, True), (key, False)} <= seen, seen
+
+
+def test_finish_refuses_each_broken_certificate() -> None:
+    g = chain(-2)  # M = (-2)
+    with pytest.raises(InternalConsistencyError, match="negative coefficient"):
+        _finish(g, g.divisor((F(0),)), QVector((F(-1),)))
+    with pytest.raises(InternalConsistencyError, match="meets a curve negatively"):
+        _finish(g, g.divisor((F(1),)), QVector((F(0),)))  # P = 1, P . E = -2
+    with pytest.raises(InternalConsistencyError, match="not orthogonal"):
+        _finish(g, g.divisor((F(0),)), QVector((F(1),)))  # P = -1 nef, P . N = 2
+    dec = _finish(g, g.divisor((F(1, 2),)), QVector((F(1, 2),)))
+    assert dec.p.coeffs == (F(0),) and dec.active == frozenset({"v1"})
+
+
+def test_volume_builds_no_dense_form() -> None:
+    g = ResolutionGraph.make([("c", -2, 2)] + [(f"v{k}", -2, 0) for k in range(30)],
+                             [("c", "v0")] + [(f"v{k}", f"v{k + 1}") for k in range(29)])
+    assert volume(g).volume > 0
+    assert g.intersection_form._rows is None

@@ -180,3 +180,17 @@ def test_catalog_graph_survives_doc_round_trip() -> None:
     for name in ("A3", "D5", "E7", "cusp-4", "cone-g2-d2"):
         g = graph_by_name(name)
         assert graph_from_doc(g.to_doc()) == g
+
+
+def test_oversized_graph_doc_is_refused_before_any_vertex() -> None:
+    from singvol import DomainError
+    from singvol.graph import MAX_GRAPH_VERTICES
+
+    # entries that are not vertices at all: the size check comes first
+    doc = {"vertices": [None] * (MAX_GRAPH_VERTICES + 1), "edges": []}
+    with pytest.raises(DomainError) as exc:
+        graph_from_doc(doc)
+    assert exc.value.reason == "too-large"
+    doc["vertices"] = doc["vertices"][:MAX_GRAPH_VERTICES]
+    with pytest.raises(MalformedInputError):
+        graph_from_doc(doc)

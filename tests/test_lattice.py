@@ -276,3 +276,145 @@ def test_solve_on_support_matches_sympy_submatrix() -> None:
         expected = dict(zip(support, (_as_fraction(v) for v in sub.LUsolve(b))))
         assert x == tuple(expected.get(i, Fraction(0)) for i in range(n))
         assert form.solve(rhs, ()) == QVector.zero(n)
+
+
+# -- sparse-built forms, leaf-first definiteness, integer pairing --------------------
+
+
+def _graph_spec(rng: Random, n: int) -> tuple[list, list]:
+    """A random tree listed root first, plus extra and parallel edges, with
+    genus and weights that keep the matrix diagonally dominant."""
+    edges = [(f"v{rng.randrange(k)}", f"v{k}", rng.choice((1, 1, 2))) for k in range(1, n)]
+    for _ in range(rng.randint(0, 2) if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        edges.append((f"v{a}", f"v{b}", rng.choice((1, 2))))  # may repeat an edge
+    load = {f"v{k}": 0 for k in range(n)}
+    for a, b, mult in edges:
+        load[a] += mult
+        load[b] += mult
+    vertices = [(v, -(load[v] + rng.randint(0 if k else 1, 2)), rng.choice((0, 0, 1)))
+                for k, v in enumerate(load)]
+    return vertices, edges
+
+
+def test_sparse_graph_form_equals_dense_form_seeded() -> None:
+    from singvol import ResolutionGraph
+
+    rng = Random(606)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        vertices, edges = _graph_spec(rng, n)
+        graph = ResolutionGraph.make(vertices, edges)
+        form = graph.intersection_form
+        assert form._rows is None  # construction built no dense matrix
+        rows = [[0] * n for _ in range(n)]
+        for k, (_, self_int, _) in enumerate(vertices):
+            rows[k][k] = self_int
+        for a, b, mult in edges:
+            i, j = int(a[1:]), int(b[1:])
+            rows[i][j] += mult
+            rows[j][i] += mult
+        dense = SymForm(rows)
+        assert form == dense and hash(form) == hash(dense)
+        assert form.to_doc() == dense.to_doc()
+        assert all(form.entry(i, j) == rows[i][j] for i in range(n) for j in range(n))
+        assert form.leading_principal_minors() == dense.leading_principal_minors()
+        assert form.is_negative_definite() and dense.is_negative_definite()
+        u = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        v = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        support = sorted(rng.sample(range(n), rng.randint(0, n)))
+        assert form.solve(u) == dense.solve(u)
+        assert form.solve(u, support) == dense.solve(u, support)
+        assert form.apply(u) == dense.apply(u)
+        assert form.pair(u, v) == dense.pair(u, v)
+
+
+def test_sparse_form_rejects_bad_entries() -> None:
+    with pytest.raises(MalformedInputError):
+        SymForm.sparse([])
+    with pytest.raises(MalformedInputError):
+        SymForm.sparse([{0: -2, 1: 1}, {1: -2}])  # not symmetric
+    with pytest.raises(MalformedInputError):
+        SymForm.sparse([{0: -2, 2: 1}, {1: -2}])  # column out of range
+    with pytest.raises(MalformedInputError):
+        SymForm.sparse([{0: Fraction(1, 2)}])  # not an integer
+    with pytest.raises(MalformedInputError):
+        SymForm.sparse([{0: True}])
+    assert SymForm.sparse([{0: -2, 1: 0}, {1: -2}]) == SymForm(((-2, 0), (0, -2)))
+
+
+def _natural_order_negative_definite(form: SymForm) -> bool:
+    minors = form.leading_principal_minors()
+    return all(m != 0 and (m < 0) == (k % 2 == 0) for k, m in enumerate(minors))
+
+
+def _random_symmetric(rng: Random, kind: int) -> list[list]:
+    """Kind 0: sparse random entries, mostly indefinite. Kind 1: -B B^T,
+    negative semidefinite and singular when B has fewer columns than rows.
+    Kind 2: a diagonally dominant negative matrix with one diagonal entry
+    raised, on either side of definiteness. Kind 3: kind 1 over a common
+    denominator."""
+    n = rng.randint(1, 6)
+    if kind == 0:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        return rows
+    if kind in (1, 3):
+        cols = rng.randint(max(1, n - 2), n + 1)
+        b = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(n)]
+        rows = [[-sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+        if kind == 3:
+            den = rng.randint(2, 5)
+            rows = [[Fraction(x, den) for x in row] for row in rows]
+        return rows
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = rng.randint(0, 2)
+    for i in range(n):
+        rows[i][i] = -(sum(rows[i]) + rng.randint(0, 1))
+    i = rng.randrange(n)
+    rows[i][i] += rng.randint(0, 2)
+    return rows
+
+
+def test_leaf_first_definiteness_matches_natural_minors_seeded() -> None:
+    rng = Random(607)
+    seen = set()
+    for case in range(2400):
+        rows = _random_symmetric(rng, case % 4)
+        form = SymForm(rows)
+        expected = _natural_order_negative_definite(form)
+        assert form.is_negative_definite() == expected, rows
+        n = form.dim
+        reversed_form = SymForm([[rows[n - 1 - i][n - 1 - j] for j in range(n)]
+                                 for i in range(n)])
+        seen.add(("definite", expected))
+        seen.add(("singular", form.det() == 0))
+        seen.add(("zero pivot", 0 in reversed_form.leading_principal_minors()[:-1]))
+        seen.add(("natural zero pivot", 0 in form.leading_principal_minors()[:-1]))
+    assert {(k, v) for k in ("definite", "singular", "zero pivot", "natural zero pivot")
+            for v in (True, False)} <= seen, seen
+
+
+def test_integer_pair_matches_fraction_dot_on_rational_forms() -> None:
+    rng = Random(608)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        rows[0][0] = Fraction(1, 2)  # a non-integral entry, so L > 1
+        form = SymForm(rows)
+        assert form._integral[0] > 1
+        a = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        b = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        expected = sum((a[i] * rows[i][j] * b[j] for i in range(n) for j in range(n)),
+                       Fraction(0))
+        assert form.pair(a, b) == expected
+        assert form.apply(b) == tuple(QVector(row).dot(b) for row in rows)
