@@ -111,9 +111,19 @@ _GRAPH_FIXED = {
 }
 
 
+def _number(digits: str) -> int:
+    """A name's decimal parameter; one longer than the 4,300 digits ``int``
+    parses is too large."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"catalog number of {len(digits)} digits is too large",
+                          reason="too-large") from None
+
+
 def _vertex_count(match) -> int:
     """The number in ``A<n>``, ``D<n>`` or ``cusp-<L>``, checked as a size."""
-    n = int(match.group(1))
+    n = _number(match.group(1))
     check_graph_size(n)
     return n
 
@@ -124,11 +134,11 @@ _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     (re.compile(r"^cusp-(\d+)$"), lambda m: cusp_cycle(_vertex_count(m))),
     (
         re.compile(r"^simple-elliptic-(\d+)$"),
-        lambda m: simple_elliptic(int(m.group(1))),
+        lambda m: simple_elliptic(_number(m.group(1))),
     ),
     (
         re.compile(r"^cone-g(\d+)-d(\d+)$"),
-        lambda m: cone_over_curve(int(m.group(1)), int(m.group(2))),
+        lambda m: cone_over_curve(_number(m.group(1)), _number(m.group(2))),
     ),
 )
 
@@ -140,11 +150,11 @@ _CONE_FIXED = {
 _CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     (
         re.compile(r"^cone-g(\d+)-d(\d+)$"),
-        lambda m: curve_cone(int(m.group(1)), int(m.group(2))),
+        lambda m: curve_cone(_number(m.group(1)), _number(m.group(2))),
     ),
     (
         re.compile(r"^elliptic-cone-(\d+)$"),
-        lambda m: curve_cone(1, int(m.group(1))),
+        lambda m: curve_cone(1, _number(m.group(1))),
     ),
 )
 

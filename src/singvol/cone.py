@@ -285,7 +285,7 @@ class PolarizedCone:
         if self.dim_x != 2:
             raise DomainError("degree functional only applies when dim_X = 2")
         cls = self._check_vec(cls, "class")
-        return self.form.rows[0].dot(cls)
+        return self.form.apply(cls)[0]
 
     def h_power(self) -> Fraction:
         """``H^(dim_X - 1)``: self-intersection for a surface, degree for a

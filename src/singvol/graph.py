@@ -6,9 +6,10 @@ edge an intersection point with multiplicity. The associated intersection
 matrix must be negative definite (Mumford), and the graph connected; both
 are enforced at construction, so every ``ResolutionGraph`` in existence is
 a valid resolution dual graph. The matrix goes to the form as sparse
-integer rows, parallel edges merged, and definiteness is tested in one
-leaf-first elimination pass, so building a tree costs O(vertices + edges)
-steps before big-integer growth. Graphs read from a document or a catalog
+integer rows, parallel edges merged, and definiteness is tested in the
+form's one leaf-first elimination pass, cached with the determinant it
+gives, so building a tree costs O(vertices + edges) steps before
+big-integer growth. Graphs read from a document or a catalog
 name are refused above :data:`MAX_GRAPH_VERTICES` vertices.
 
 The numerical pullback of the canonical class is the unique exceptional

@@ -5,17 +5,19 @@ decompositions, cone membership) runs on this layer, so it is deliberately
 small and completely exact: coefficients are ``fractions.Fraction`` with
 arbitrary-precision integers underneath, and no float ever appears.
 
-A form is stored as sparse integer rows, the nonzero entries of ``L * M``
-with ``L`` the lcm of the denominators. A resolution graph hands these
-rows over directly, so its form costs O(vertices + edges) to build; the
-dense ``Fraction`` matrix is built only when asked for. Minors,
-determinants, the definiteness test and solves share one fraction-free
-elimination on Python ints (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968) over the
-nonzero entries. Definiteness and solves eliminate leaves first, where a
-tree gets no fill-in; Sylvester's criterion holds for the leading minors
-of any symmetric reordering. The mat-vec and the pairing are integer sums
-over one denominator; results become ``Fraction`` only when returned.
+A form is stored only as sparse integer rows, the nonzero entries of
+``L * M`` with ``L`` the lcm of the denominators. A resolution graph hands
+these rows over directly, so its form costs O(vertices + edges) to build,
+and no dense matrix is ever kept. There is one elimination: fraction-free
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) on Python ints over the nonzero
+entries, with row swaps, in leaf-first order, where a tree gets no
+fill-in. One cached pass over the whole form gives both the determinant
+and the definiteness test (Sylvester's criterion holds for the leading
+minors of any symmetric reordering); solves run their own pass on the
+block and right-hand side they need. The mat-vec and the pairing are
+integer sums over one denominator; results become ``Fraction`` only when
+returned.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1.
@@ -140,21 +142,22 @@ class SymForm:
     """Symmetric bilinear form given by its exact Gram matrix ``M``.
 
     Built from dense rows of rationals or, with :meth:`sparse`, from the
-    nonzero entries of an integer matrix. It keeps ``_integral = (L, rows)``:
-    ``L`` the lcm of the denominators and the nonzero entries of ``L * M``
-    as ``(column, int)`` pairs sorted by column. That is canonical, so
-    equality and hashing use it. The dense ``rows`` and the leading minors
-    are built on first use and cached.
+    nonzero entries of an integer matrix. Its only state is
+    ``_integral = (L, rows)``: ``L`` the lcm of the denominators and the
+    nonzero entries of ``L * M`` as ``(column, int)`` pairs sorted by
+    column. That is canonical, so equality and hashing use it. The one
+    leaf-first pass behind :meth:`det` and :meth:`is_negative_definite`
+    is cached.
     """
 
-    __slots__ = ("_rows", "_integral", "_minors")
+    __slots__ = ("_integral", "_pass")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
         mat = tuple(QVector(row) for row in rows)
         if any(len(row) != len(mat) for row in mat):
             raise MalformedInputError("form matrix is not square")
         scale = math.lcm(*(x.denominator for row in mat for x in row))
-        self._init(mat, scale, [
+        self._init(scale, [
             {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
             for row in mat
         ])
@@ -168,10 +171,10 @@ class SymForm:
                for row in rows for x in row.values()):
             raise MalformedInputError("sparse form entries must be integers")
         form = object.__new__(cls)
-        form._init(None, 1, rows)
+        form._init(1, rows)
         return form
 
-    def _init(self, rows, scale: int, sparse: Sequence[Mapping[int, int]]) -> None:
+    def _init(self, scale: int, sparse: Sequence[Mapping[int, int]]) -> None:
         n = len(sparse)
         if n == 0:
             raise MalformedInputError("form must have at least one row")
@@ -181,11 +184,10 @@ class SymForm:
                     raise MalformedInputError(f"column {j!r} out of range for dimension {n}")
                 if sparse[j].get(i, 0) != x:
                     raise MalformedInputError(f"form matrix is not symmetric at ({i}, {j})")
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_integral", (scale, tuple(
             tuple(sorted((j, x) for j, x in row.items() if x)) for row in sparse
         )))
-        object.__setattr__(self, "_minors", None)
+        object.__setattr__(self, "_pass", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("SymForm is immutable")
@@ -194,20 +196,9 @@ class SymForm:
     def dim(self) -> int:
         return len(self._integral[1])
 
-    @property
-    def rows(self) -> tuple[QVector, ...]:
-        """The dense Gram matrix."""
-        if self._rows is None:
-            scale, sparse = self._integral
-            dense = [[0] * len(sparse) for _ in sparse]
-            for row, out in zip(sparse, dense):
-                for j, x in row:
-                    out[j] = Fraction(x, scale)
-            object.__setattr__(self, "_rows", tuple(QVector(row) for row in dense))
-        return self._rows
-
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        scale, sparse = self._integral
+        return Fraction(dict(sparse[i]).get(j, 0), scale)
 
     def _check_len(self, v: Sequence, what: str = "vector") -> None:
         if len(v) != self.dim:
@@ -264,7 +255,7 @@ class SymForm:
         rows = self._block(order)
         for row, c in zip(rows, num):
             row[m] = self._integral[0] * c
-        pivots, _ = _eliminate(rows, m, pivoting=True)
+        pivots, _ = _eliminate(rows, m)
         if not pivots[-1]:
             raise SingularSystemError("form matrix is singular")
         # Fraction-free back-substitution: y = d x with d the last pivot.
@@ -281,40 +272,34 @@ class SymForm:
             x[i] = Fraction(y[k], d)
         return _qvector(x)
 
+    def _leaf_pass(self, k: int) -> tuple[Fraction, bool]:
+        """The determinant of the leading k x k block, and whether the block
+        is negative definite, from one leaf-first pass. The determinant is
+        ``(-1)^swaps`` times the last pivot, over ``L^k``. Definiteness is
+        Sylvester's criterion, minors of sign (-1)^i, on the leaf-first
+        order: without a swap the pivots are those minors, a swap means one
+        of them was zero, and a pass that stops early ends at a zero pivot."""
+        pivots, swaps = _eliminate(self._block(range(k - 1, -1, -1)), k)
+        det = Fraction((-1) ** swaps * pivots[-1], self._integral[0] ** k)
+        return det, not swaps and all(p and (p < 0) == (i % 2 == 0) for i, p in enumerate(pivots))
+
+    def _whole_pass(self) -> tuple[Fraction, bool]:
+        """:meth:`_leaf_pass` over the whole form, run on first use and cached."""
+        if self._pass is None:
+            object.__setattr__(self, "_pass", self._leaf_pass(self.dim))
+        return self._pass
+
     def det(self) -> Fraction:
-        return self.leading_principal_minors()[-1]
+        return self._whole_pass()[0]
 
     def leading_principal_minors(self) -> tuple[Fraction, ...]:
-        """Determinants of the leading k x k blocks, k = 1..dim, all exact.
-
-        One elimination pass yields them all as its pivots. Only after a
-        zero leading minor does each remaining block get a pass of its own.
-        """
-        if self._minors is None:
-            scale, sparse = self._integral
-            n = self.dim
-            minors, _ = _eliminate([dict(r) for r in sparse], n, pivoting=False)
-            for k in range(len(minors) + 1, n + 1):
-                block = [{j: a for j, a in sparse[i] if j < k} for i in range(k)]
-                pivots, sign = _eliminate(block, k, pivoting=True)
-                minors.append(sign * pivots[-1] if len(pivots) == k else 0)
-            object.__setattr__(self, "_minors", tuple(
-                Fraction(d, scale ** k) for k, d in enumerate(minors, 1)
-            ))
-        return self._minors
+        """Determinants of the leading k x k blocks, k = 1..dim, all exact:
+        one leaf-first pass per block, the last one the cached :meth:`det`."""
+        return tuple(self._leaf_pass(k)[0] for k in range(1, self.dim)) + (self.det(),)
 
     def is_negative_definite(self) -> bool:
-        """Sylvester's criterion, the k x k leading minors of sign (-1)^k,
-        in the leaf-first order of :meth:`solve`: it holds for any symmetric
-        reordering, and there a tree is eliminated without fill-in. One pass
-        without pivoting; it stops at a zero minor, which fails the test."""
-        n = self.dim
-        pivots, _ = _eliminate(self._block(range(n - 1, -1, -1)), n, pivoting=False)
-        return all(p and (p < 0) == (k % 2 == 0) for k, p in enumerate(pivots))
-
-    def restrict(self, indices: Sequence[int]) -> "SymForm":
-        """Principal submatrix on the given index list (order preserved)."""
-        return SymForm([[self.rows[i][j] for j in indices] for i in indices])
+        """Sylvester's criterion on the cached leaf-first pass."""
+        return self._whole_pass()[1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymForm) and self._integral == other._integral
@@ -323,26 +308,34 @@ class SymForm:
         return hash(self._integral)
 
     def to_doc(self) -> list[list[str]]:
-        return [row.to_doc() for row in self.rows]
+        scale, sparse = self._integral
+        out = [["0"] * len(sparse) for _ in sparse]
+        for row, line in zip(sparse, out):
+            for j, x in row:
+                line[j] = rat_str(Fraction(x, scale))
+        return out
 
 
-def _eliminate(rows: list[dict[int, int]], n: int, pivoting: bool) -> tuple[list[int], int]:
-    """Fraction-free Gaussian elimination (Bareiss 1968), in place.
+def _eliminate(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968) with row swaps, in
+    place.
 
     ``rows`` holds a symmetric n x n integer matrix as sparse rows
-    ``{column: value}`` without zeros; entries in columns >= n ride along as
-    right-hand sides. Step k turns
-    every row ``i > k`` into ``(p_k row_i - a_ik row_k) / p_(k-1)``, with
-    ``p_k`` the k-th pivot; each entry is then a minor of the input, so the
-    division is exact and row k ends as row k of an upper-triangular system.
+    ``{column: value}`` without zeros, already in elimination order (every
+    caller passes leaf-first order); entries in columns >= n ride along as
+    right-hand sides. Step k turns every row ``i > k`` into
+    ``(p_k row_i - a_ik row_k) / p_(k-1)``, with ``p_k`` the k-th pivot;
+    each entry is then a minor of the input, so the division is exact and
+    row k ends as row k of an upper-triangular system.
 
-    Returns ``(pivots, sign)``. Without pivoting, ``pivots[k]`` is the
-    leading principal minor of size k + 1. With pivoting, a zero pivot is
-    first replaced by the next row with a nonzero entry there, and ``sign``
-    records the swaps. Either way the pass stops at the first zero pivot,
-    which it records, so the matrix is nonsingular exactly when
-    ``len(pivots) == n`` and ``pivots[-1] != 0``; then the determinant is
-    ``sign * pivots[-1]``.
+    Returns ``(pivots, swaps)``. A zero pivot is first replaced by the next
+    row with a nonzero entry in its column, and ``swaps`` counts these
+    exchanges. While ``swaps == 0``, ``pivots[k]`` is the leading principal
+    minor of size k + 1, so a swap means one such minor vanished. The pass
+    stops at the first zero pivot it cannot replace, which it records, so
+    the matrix is nonsingular exactly when ``len(pivots) == n`` and
+    ``pivots[-1] != 0``; in every case the determinant is
+    ``(-1)^swaps * pivots[-1]``.
 
     A row without an entry in column k would only be scaled by
     ``p_k / p_(k-1)``; instead it keeps the step ``stage[i]`` it was last
@@ -352,8 +345,7 @@ def _eliminate(rows: list[dict[int, int]], n: int, pivoting: bool) -> tuple[list
     """
     pivots: list[int] = []
     stage = [-1] * n
-    sign = 1
-    symmetric = True  # the block still to be eliminated; a row swap ends it
+    swaps = 0
 
     def catch_up(i: int, k: int) -> dict[int, int]:
         s = stage[i]
@@ -364,20 +356,19 @@ def _eliminate(rows: list[dict[int, int]], n: int, pivoting: bool) -> tuple[list
         return rows[i]
 
     for k in range(n):
-        if pivoting and not rows[k].get(k):
+        if not rows[k].get(k):
             r = next((i for i in range(k + 1, n) if rows[i].get(k)), None)
             if r is not None:
                 rows[k], rows[r] = rows[r], rows[k]
                 stage[k], stage[r] = stage[r], stage[k]
-                sign = -sign
-                symmetric = False
+                swaps += 1
         top = catch_up(k, k)
         p = top.get(k, 0)
         pivots.append(p)
         if not p:
             break
         prev = pivots[k - 1] if k else 1
-        if symmetric:  # rows with an entry in column k mirror row k
+        if not swaps:  # the block still to be eliminated is symmetric
             below = [i for i in top if k < i < n]
         else:
             below = [i for i in range(k + 1, n) if rows[i].get(k)]
@@ -390,4 +381,4 @@ def _eliminate(rows: list[dict[int, int]], n: int, pivoting: bool) -> tuple[list
                     new[j] = new.get(j, 0) - a * b
             rows[i] = {j: b // prev for j, b in new.items() if b}
             stage[i] = k
-    return pivots, sign
+    return pivots, swaps

@@ -57,13 +57,10 @@ def fresh_vertex_id(graph: ResolutionGraph) -> str:
     return f"b{n}"
 
 
-def blow_up(
-    graph: ResolutionGraph, step: BlowupStep, new_id: str | None = None
-) -> ResolutionGraph:
-    """Apply one blowup; the new vertex is appended last."""
-    nid = new_id if new_id is not None else fresh_vertex_id(graph)
-    if nid in graph.ids:
-        raise MalformedInputError(f"new vertex id {nid!r} already in use")
+def blow_up(graph: ResolutionGraph, step: BlowupStep) -> ResolutionGraph:
+    """Apply one blowup; the new vertex, named by :func:`fresh_vertex_id`,
+    is appended last."""
+    nid = fresh_vertex_id(graph)
     if isinstance(step, FreeBlowup):
         i = graph.index(step.vertex)
         vertices = tuple(
@@ -138,22 +135,18 @@ def pushforward(divisor: ExcDivisor, parent: ResolutionGraph) -> ExcDivisor:
 class ModelTower:
     """A base graph with a finite sequence of blowup steps.
 
-    ``models[t]`` is the graph after ``t`` steps; ``new_ids[t]`` names the
-    vertex created by step ``t``. Construction applies every step, so a
-    tower that exists is structurally valid at every level.
+    ``models[t]`` is the graph after ``t`` steps; the vertex step ``t``
+    creates is the last one of ``models[t + 1]``. Construction applies every
+    step, so a tower that exists is structurally valid at every level.
     """
 
     def __init__(self, base: ResolutionGraph, steps: tuple[BlowupStep, ...]) -> None:
         self.base = base
         self.steps = tuple(steps)
         models = [base]
-        new_ids: list[str] = []
         for step in self.steps:
-            nid = fresh_vertex_id(models[-1])
-            models.append(blow_up(models[-1], step, nid))
-            new_ids.append(nid)
+            models.append(blow_up(models[-1], step))
         self.models = tuple(models)
-        self.new_ids = tuple(new_ids)
 
     @property
     def top(self) -> ResolutionGraph:
@@ -217,7 +210,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 
     for t, step in enumerate(tower.steps):
         g, g2 = tower.models[t], tower.models[t + 1]
-        nid = tower.new_ids[t]
+        nid = g2.vertices[-1].id
 
         vol, vol2 = tower.volumes[t], tower.volumes[t + 1]
         record(t, "volume-constant", vol2.volume == vol.volume,
@@ -262,7 +255,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         for t, step in enumerate(tower.steps):
             g2 = tower.models[t + 1]
             running = pullback(tower.models[t], step, running, target=g2) \
-                - g2.basis_divisor(tower.new_ids[t])
+                - g2.basis_divisor(g2.vertices[-1].id)
         top_b = tower.top.mumford_pullback_canonical()
         record(len(tower.steps) - 1, "composed-canonical-transform",
                running.coeffs == top_b.coeffs, running.to_doc(), top_b.to_doc())

@@ -11,7 +11,10 @@ from random import Random
 from time import perf_counter
 
 from singvol import (
+    FreeBlowup,
+    ModelTower,
     ResolutionGraph,
+    SatelliteBlowup,
     invariance_report,
     lc_boundary_exists,
     natural_valuation,
@@ -200,3 +203,37 @@ def test_criterion_11_long_chain_volume() -> None:
     with criterion(11, "volume of the 320-vertex (-3)-chain, a cyclic quotient", 1.0):
         rep = volume(graph)
         assert rep.volume == 0 and rep.is_lc
+
+
+def _tree_det(graph: ResolutionGraph) -> Fraction:
+    """det M of a tree's form by leaf elimination in Fractions: removing a
+    leaf l multiplies in its diagonal d_l and turns its neighbour's d_p into
+    d_p - w^2 / d_l, w the edge multiplicity."""
+    diag = {v.id: F(v.self_int) for v in graph.vertices}
+    nbrs = {v.id: {} for v in graph.vertices}
+    for e in graph.edges:
+        nbrs[e.i][e.j] = nbrs[e.j][e.i] = nbrs[e.i].get(e.j, 0) + e.mult
+    assert sum(map(len, nbrs.values())) == 2 * (len(diag) - 1), "not a tree"
+    leaves = [v for v, adj in nbrs.items() if len(adj) <= 1]
+    det = F(1)
+    while leaves:
+        leaf = leaves.pop()
+        det *= diag[leaf]
+        for p, w in nbrs.pop(leaf).items():
+            diag[p] -= w * w / diag[leaf]
+            del nbrs[p][leaf]
+            if len(nbrs[p]) == 1:
+                leaves.append(p)
+    return det
+
+
+def test_criterion_12_large_tree_tower_invariance() -> None:
+    vertices, edges = _random_tree(Random(0), 400)
+    base = ResolutionGraph.make(vertices, edges)
+    i, j, _ = next(e for e in edges if e[2] == 1)  # blowing up its node keeps a tree
+    with criterion(12, "invariance report on a 2-step tower over a 400-vertex tree", 2.0):
+        tower = ModelTower(base, (FreeBlowup("v399"), SatelliteBlowup(i, j)))
+        rep = invariance_report(tower)
+        assert rep.ok, [c.to_doc() for c in rep.failures()]
+    for graph in tower.models:
+        assert graph.intersection_form.det() == _tree_det(graph)

@@ -279,3 +279,12 @@ def test_argparse_usage_error_exits_2() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["graph"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["A" + "9" * 5000, "simple-elliptic-" + "9" * 5000])
+def test_catalog_number_beyond_int_parsing_is_too_large(capsys, name: str) -> None:
+    # Python parses at most 4,300 digits; past that the name is refused as
+    # a size, with a JSON error and exit 1
+    code, out = run(capsys, "graph", "lc", f"catalog:{name}")
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"

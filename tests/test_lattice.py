@@ -98,14 +98,6 @@ def test_solve_singular_raises() -> None:
         m.solve(QVector((Fraction(1), Fraction(0))))
 
 
-def test_restrict_keeps_determinant_of_full_index_set() -> None:
-    m = SymForm(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
-    assert m.restrict((0, 1, 2)).det() == m.det()
-    sub = m.restrict((1,))
-    assert sub.dim == 1
-    assert sub.entry(0, 0) == Fraction(-2)
-
-
 def _random_neg_definite(rng: Random, n: int) -> SymForm:
     # chain with random diagonals <= -2 stays negative definite
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -270,7 +262,7 @@ def test_solve_on_support_matches_sympy_submatrix() -> None:
         support = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
         rhs = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
         x = form.solve(rhs, support)
-        sub = _sympy_matrix(sympy, form.restrict(support))
+        sub = _sympy_matrix(sympy, form).extract(list(support), list(support))
         b = sympy.Matrix([sympy.Rational(rhs[i].numerator, rhs[i].denominator)
                           for i in support])
         expected = dict(zip(support, (_as_fraction(v) for v in sub.LUsolve(b))))
@@ -306,7 +298,6 @@ def test_sparse_graph_form_equals_dense_form_seeded() -> None:
         vertices, edges = _graph_spec(rng, n)
         graph = ResolutionGraph.make(vertices, edges)
         form = graph.intersection_form
-        assert form._rows is None  # construction built no dense matrix
         rows = [[0] * n for _ in range(n)]
         for k, (_, self_int, _) in enumerate(vertices):
             rows[k][k] = self_int
@@ -341,6 +332,26 @@ def test_sparse_form_rejects_bad_entries() -> None:
     with pytest.raises(MalformedInputError):
         SymForm.sparse([{0: True}])
     assert SymForm.sparse([{0: -2, 1: 0}, {1: -2}]) == SymForm(((-2, 0), (0, -2)))
+
+
+def test_graph_form_is_eliminated_once(monkeypatch) -> None:
+    # construction's definiteness test is the form's one leaf-first pass,
+    # and det and the test read it afterwards
+    from singvol import ResolutionGraph, lattice
+
+    calls = []
+    eliminate = lattice._eliminate
+
+    def counting(rows, n, **options):
+        calls.append(n)
+        return eliminate(rows, n, **options)
+
+    monkeypatch.setattr(lattice, "_eliminate", counting)
+    vertices, edges = _graph_spec(Random(609), 40)
+    form = ResolutionGraph.make(vertices, edges).intersection_form
+    assert calls == [40]
+    assert form.det() != 0 and form.is_negative_definite()
+    assert calls == [40]
 
 
 def _natural_order_negative_definite(form: SymForm) -> bool:

@@ -100,3 +100,20 @@ def test_oracle_runs_no_production_solve() -> None:
     assert summary["by_name"]["envelope.oracle"]["calls"] == 1
     assert summary["inside"][("envelope.trace", "lattice.solve")][0] >= 1
     assert ("envelope.oracle", "lattice.solve") not in summary["inside"]
+
+
+def test_invariance_report_computes_no_leading_minors() -> None:
+    # the |det M| check reads each level's cached leaf-first pass; the
+    # leading minors lie on no production path
+    catalog = importlib.import_module("singvol.catalog")
+
+    def run(modules):
+        tower = modules.tower
+        steps = (tower.FreeBlowup("f1"), tower.SatelliteBlowup("f1", "b1"))
+        return tower.invariance_report(tower.ModelTower(catalog.graph_by_name("D5"), steps))
+
+    report, tr = _traced(run)
+    assert report.ok
+    inside = tr.summary()["inside"]
+    assert inside[("tower.invariance", "lattice.det")][0] == 4  # two per step
+    assert ("tower.invariance", "lattice.minors") not in inside
