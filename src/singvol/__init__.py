@@ -35,7 +35,6 @@ from .tower import (
     SatelliteBlowup,
     blow_up,
     invariance_report,
-    pullback,
     pushforward,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "limiting_discrepancy",
     "natural_valuation",
     "nef_envelope_trace",
-    "pullback",
     "pushforward",
     "rat",
     "rat_str",

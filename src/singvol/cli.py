@@ -70,6 +70,31 @@ def _parse_class(cone, text: str) -> QVector:
     return QVector(rat(p) for p in parts)
 
 
+# (group, command, help, arguments, body) of every command, in help order.
+_COMMANDS: list[tuple] = []
+_GROUPS = {"graph": "resolution graph computations",
+           "cone": "polarized cone computations",
+           "catalog": "named graphs and cones"}
+
+
+def _arg(*flags, **options) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+def _command(group: str, name: str, blurb: str, *arguments: tuple):
+    """Declare the decorated body as ``singvol <group> <name>``. The body
+    returns its report without the ``command`` field, and an exit code."""
+    def register(fn):
+        _COMMANDS.append((group, name, blurb, arguments, fn))
+        return fn
+    return register
+
+
+_GRAPH_SOURCE = _arg("source", help="graph JSON file or catalog:<name>")
+_CONE_SOURCE = _arg("source", help="cone JSON file or catalog:<name>")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = sio.to_json(report)
     if out:
@@ -87,36 +112,34 @@ def _emit(report: dict, out: str | None) -> None:
 # -- graph commands -------------------------------------------------------------
 
 
+@_command("graph", "vol", "volume with its Zariski decomposition", _GRAPH_SOURCE)
 def _cmd_graph_vol(args) -> tuple[dict, int]:
     graph, inputs = _load(args)
-    report = volume(graph)
-    return {"command": "graph vol", "inputs": inputs, "result": report.to_doc()}, 0
+    return {"inputs": inputs, "result": volume(graph).to_doc()}, 0
 
 
+@_command("graph", "discrepancies", "canonical pullback and log discrepancies",
+          _GRAPH_SOURCE)
 def _cmd_graph_discrepancies(args) -> tuple[dict, int]:
     graph, inputs = _load(args)
-    return {
-        "command": "graph discrepancies",
-        "inputs": inputs,
-        "result": graph.discrepancy_report().to_doc(),
-    }, 0
+    return {"inputs": inputs, "result": graph.discrepancy_report().to_doc()}, 0
 
 
+@_command("graph", "lc", "log canonicity flag and volume", _GRAPH_SOURCE)
 def _cmd_graph_lc(args) -> tuple[dict, int]:
     graph, inputs = _load(args)
     report = volume(graph)
     return {
-        "command": "graph lc",
         "inputs": inputs,
         "result": {"is_lc": report.is_lc, "volume": rat_str(report.volume)},
     }, 0
 
 
+@_command("graph", "lcmod", "vertices an lc modification must keep", _GRAPH_SOURCE)
 def _cmd_graph_lcmod(args) -> tuple[dict, int]:
     graph, inputs = _load(args)
     report = graph.discrepancy_report()
     return {
-        "command": "graph lcmod",
         "inputs": inputs,
         "result": {
             "is_lc": report.is_lc,
@@ -125,12 +148,13 @@ def _cmd_graph_lcmod(args) -> tuple[dict, int]:
     }, 0
 
 
+@_command("graph", "blowup", "check all invariants along a blowup tower",
+          _arg("source", help="tower JSON file"))
 def _cmd_graph_blowup(args) -> tuple[dict, int]:
     tower = sio.tower_from_doc(sio.load_json(args.source))
     inputs = {"source": args.source, "digest": sio.digest(sio.tower_to_doc(tower))}
     report = invariance_report(tower)
     doc = {
-        "command": "graph blowup",
         "inputs": inputs,
         "result": report.to_doc(),
         "models": [g.to_doc() for g in tower.models],
@@ -138,6 +162,10 @@ def _cmd_graph_blowup(args) -> tuple[dict, int]:
     return doc, 0 if report.ok else 3
 
 
+@_command("graph", "random-suite", "seeded envelope-oracle and tower suite",
+          _arg("--count", type=int, default=100),
+          _arg("--max-vertices", type=int, default=5),
+          _arg("--seed", type=int, default=0))
 def _cmd_graph_random_suite(args) -> tuple[dict, int]:
     if args.count < 1 or args.max_vertices < 1:
         raise DomainError("need --count >= 1 and --max-vertices >= 1")
@@ -192,7 +220,6 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
                 }
             )
     doc = {
-        "command": "graph random-suite",
         "inputs": {"count": args.count, "max_vertices": args.max_vertices},
         "seed": args.seed,
         "result": {
@@ -208,6 +235,8 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
 # -- cone commands ----------------------------------------------------------------
 
 
+@_command("cone", "bound", "boundary class and volume upper bound at a slope",
+          _CONE_SOURCE, _arg("--a", required=True, help="slope, a rational like 1/2"))
 def _cmd_cone_bound(args) -> tuple[dict, int]:
     cone, inputs = _load(args)
     a = rat(args.a)
@@ -222,9 +251,14 @@ def _cmd_cone_bound(args) -> tuple[dict, int]:
             "volumes is not decided here"
         ),
     }
-    return {"command": "cone bound", "inputs": inputs, "result": result}, 0
+    return {"inputs": inputs, "result": result}, 0
 
 
+@_command("cone", "valuation", "order of vanishing forced along the cone divisor",
+          _CONE_SOURCE,
+          _arg("--class", dest="cls", required=True,
+               help="comma-separated rationals in num_basis order"),
+          _arg("--k", type=int, required=True, help="positive multiple"))
 def _cmd_cone_valuation(args) -> tuple[dict, int]:
     cone, inputs = _load(args)
     cls = _parse_class(cone, args.cls)
@@ -233,7 +267,6 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
     value = natural_valuation(cone, cls, args.k)
     limit = valuation_limit(cone, cls)
     return {
-        "command": "cone valuation",
         "inputs": inputs,
         "result": {
             "class": cls.to_doc(),
@@ -245,13 +278,14 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
     }, 0
 
 
+@_command("cone", "limiting", "m-truncated log-discrepancy coefficient",
+          _CONE_SOURCE, _arg("--m", type=int, required=True))
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
     cone, inputs = _load(args)
     if args.m < 1:
         raise DomainError("--m must be a positive integer")
     value = limiting_discrepancy(cone, args.m)
     return {
-        "command": "cone limiting",
         "inputs": inputs,
         "result": {
             "m": args.m,
@@ -268,6 +302,9 @@ def _cmd_cone_limiting(args) -> tuple[dict, int]:
     }, 0
 
 
+@_command("cone", "counterexample",
+          "full certificate report on the built-in ruled-surface cone",
+          _arg("--a-seq", help="comma-separated decreasing positive slopes"))
 def _cmd_cone_counterexample(args) -> tuple[dict, int]:
     cone = cat.ruled_surface_cone()
     inputs = {"source": "catalog:paper-ruled-surface", "digest": sio.digest(cone.to_doc())}
@@ -281,7 +318,6 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
         str(m): rat_str(limiting_discrepancy(cone, m)) for m in (1, 2, 3, 4, 6, 12)
     }
     return {
-        "command": "cone counterexample",
         "inputs": inputs,
         "result": {
             "table": table,
@@ -291,17 +327,17 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
     }, 0
 
 
+@_command("cone", "dcc-scan", "Gorenstein cone volume scan",
+          _arg("--g-max", type=int, required=True),
+          _arg("--a-max", type=int, required=True))
 def _cmd_cone_dcc_scan(args) -> tuple[dict, int]:
     report = dcc_scan(args.g_max, args.a_max)
-    return {
-        "command": "cone dcc-scan",
-        "inputs": {"g_max": args.g_max, "a_max": args.a_max},
-        "result": report,
-    }, 0
+    return {"inputs": {"g_max": args.g_max, "a_max": args.a_max}, "result": report}, 0
 
 
+@_command("catalog", "list", "list fixed names and name patterns")
 def _cmd_catalog_list(args) -> tuple[dict, int]:
-    return {"command": "catalog list", "result": cat.catalog_entries()}, 0
+    return {"result": cat.catalog_entries()}, 0
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -316,68 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    graph = sub.add_parser("graph", help="resolution graph computations")
-    gsub = graph.add_subparsers(dest="command", required=True)
-    for name, fn, blurb in (
-        ("vol", _cmd_graph_vol, "volume with its Zariski decomposition"),
-        ("discrepancies", _cmd_graph_discrepancies, "canonical pullback and log discrepancies"),
-        ("lc", _cmd_graph_lc, "log canonicity flag and volume"),
-        ("lcmod", _cmd_graph_lcmod, "vertices an lc modification must keep"),
-    ):
-        p = gsub.add_parser(name, help=blurb)
-        p.add_argument("source", help="graph JSON file or catalog:<name>")
+    groups = {
+        group: sub.add_parser(group, help=blurb).add_subparsers(dest="command", required=True)
+        for group, blurb in _GROUPS.items()
+    }
+    for group, name, blurb, arguments, fn in _COMMANDS:
+        p = groups[group].add_parser(name, help=blurb)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report here instead of stdout")
         p.set_defaults(fn=fn)
-    p = gsub.add_parser("blowup", help="check all invariants along a blowup tower")
-    p.add_argument("source", help="tower JSON file")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_graph_blowup)
-    p = gsub.add_parser("random-suite", help="seeded envelope-oracle and tower suite")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_graph_random_suite)
-
-    cone = sub.add_parser("cone", help="polarized cone computations")
-    csub = cone.add_subparsers(dest="command", required=True)
-    p = csub.add_parser("bound", help="boundary class and volume upper bound at a slope")
-    p.add_argument("source", help="cone JSON file or catalog:<name>")
-    p.add_argument("--a", required=True, help="slope, a rational like 1/2")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cone_bound)
-    p = csub.add_parser("valuation", help="order of vanishing forced along the cone divisor")
-    p.add_argument("source", help="cone JSON file or catalog:<name>")
-    p.add_argument("--class", dest="cls", required=True,
-                   help="comma-separated rationals in num_basis order")
-    p.add_argument("--k", type=int, required=True, help="positive multiple")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cone_valuation)
-    p = csub.add_parser("limiting", help="m-truncated log-discrepancy coefficient")
-    p.add_argument("source", help="cone JSON file or catalog:<name>")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cone_limiting)
-    p = csub.add_parser(
-        "counterexample",
-        help="full certificate report on the built-in ruled-surface cone",
-    )
-    p.add_argument("--a-seq", help="comma-separated decreasing positive slopes")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cone_counterexample)
-    p = csub.add_parser("dcc-scan", help="Gorenstein cone volume scan")
-    p.add_argument("--g-max", type=int, required=True)
-    p.add_argument("--a-max", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cone_dcc_scan)
-
-    catalog = sub.add_parser("catalog", help="named graphs and cones")
-    katsub = catalog.add_subparsers(dest="command", required=True)
-    p = katsub.add_parser("list", help="list fixed names and name patterns")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_catalog_list)
-
     return parser
 
 
@@ -388,16 +372,16 @@ _EXIT_CODES = ((MalformedInputError, 2), (InternalConsistencyError, 3), (Singvol
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = getattr(args, "out", None)
     try:
         report, code = args.fn(args)
-        _emit(report, out)
+        report["command"] = f"{args.group} {args.command}"
+        _emit(report, args.out)
         return code
     except SingvolError as exc:
         error = {"error": {"reason": exc.reason, "message": str(exc)}}
         code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
     try:
-        _emit(error, out)
+        _emit(error, args.out)
     except MalformedInputError:  # --out itself is unwritable
         _emit(error, None)
     return code

@@ -171,36 +171,30 @@ class PolarizedCone:
                 reason="cone-not-full-dimensional",
             )
         normals: set[tuple[int, ...]] = set()
-        if n == 1:
-            positive = {r[0] > 0 for r in rays if r[0] != 0}
-            if len(positive) != 1:
-                raise MalformedInputError("cone is not salient", reason="cone-not-salient")
-            normals.add((1,) if positive.pop() else (-1,))
-        else:
-            for subset in combinations(rays, n - 1):
-                pivots, rows = _echelon(subset, n)
-                if len(pivots) != n - 1:
-                    continue
-                # the kernel is a line: l = lcm of the pivot entries on the
-                # free column, and each pivot coordinate is -l * (that row's
-                # free entry) / (its pivot entry)
-                free = next(c for c in range(n) if c not in pivots)
-                scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
-                normal = [0] * n
-                normal[free] = scale
-                for row, col in zip(rows, pivots):
-                    normal[col] = -row[free] * (scale // row[col])
-                sides = set()
-                for ray in rays:
-                    v = sum(map(mul, normal, ray))
-                    if v:
-                        sides.add(v > 0)
-                        if len(sides) == 2:
-                            break
-                if len(sides) == 1:
-                    # divide by the gcd, negated when the rays lie below
-                    g = math.gcd(*normal) if sides.pop() else -math.gcd(*normal)
-                    normals.add(tuple(x // g for x in normal))
+        for subset in combinations(rays, n - 1):
+            pivots, rows = _echelon(subset, n)
+            if len(pivots) != n - 1:
+                continue
+            # the kernel is a line: l = lcm of the pivot entries on the free
+            # column, and each pivot coordinate is -l * (that row's free
+            # entry) / (its pivot entry)
+            free = next(c for c in range(n) if c not in pivots)
+            scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+            normal = [0] * n
+            normal[free] = scale
+            for row, col in zip(rows, pivots):
+                normal[col] = -row[free] * (scale // row[col])
+            sides = set()
+            for ray in rays:
+                v = sum(map(mul, normal, ray))
+                if v:
+                    sides.add(v > 0)
+                    if len(sides) == 2:
+                        break
+            if len(sides) == 1:
+                # divide by the gcd, negated when the rays lie below
+                g = math.gcd(*normal) if sides.pop() else -math.gcd(*normal)
+                normals.add(tuple(x // g for x in normal))
         if len(_echelon(list(normals), n)[0]) != n:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
         return tuple(QVector(phi) for phi in sorted(normals))
@@ -223,16 +217,6 @@ class PolarizedCone:
         return self.contains(cls) and any(
             sum(map(mul, row, num)) == 0 for row in self._facets.rows
         )
-
-    def min_h_multiple(self, cls: QVector) -> Fraction:
-        """Least ``t >= 0`` with ``t H - cls`` pseudo-effective (exact).
-
-        Since ``H`` is interior to the cone, each facet inequality reads
-        ``t >= phi(cls) / phi(H)``; the optimum is the largest such ratio,
-        clamped at zero.
-        """
-        p, q = self._slope(cls)
-        return Fraction(max(p, 0), q)
 
     def _slope(self, cls: QVector) -> tuple[int, int]:
         """The largest ``phi(cls) / phi(H)`` over the facets, unclamped, as
@@ -453,28 +437,29 @@ def vol_upper_bound(cone: PolarizedCone, a) -> Fraction:
 
 def valuation_limit(cone: PolarizedCone, cls: QVector) -> Fraction:
     """Exact limit of ``natural_valuation(cls, k) / k``: the least
-    ``t >= 0`` with ``t H - cls`` pseudo-effective."""
-    return cone.min_h_multiple(cls)
+    ``t >= 0`` with ``t H - cls`` pseudo-effective.
+
+    Since ``H`` is interior to the cone, each facet inequality reads
+    ``t >= phi(cls) / phi(H)``; the optimum is the largest such ratio,
+    clamped at zero.
+    """
+    p, q = cone._slope(cls)
+    return Fraction(max(p, 0), q)
 
 
 def natural_valuation(cone: PolarizedCone, cls: QVector, k: int) -> int:
     """Least ``j >= 0`` such that ``j H - k cls`` is pseudo-effective.
 
-    Ampleness of ``H`` bounds the search by ``ceil(k * slope)``; the value
-    is the ceiling of the exact linear-programming optimum, re-verified by
-    direct membership on both sides of the step.
+    The value is ``ceil(k * slope)`` clamped at zero, from one evaluation
+    of the exact slope, re-verified by direct membership on both sides of
+    the step.
     """
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
     cls = cone._check_vec(cls, "class")
+    p, q = cone._slope(cls)
+    j = max(0, -(-k * p // q))  # ceil(k p / q), q > 0
     scaled = cls.scale(k)
-    t = cone.min_h_multiple(scaled)
-    j = max(0, math.ceil(t))
-    bound = math.ceil(k * max(Fraction(0), valuation_limit(cone, cls)))
-    if j > bound:
-        raise InternalConsistencyError(
-            f"valuation {j} exceeded its ampleness bound {bound}"
-        )
     if not cone.contains(cone.h_class.scale(j) - scaled):
         raise InternalConsistencyError("valuation optimum fails membership")
     if j > 0 and cone.contains(cone.h_class.scale(j - 1) - scaled):

@@ -97,30 +97,6 @@ def blow_up(graph: ResolutionGraph, step: BlowupStep) -> ResolutionGraph:
     raise MalformedInputError(f"unknown blowup step {step!r}")
 
 
-def pullback(
-    graph: ResolutionGraph,
-    step: BlowupStep,
-    divisor: ExcDivisor,
-    target: ResolutionGraph | None = None,
-) -> ExcDivisor:
-    """Total transform of an exceptional divisor under one blowup.
-
-    Old coefficients are unchanged; the new vertex receives the
-    multiplicity of the divisor at the blown-up point.
-    """
-    if divisor.graph != graph:
-        raise MalformedInputError("divisor does not live on the blown-down graph")
-    if target is None:
-        target = blow_up(graph, step)
-    if isinstance(step, FreeBlowup):
-        new_coeff = divisor.coeff(step.vertex)
-    elif isinstance(step, SatelliteBlowup):
-        new_coeff = divisor.coeff(step.i) + divisor.coeff(step.j)
-    else:
-        raise MalformedInputError(f"unknown blowup step {step!r}")
-    return ExcDivisor(target, QVector(tuple(divisor.coeffs) + (new_coeff,)))
-
-
 def pushforward(divisor: ExcDivisor, parent: ResolutionGraph) -> ExcDivisor:
     """Forget the coefficients on vertices absent from ``parent``."""
     child = divisor.graph
@@ -151,6 +127,21 @@ class ModelTower:
     @property
     def top(self) -> ResolutionGraph:
         return self.models[-1]
+
+    def pullback(self, t: int, divisor: ExcDivisor) -> ExcDivisor:
+        """Total transform of a divisor on ``models[t]`` under step ``t``.
+
+        Old coefficients are unchanged; the new vertex receives the
+        multiplicity of the divisor at the blown-up point.
+        """
+        if not 0 <= t < len(self.steps) or divisor.graph != self.models[t]:
+            raise MalformedInputError(f"divisor does not live on level {t} of the tower")
+        step = self.steps[t]
+        if isinstance(step, FreeBlowup):
+            new_coeff = divisor.coeff(step.vertex)
+        else:
+            new_coeff = divisor.coeff(step.i) + divisor.coeff(step.j)
+        return ExcDivisor(self.models[t + 1], QVector(tuple(divisor.coeffs) + (new_coeff,)))
 
     @cached_property
     def volumes(self) -> tuple[VolumeReport, ...]:
@@ -216,7 +207,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         record(t, "volume-constant", vol2.volume == vol.volume,
                rat_str(vol.volume), rat_str(vol2.volume))
 
-        p_up = pullback(g, step, vol.decomposition.p, target=g2)
+        p_up = tower.pullback(t, vol.decomposition.p)
         p2 = vol2.decomposition.p
         record(t, "nef-part-pulls-back", p2.coeffs == p_up.coeffs,
                p2.to_doc(), p_up.to_doc())
@@ -226,7 +217,8 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         b = g.mumford_pullback_canonical()
         b2 = g2.mumford_pullback_canonical()
         e_new = g2.basis_divisor(nid)
-        transformed = pullback(g, step, b, target=g2) - e_new
+        b_up = tower.pullback(t, b)
+        transformed = b_up - e_new
         record(t, "canonical-transform", b2.coeffs == transformed.coeffs,
                b2.to_doc(), transformed.to_doc())
         if isinstance(step, FreeBlowup):
@@ -238,11 +230,11 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 
         a = g.log_discrepancy_divisor()
         a2 = g2.log_discrepancy_divisor()
-        gap = a2 - pullback(g, step, a, target=g2)
+        gap = a2 - tower.pullback(t, a)
         record(t, "discrepancy-gap-nonnegative", gap.coeffs.is_nonnegative(),
                gap.to_doc(), "0")
 
-        roundtrip = pushforward(pullback(g, step, b, target=g2), g)
+        roundtrip = pushforward(b_up, g)
         record(t, "pushforward-pullback-identity", roundtrip.coeffs == b.coeffs,
                roundtrip.to_doc(), b.to_doc())
 
@@ -252,10 +244,9 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 
     if tower.steps:
         running = tower.models[0].mumford_pullback_canonical()
-        for t, step in enumerate(tower.steps):
+        for t in range(len(tower.steps)):
             g2 = tower.models[t + 1]
-            running = pullback(tower.models[t], step, running, target=g2) \
-                - g2.basis_divisor(g2.vertices[-1].id)
+            running = tower.pullback(t, running) - g2.basis_divisor(g2.vertices[-1].id)
         top_b = tower.top.mumford_pullback_canonical()
         record(len(tower.steps) - 1, "composed-canonical-transform",
                running.coeffs == top_b.coeffs, running.to_doc(), top_b.to_doc())
@@ -269,10 +260,9 @@ def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
     current = a
     dec = nef_envelope_trace(tower.models[0], current)
     p = dec.p
-    for t, step in enumerate(tower.steps):
-        g, g2 = tower.models[t], tower.models[t + 1]
-        current = pullback(g, step, current, target=g2)
-        p = pullback(g, step, p, target=g2)
+    for t in range(len(tower.steps)):
+        current = tower.pullback(t, current)
+        p = tower.pullback(t, p)
     # The pulled-back A is generally not the log-discrepancy divisor of the
     # top model, but its envelope must still be the pulled-back nef part.
     top_dec = nef_envelope_trace(tower.top, current)

@@ -2,10 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from singvol.cli import main
+from singvol.cli import _COMMANDS, main
 from singvol.cone import MAX_FACET_SUBSETS
 
 GRAPH_DOC = {
@@ -288,3 +289,35 @@ def test_catalog_number_beyond_int_parsing_is_too_large(capsys, name: str) -> No
     code, out = run(capsys, "graph", "lc", f"catalog:{name}")
     assert code == 1
     assert out["error"]["reason"] == "too-large"
+
+
+def _registered() -> list[tuple[str, str]]:
+    return [(group, name) for group, name, *_ in _COMMANDS]
+
+
+def test_every_command_documents_out(capsys) -> None:
+    assert len(_registered()) == 12
+    for group, name in _registered():
+        with pytest.raises(SystemExit) as exc:
+            main([group, name, "--help"])
+        assert exc.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT write the report here instead of stdout" in words, (group, name)
+
+
+def test_readme_lists_exactly_the_registered_commands() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [tuple(line.split()[1:3]) for line in block.splitlines()]
+    assert sorted(documented) == sorted(_registered())
+
+
+def test_out_replaces_stdout_for_reports_and_errors(tmp_path, capsys) -> None:
+    target = tmp_path / "report.json"
+    assert main(["graph", "lc", "catalog:E8", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["command"] == "graph lc"
+    assert main(["graph", "lc", "catalog:no-such-graph", "--out", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert "error" in json.loads(target.read_text(encoding="utf-8"))

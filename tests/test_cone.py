@@ -26,6 +26,7 @@ from singvol import (
     volume,
 )
 from singvol.catalog import cone_by_name, cone_over_curve, ruled_surface_cone
+from singvol.errors import InternalConsistencyError
 
 F = Fraction
 
@@ -82,15 +83,6 @@ def test_membership_and_boundary() -> None:
     assert not c.contains(vec(-1, 2))
     assert c.on_boundary(vec(2, 0))
     assert not c.on_boundary(vec(1, 1))
-
-
-def test_min_h_multiple() -> None:
-    c = ruled_surface_cone()
-    # smallest t >= 0 with tH - D in the cone
-    assert c.min_h_multiple(vec(1, 0)) == F(1)
-    assert c.min_h_multiple(vec(-1, -1)) == F(0)
-    assert c.min_h_multiple(vec(-3, 1)) == F(1)
-    assert c.min_h_multiple(vec(F(1, 2), F(5, 2))) == F(5, 2)
 
 
 def test_h_power_and_degree() -> None:
@@ -212,6 +204,7 @@ def test_vol_upper_bound_rejects_nonpositive_or_noneffective() -> None:
 
 def test_valuation_limit_values() -> None:
     c = ruled_surface_cone()
+    # smallest t >= 0 with tH - D in the cone
     assert valuation_limit(c, vec(1, 0)) == F(1)
     assert valuation_limit(c, vec(-1, -1)) == F(0)
     assert valuation_limit(c, vec(-3, 1)) == F(1)
@@ -236,6 +229,46 @@ def test_natural_valuation_rejects_bad_k() -> None:
         natural_valuation(c, vec(1, 0), 0)
     with pytest.raises(DomainError):
         natural_valuation(c, vec(1, 0), -2)
+    # a bool is an int to isinstance, but not a multiple
+    with pytest.raises(DomainError):
+        natural_valuation(c, vec(1, 0), True)
+    with pytest.raises(DomainError):
+        limiting_discrepancy(c, True)
+
+
+def test_natural_valuation_evaluates_the_slope_once(monkeypatch) -> None:
+    c = ruled_surface_cone()
+    calls = []
+    slope = PolarizedCone._slope
+
+    def counted(self, cls):
+        calls.append(cls)
+        return slope(self, cls)
+
+    monkeypatch.setattr(PolarizedCone, "_slope", counted)
+    assert natural_valuation(c, vec(F(1, 2), F(5, 2)), 2) == 5
+    assert len(calls) == 1
+    assert limiting_discrepancy(c, 3) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_natural_valuation_membership_rechecks_catch_a_wrong_slope(
+    monkeypatch, shift: int
+) -> None:
+    # the limit of (1, 0) is 1 > 0; a slope one unit off moves j by k, which
+    # either leaves j H - k D outside the cone or j - 1 still inside it
+    c = ruled_surface_cone()
+    slope = PolarizedCone._slope
+
+    def wrong(self, cls):
+        p, q = slope(self, cls)
+        return p + shift * q, q
+
+    assert natural_valuation(c, vec(1, 0), 3) == 3
+    monkeypatch.setattr(PolarizedCone, "_slope", wrong)
+    with pytest.raises(InternalConsistencyError):
+        natural_valuation(c, vec(1, 0), 3)
 
 
 SAMPLE_CLASSES = [
@@ -542,7 +575,7 @@ def test_integer_facet_kernel_matches_fraction_reference() -> None:
             assert cone.contains(cls) == all(v >= 0 for v in values)
             assert cone.on_boundary(cls) == (all(v >= 0 for v in values) and 0 in values)
             limit = _ref_min_h(expected, h, cls)
-            assert cone.min_h_multiple(cls) == limit
+            assert valuation_limit(cone, cls) == limit
             for k in (1, 2, 5):
                 assert natural_valuation(cone, cls, k) == max(0, math.ceil(k * limit))
         a_min = max(phi.dot(k_class) / phi.dot(h) for phi in expected)

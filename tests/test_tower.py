@@ -14,7 +14,6 @@ from singvol import (
     blow_up,
     invariance_report,
     nef_envelope_trace,
-    pullback,
     pushforward,
     volume,
 )
@@ -81,14 +80,14 @@ def test_blowup_rejects_bad_steps() -> None:
 def test_pullback_free_copies_center_coefficient() -> None:
     base = a_chain(2)
     d = base.divisor((F(3), F(-1)))
-    up = pullback(base, FreeBlowup("v1"), d)
+    up = ModelTower(base, (FreeBlowup("v1"),)).pullback(0, d)
     assert up.coeffs == (F(3), F(-1), F(3))
 
 
 def test_pullback_satellite_sums_endpoint_coefficients() -> None:
     base = a_chain(2)
     d = base.divisor((F(3), F(-1)))
-    up = pullback(base, SatelliteBlowup("v1", "v2"), d)
+    up = ModelTower(base, (SatelliteBlowup("v1", "v2"),)).pullback(0, d)
     assert up.coeffs == (F(3), F(-1), F(2))
 
 
@@ -96,7 +95,20 @@ def test_pushforward_inverts_pullback() -> None:
     base = a_chain(2)
     d = base.divisor((F(1, 2), F(-5, 3)))
     for step in (FreeBlowup("v2"), SatelliteBlowup("v1", "v2")):
-        assert pushforward(pullback(base, step, d), base) == d
+        assert pushforward(ModelTower(base, (step,)).pullback(0, d), base) == d
+
+
+def test_pullback_rejects_a_divisor_off_its_level() -> None:
+    base = a_chain(2)
+    tower = ModelTower(base, (FreeBlowup("v1"), FreeBlowup("v2")))
+    d = base.divisor((F(1), F(2)))
+    with pytest.raises(MalformedInputError):
+        tower.pullback(1, d)  # d lives on level 0
+    with pytest.raises(MalformedInputError):
+        tower.pullback(2, d)  # no step 2
+    with pytest.raises(MalformedInputError):
+        tower.pullback(-1, d)
+    assert tower.pullback(1, tower.pullback(0, d)).coeffs == (F(1), F(2), F(1), F(2))
 
 
 def test_blown_up_canonical_coefficient_drops_by_one() -> None:
@@ -172,9 +184,9 @@ def test_nef_part_pulls_back_exactly_seeded() -> None:
         p = nef_envelope_trace(base, a).p
         lifted_a = a
         lifted_p = p
-        for level, step in enumerate(tower.steps):
-            lifted_a = pullback(tower.models[level], step, lifted_a)
-            lifted_p = pullback(tower.models[level], step, lifted_p)
+        for level in range(len(tower.steps)):
+            lifted_a = tower.pullback(level, lifted_a)
+            lifted_p = tower.pullback(level, lifted_p)
         assert nef_envelope_trace(tower.top, lifted_a).p == lifted_p
 
 
