@@ -10,7 +10,7 @@ cannot verify are labeled, not asserted.
 from fractions import Fraction
 
 from singvol import lc_boundary_exists, vol_plus_table
-from singvol.catalog import ruled_surface_cone
+from singvol.cone import ruled_surface_cone
 
 cone = ruled_surface_cone()
 slopes = [Fraction(1, 2**k) for k in range(8)]

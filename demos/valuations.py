@@ -8,7 +8,7 @@ values v(k D) / k increase to an exact rational limit with gap at most
 from fractions import Fraction
 
 from singvol import QVector, limiting_discrepancy, natural_valuation, valuation_limit
-from singvol.catalog import ruled_surface_cone
+from singvol.cone import ruled_surface_cone
 from singvol.cone import curve_cone
 
 cone = ruled_surface_cone()

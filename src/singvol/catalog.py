@@ -1,22 +1,20 @@
-"""Named example graphs and cones.
+"""Named example graphs, and the list of all catalog names.
 
 Graph entries cover the standard zoo: the ADE (rational double point)
 graphs, simple elliptic singularities (one elliptic curve of
 self-intersection ``-d``), cusp cycles, and cones over higher-genus
-curves. Cone entries ship the two fixtures the cone module is built
-around. Parametric names like ``A7``, ``cusp-5``, ``simple-elliptic-3`` or
-``cone-g2-d1`` resolve on demand.
+curves. Parametric names like ``A7``, ``cusp-5``, ``simple-elliptic-3`` or
+``cone-g2-d1`` resolve on demand. Named cones resolve in ``cone``
+(``cone.cone_by_name``), so graph names never load the cone module;
+:func:`catalog_entries` lists both.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .cone import PolarizedCone, RigidClass, curve_cone
 from .errors import DomainError, MalformedInputError
 from .graph import ResolutionGraph, check_graph_size
-from .lattice import QVector, SymForm
 
 
 def a_n(n: int) -> ResolutionGraph:
@@ -80,30 +78,6 @@ def cone_over_curve(genus: int, degree: int) -> ResolutionGraph:
     return ResolutionGraph.make([("c", -degree, genus)])
 
 
-def ruled_surface_cone() -> PolarizedCone:
-    """The built-in ``paper-ruled-surface`` cone.
-
-    ``V`` is the ruled surface over an elliptic curve attached to the
-    unique nonsplit extension of the trivial bundle by itself. Its numeric
-    lattice is spanned by the section ``C0`` and a fiber ``F`` with
-    ``C0^2 = F^2 = 0`` and ``C0 . F = 1``; nef and pseudo-effective cones
-    coincide and are spanned by ``C0`` and ``F``; ``K_V = -2 C0``; the
-    polarization is ``H = C0 + F`` (so ``H^2 = 2``); and every effective
-    divisor in ``|m C0|`` is ``m C0`` itself, recorded as a rigidity
-    annotation on the ``C0`` ray.
-    """
-    return PolarizedCone(
-        dim_x=3,
-        basis=("C0", "F"),
-        form=SymForm([[0, 1], [1, 0]]),
-        nef_gens=(QVector([1, 0]), QVector([0, 1])),
-        pseff_gens=(QVector([1, 0]), QVector([0, 1])),
-        k_class=QVector([-2, 0]),
-        h_class=QVector([1, 1]),
-        rigid=(RigidClass(QVector([1, 0]), (("C0", Fraction(1)),)),),
-    )
-
-
 _GRAPH_FIXED = {
     "E6": e6,
     "E7": e7,
@@ -111,7 +85,7 @@ _GRAPH_FIXED = {
 }
 
 
-def _number(digits: str) -> int:
+def name_number(digits: str) -> int:
     """A name's decimal parameter; one longer than the 4,300 digits ``int``
     parses is too large."""
     try:
@@ -123,7 +97,7 @@ def _number(digits: str) -> int:
 
 def _vertex_count(match) -> int:
     """The number in ``A<n>``, ``D<n>`` or ``cusp-<L>``, checked as a size."""
-    n = _number(match.group(1))
+    n = name_number(match.group(1))
     check_graph_size(n)
     return n
 
@@ -134,34 +108,19 @@ _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     (re.compile(r"^cusp-(\d+)$"), lambda m: cusp_cycle(_vertex_count(m))),
     (
         re.compile(r"^simple-elliptic-(\d+)$"),
-        lambda m: simple_elliptic(_number(m.group(1))),
+        lambda m: simple_elliptic(name_number(m.group(1))),
     ),
     (
         re.compile(r"^cone-g(\d+)-d(\d+)$"),
-        lambda m: cone_over_curve(_number(m.group(1)), _number(m.group(2))),
-    ),
-)
-
-_CONE_FIXED = {
-    "paper-ruled-surface": ruled_surface_cone,
-    "elliptic-cone": lambda: curve_cone(1, 1),
-}
-
-_CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
-    (
-        re.compile(r"^cone-g(\d+)-d(\d+)$"),
-        lambda m: curve_cone(_number(m.group(1)), _number(m.group(2))),
-    ),
-    (
-        re.compile(r"^elliptic-cone-(\d+)$"),
-        lambda m: curve_cone(1, _number(m.group(1))),
+        lambda m: cone_over_curve(name_number(m.group(1)), name_number(m.group(2))),
     ),
 )
 
 
-def _build_named(name: str, build, match) -> object:
-    # a name that matches a pattern but carries out-of-range parameters is
-    # still a bad name, not a bad computation
+def build_named(name: str, build, match) -> object:
+    """``build(match)`` for the catalog name ``name``. A name that matches a
+    pattern but carries out-of-range parameters is still a bad name, not a
+    bad computation."""
     try:
         return build(match)
     except DomainError as exc:
@@ -178,18 +137,8 @@ def graph_by_name(name: str) -> ResolutionGraph:
     for pattern, build in _GRAPH_PATTERNS:
         m = pattern.match(name)
         if m:
-            return _build_named(name, build, m)
+            return build_named(name, build, m)
     raise MalformedInputError(f"unknown catalog graph {name!r}", reason="unknown-catalog-name")
-
-
-def cone_by_name(name: str) -> PolarizedCone:
-    if name in _CONE_FIXED:
-        return _CONE_FIXED[name]()
-    for pattern, build in _CONE_PATTERNS:
-        m = pattern.match(name)
-        if m:
-            return _build_named(name, build, m)
-    raise MalformedInputError(f"unknown catalog cone {name!r}", reason="unknown-catalog-name")
 
 
 def catalog_entries() -> dict:
@@ -206,7 +155,7 @@ def catalog_entries() -> dict:
             ],
         },
         "cones": {
-            "fixed": sorted(_CONE_FIXED),
+            "fixed": ["elliptic-cone", "paper-ruled-surface"],  # cone._CONE_FIXED's keys
             "patterns": [
                 "cone-g<g>-d<d>  polarized cone over a genus-g degree-d curve",
                 "elliptic-cone-<d>  cone over an elliptic curve of degree d",

@@ -5,59 +5,42 @@ rendered so identical inputs and seeds give byte-identical bytes. Exit
 codes: 0 success, 1 domain error, 2 malformed input, 3 internal
 consistency failure. Errors are reported as a JSON object with a
 machine-readable ``reason`` slug.
+
+Start-up is most of a command's cost, so each command body imports the
+modules it runs beyond ``io`` and ``lattice``, which every command needs:
+graph commands never load ``cone``, and only ``blowup`` and
+``random-suite`` load ``tower``. These and the package's ``__getattr__``
+are the only call-time imports allowed (``io`` states the rule).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from random import Random
 
-from . import catalog as cat
-from . import io as sio
-from .cone import (
-    boundary_class,
-    cone_log_discrepancy,
-    dcc_scan,
-    lc_boundary_exists,
-    limiting_discrepancy,
-    natural_valuation,
-    valuation_limit,
-    vol_plus_table,
-    vol_upper_bound,
-    STATUS_CITED,
-)
-from .envelope import (
-    ORACLE_MAX_VERTICES,
-    nef_envelope_trace,
-    volume,
-    zariski_oracle,
-)
 from .errors import (
     DomainError,
     InternalConsistencyError,
     MalformedInputError,
     SingvolError,
 )
+from .io import digest, graph_from_doc, load_json, to_json
 from .lattice import QVector, rat, rat_str
-from .randgen import random_divisor, random_graph, random_tower
-from .tower import envelope_pullback_check, invariance_report
-
-
-# Catalog lookup and JSON parser of each command group's input.
-_LOADERS = {"graph": (cat.graph_by_name, sio.graph_from_doc),
-            "cone": (cat.cone_by_name, sio.cone_from_doc)}
 
 
 def _load(args):
     """The graph or cone of ``args.source``, ``catalog:<name>`` or a JSON
     file, with the report's ``inputs`` record."""
-    by_name, from_doc = _LOADERS[args.group]
+    if args.group == "graph":
+        from .catalog import graph_by_name as by_name
+        from_doc = graph_from_doc
+    else:
+        from .cone import cone_by_name as by_name, cone_from_doc as from_doc
     if args.source.startswith("catalog:"):
         obj = by_name(args.source[len("catalog:"):])
     else:
-        obj = from_doc(sio.load_json(args.source))
-    return obj, {"source": args.source, "digest": sio.digest(obj.to_doc())}
+        obj = from_doc(load_json(args.source))
+    return obj, {"source": args.source, "digest": digest(obj.to_doc())}
 
 
 def _parse_class(cone, text: str) -> QVector:
@@ -96,7 +79,7 @@ _CONE_SOURCE = _arg("source", help="cone JSON file or catalog:<name>")
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = sio.to_json(report)
+    text = to_json(report)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -114,6 +97,8 @@ def _emit(report: dict, out: str | None) -> None:
 
 @_command("graph", "vol", "volume with its Zariski decomposition", _GRAPH_SOURCE)
 def _cmd_graph_vol(args) -> tuple[dict, int]:
+    from .envelope import volume
+
     graph, inputs = _load(args)
     return {"inputs": inputs, "result": volume(graph).to_doc()}, 0
 
@@ -127,6 +112,8 @@ def _cmd_graph_discrepancies(args) -> tuple[dict, int]:
 
 @_command("graph", "lc", "log canonicity flag and volume", _GRAPH_SOURCE)
 def _cmd_graph_lc(args) -> tuple[dict, int]:
+    from .envelope import volume
+
     graph, inputs = _load(args)
     report = volume(graph)
     return {
@@ -151,8 +138,10 @@ def _cmd_graph_lcmod(args) -> tuple[dict, int]:
 @_command("graph", "blowup", "check all invariants along a blowup tower",
           _arg("source", help="tower JSON file"))
 def _cmd_graph_blowup(args) -> tuple[dict, int]:
-    tower = sio.tower_from_doc(sio.load_json(args.source))
-    inputs = {"source": args.source, "digest": sio.digest(sio.tower_to_doc(tower))}
+    from .tower import invariance_report, tower_from_doc, tower_to_doc
+
+    tower = tower_from_doc(load_json(args.source))
+    inputs = {"source": args.source, "digest": digest(tower_to_doc(tower))}
     report = invariance_report(tower)
     doc = {
         "inputs": inputs,
@@ -167,6 +156,12 @@ def _cmd_graph_blowup(args) -> tuple[dict, int]:
           _arg("--max-vertices", type=int, default=5),
           _arg("--seed", type=int, default=0))
 def _cmd_graph_random_suite(args) -> tuple[dict, int]:
+    from random import Random
+
+    from .envelope import ORACLE_MAX_VERTICES, nef_envelope_trace, zariski_oracle
+    from .randgen import random_divisor, random_graph, random_tower
+    from .tower import envelope_pullback_check, invariance_report, tower_to_doc
+
     if args.count < 1 or args.max_vertices < 1:
         raise DomainError("need --count >= 1 and --max-vertices >= 1")
     if args.max_vertices > ORACLE_MAX_VERTICES:
@@ -206,7 +201,7 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
                 {
                     "case": case,
                     "check": "tower-invariance",
-                    "tower": sio.tower_to_doc(tower),
+                    "tower": tower_to_doc(tower),
                     "failures": [c.to_doc() for c in inv.failures()],
                 }
             )
@@ -215,7 +210,7 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
                 {
                     "case": case,
                     "check": "envelope-pullback",
-                    "tower": sio.tower_to_doc(tower),
+                    "tower": tower_to_doc(tower),
                     "a": a.to_doc(),
                 }
             )
@@ -238,6 +233,8 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
 @_command("cone", "bound", "boundary class and volume upper bound at a slope",
           _CONE_SOURCE, _arg("--a", required=True, help="slope, a rational like 1/2"))
 def _cmd_cone_bound(args) -> tuple[dict, int]:
+    from .cone import boundary_class, cone_log_discrepancy, vol_upper_bound
+
     cone, inputs = _load(args)
     a = rat(args.a)
     bound = vol_upper_bound(cone, a)  # domain error when a <= 0 or no boundary
@@ -260,12 +257,14 @@ def _cmd_cone_bound(args) -> tuple[dict, int]:
                help="comma-separated rationals in num_basis order"),
           _arg("--k", type=int, required=True, help="positive multiple"))
 def _cmd_cone_valuation(args) -> tuple[dict, int]:
+    from .cone import natural_valuation, valuation_limit
+
     cone, inputs = _load(args)
     cls = _parse_class(cone, args.cls)
     if args.k < 1:
         raise DomainError("--k must be a positive integer")
-    value = natural_valuation(cone, cls, args.k)
     limit = valuation_limit(cone, cls)
+    value = natural_valuation(cone, cls, args.k, limit)
     return {
         "inputs": inputs,
         "result": {
@@ -281,6 +280,8 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
 @_command("cone", "limiting", "m-truncated log-discrepancy coefficient",
           _CONE_SOURCE, _arg("--m", type=int, required=True))
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
+    from .cone import STATUS_CITED, limiting_discrepancy
+
     cone, inputs = _load(args)
     if args.m < 1:
         raise DomainError("--m must be a positive integer")
@@ -306,8 +307,11 @@ def _cmd_cone_limiting(args) -> tuple[dict, int]:
           "full certificate report on the built-in ruled-surface cone",
           _arg("--a-seq", help="comma-separated decreasing positive slopes"))
 def _cmd_cone_counterexample(args) -> tuple[dict, int]:
-    cone = cat.ruled_surface_cone()
-    inputs = {"source": "catalog:paper-ruled-surface", "digest": sio.digest(cone.to_doc())}
+    from .cone import (lc_boundary_exists, limiting_discrepancy, ruled_surface_cone,
+                       vol_plus_table)
+
+    cone = ruled_surface_cone()
+    inputs = {"source": "catalog:paper-ruled-surface", "digest": digest(cone.to_doc())}
     if args.a_seq:
         slopes = [rat(p.strip()) for p in args.a_seq.split(",")]
     else:
@@ -331,13 +335,17 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
           _arg("--g-max", type=int, required=True),
           _arg("--a-max", type=int, required=True))
 def _cmd_cone_dcc_scan(args) -> tuple[dict, int]:
+    from .cone import dcc_scan
+
     report = dcc_scan(args.g_max, args.a_max)
     return {"inputs": {"g_max": args.g_max, "a_max": args.a_max}, "result": report}, 0
 
 
 @_command("catalog", "list", "list fixed names and name patterns")
 def _cmd_catalog_list(args) -> tuple[dict, int]:
-    return {"result": cat.catalog_entries()}, 0
+    from .catalog import catalog_entries
+
+    return {"result": catalog_entries()}, 0
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -385,6 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     except MalformedInputError:  # --out itself is unwritable
         _emit(error, None)
     return code
+
+
+def __getattr__(name: str):
+    """The package's public names, such as ``cli.volume``, which this module
+    once imported for every command; now each is imported on first use."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 if __name__ == "__main__":

@@ -31,24 +31,31 @@ The key quantities:
   canonical;
 * ``vol_plus_table`` / ``dcc_scan``: the bound tables and the Gorenstein
   volume scan built from the pieces above.
+
+The cone document codec (:func:`cone_from_doc`) and the named cones
+(:func:`cone_by_name`) live here too, so graph commands never load this
+module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
+from . import io as sio
+from .catalog import build_named, name_number
 from .errors import (
     DomainError,
     InternalConsistencyError,
     MalformedInputError,
 )
 from .lattice import QVector, SymForm, numerators, rat, rat_str
+from .record import Record
 
 # Report-label vocabulary. Claims carried by citation are present for
 # completeness of the record but were not (and cannot be) desk-checked here.
@@ -64,8 +71,7 @@ STATUS_OPEN = "open-not-computed"
 MAX_FACET_SUBSETS = 50_000
 
 
-@dataclass(frozen=True)
-class RigidClass:
+class RigidClass(Record):
     """Annotation: every effective divisor in ``cls`` is the listed one.
 
     Matching is up to positive rational multiples: a query class equal to
@@ -73,8 +79,11 @@ class RigidClass:
     coefficients scale by ``t``.
     """
 
-    cls: QVector
-    only_rep: tuple[tuple[str, Fraction], ...]
+    __slots__ = _fields = ("cls", "only_rep")
+
+    def __init__(self, cls: QVector, only_rep: tuple[tuple[str, Fraction], ...]) -> None:
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "only_rep", only_rep)
 
 
 class _FacetMatrix(NamedTuple):
@@ -368,15 +377,18 @@ def _proportionality(a: QVector, b: QVector) -> Fraction | None:
 # -- boundary classes and bounds --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(Record):
     """The class ``-K_V + a H`` with its effectivity and rigidity flags."""
 
-    a: Fraction
-    cls: QVector
-    effective: bool
-    on_pseff_boundary: bool
-    rigid_rep: tuple[tuple[str, Fraction], ...] | None
+    __slots__ = _fields = ("a", "cls", "effective", "on_pseff_boundary", "rigid_rep")
+
+    def __init__(self, a: Fraction, cls: QVector, effective: bool, on_pseff_boundary: bool,
+                 rigid_rep: tuple[tuple[str, Fraction], ...] | None) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "effective", effective)
+        object.__setattr__(self, "on_pseff_boundary", on_pseff_boundary)
+        object.__setattr__(self, "rigid_rep", rigid_rep)
 
     def to_doc(self) -> dict:
         return {
@@ -447,18 +459,20 @@ def valuation_limit(cone: PolarizedCone, cls: QVector) -> Fraction:
     return Fraction(max(p, 0), q)
 
 
-def natural_valuation(cone: PolarizedCone, cls: QVector, k: int) -> int:
+def natural_valuation(cone: PolarizedCone, cls: QVector, k: int,
+                      limit: Fraction | None = None) -> int:
     """Least ``j >= 0`` such that ``j H - k cls`` is pseudo-effective.
 
-    The value is ``ceil(k * slope)`` clamped at zero, from one evaluation
-    of the exact slope, re-verified by direct membership on both sides of
-    the step.
+    The value is ``ceil(k * valuation_limit(cls))``, from one evaluation of
+    the exact slope (none when the caller passes that ``limit``), re-verified
+    by direct membership on both sides of the step.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
     cls = cone._check_vec(cls, "class")
-    p, q = cone._slope(cls)
-    j = max(0, -(-k * p // q))  # ceil(k p / q), q > 0
+    if limit is None:
+        limit = valuation_limit(cone, cls)
+    j = -(-k * limit.numerator // limit.denominator)  # ceil(k * limit)
     scaled = cls.scale(k)
     if not cone.contains(cone.h_class.scale(j) - scaled):
         raise InternalConsistencyError("valuation optimum fails membership")
@@ -480,14 +494,17 @@ def limiting_discrepancy(cone: PolarizedCone, m: int) -> Fraction:
 # -- lc boundary certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LcVerdict:
+class LcVerdict(Record):
     """Outcome of the lc-boundary search: True / False / None (= unknown),
     the pinned slope when the numerics force one, and the reasoning chain."""
 
-    exists: bool | None
-    forced_a: Fraction | None
-    certificate: tuple[str, ...]
+    __slots__ = _fields = ("exists", "forced_a", "certificate")
+
+    def __init__(self, exists: bool | None, forced_a: Fraction | None,
+                 certificate: tuple[str, ...]) -> None:
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "forced_a", forced_a)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_doc(self) -> dict:
         return {
@@ -779,3 +796,108 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
         "distinct_volumes_ascending": [rat_str(v) for v in distinct],
         "no_strictly_decreasing_chain": True,
     }
+
+
+# -- named cones and cone documents ---------------------------------------------
+
+
+def ruled_surface_cone() -> PolarizedCone:
+    """The built-in ``paper-ruled-surface`` cone.
+
+    ``V`` is the ruled surface over an elliptic curve attached to the
+    unique nonsplit extension of the trivial bundle by itself. Its numeric
+    lattice is spanned by the section ``C0`` and a fiber ``F`` with
+    ``C0^2 = F^2 = 0`` and ``C0 . F = 1``; nef and pseudo-effective cones
+    coincide and are spanned by ``C0`` and ``F``; ``K_V = -2 C0``; the
+    polarization is ``H = C0 + F`` (so ``H^2 = 2``); and every effective
+    divisor in ``|m C0|`` is ``m C0`` itself, recorded as a rigidity
+    annotation on the ``C0`` ray.
+    """
+    return PolarizedCone(
+        dim_x=3,
+        basis=("C0", "F"),
+        form=SymForm([[0, 1], [1, 0]]),
+        nef_gens=(QVector([1, 0]), QVector([0, 1])),
+        pseff_gens=(QVector([1, 0]), QVector([0, 1])),
+        k_class=QVector([-2, 0]),
+        h_class=QVector([1, 1]),
+        rigid=(RigidClass(QVector([1, 0]), (("C0", Fraction(1)),)),),
+    )
+
+
+# ``catalog.catalog_entries`` lists these names and patterns.
+_CONE_FIXED = {
+    "paper-ruled-surface": ruled_surface_cone,
+    "elliptic-cone": lambda: curve_cone(1, 1),
+}
+
+_CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
+    (
+        re.compile(r"^cone-g(\d+)-d(\d+)$"),
+        lambda m: curve_cone(name_number(m.group(1)), name_number(m.group(2))),
+    ),
+    (
+        re.compile(r"^elliptic-cone-(\d+)$"),
+        lambda m: curve_cone(1, name_number(m.group(1))),
+    ),
+)
+
+
+def cone_by_name(name: str) -> PolarizedCone:
+    if name in _CONE_FIXED:
+        return _CONE_FIXED[name]()
+    for pattern, build in _CONE_PATTERNS:
+        m = pattern.match(name)
+        if m:
+            return build_named(name, build, m)
+    raise MalformedInputError(f"unknown catalog cone {name!r}", reason="unknown-catalog-name")
+
+
+def _qvector(value: Any, what: str) -> QVector:
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInputError(f"{what} must be a list of rationals")
+    return QVector(rat(x) for x in value)
+
+
+def cone_from_doc(doc: Any) -> PolarizedCone:
+    doc = sio.take(
+        sio.require_mapping(doc, "cone"),
+        "cone",
+        ("dim_X", "num_basis", "form", "nef_gens", "pseff_gens", "K_V", "H"),
+        ("rigid",),
+    )
+    basis = doc["num_basis"]
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise MalformedInputError("num_basis must be a list of strings")
+    form_rows = doc["form"]
+    if not isinstance(form_rows, list):
+        raise MalformedInputError("form must be a list of rows")
+    form = SymForm([[rat(x) for x in row] for row in form_rows])
+    for field in ("nef_gens", "pseff_gens"):
+        if not isinstance(doc[field], list):
+            raise MalformedInputError(f"{field} must be a list of classes")
+    rigid = []
+    for r in doc.get("rigid", []):
+        r = sio.take(sio.require_mapping(r, "rigid entry"), "rigid entry", ("class", "only_rep"))
+        if not isinstance(r["only_rep"], list):
+            raise MalformedInputError("only_rep must be a list of [token, coeff] pairs")
+        rep = []
+        for item in r["only_rep"]:
+            if not isinstance(item, (list, tuple)) or len(item) != 2 or not isinstance(item[0], str):
+                raise MalformedInputError("only_rep entries must be [token, coeff] pairs")
+            rep.append((item[0], rat(item[1])))
+        rigid.append(RigidClass(_qvector(r["class"], "rigid class"), tuple(rep)))
+    return PolarizedCone(
+        dim_x=sio.require_int(doc["dim_X"], "dim_X"),
+        basis=tuple(basis),
+        form=form,
+        nef_gens=tuple(_qvector(v, "nef generator") for v in doc["nef_gens"]),
+        pseff_gens=tuple(_qvector(v, "pseff generator") for v in doc["pseff_gens"]),
+        k_class=_qvector(doc["K_V"], "K_V"),
+        h_class=_qvector(doc["H"], "H"),
+        rigid=tuple(rigid),
+    )
+
+
+# The codec's name in ``io``, its home before, bound by this module's import.
+sio.cone_from_doc = cone_from_doc

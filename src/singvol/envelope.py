@@ -27,21 +27,20 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector, numerators
+from .lattice import QVector, numerators, rat_str
+from .record import Record
 
 # The most vertices the exponential oracle accepts (2^12 subsets).
 ORACLE_MAX_VERTICES = 12
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(Record):
     """``A = P + N`` with ``P`` nef, ``N >= 0`` supported on ``active``.
 
     ``active`` is normalized to the support of ``N``; complementarity
@@ -49,9 +48,12 @@ class ZariskiDecomposition:
     the decomposition and the two computation routes are comparable.
     """
 
-    p: ExcDivisor
-    n: ExcDivisor
-    active: frozenset[str]
+    __slots__ = _fields = ("p", "n", "active")
+
+    def __init__(self, p: ExcDivisor, n: ExcDivisor, active: frozenset[str]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "active", active)
 
     def to_doc(self) -> dict:
         return {
@@ -61,15 +63,16 @@ class ZariskiDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class VolumeReport:
-    volume: Fraction
-    decomposition: ZariskiDecomposition
-    is_lc: bool
+class VolumeReport(Record):
+    __slots__ = _fields = ("volume", "decomposition", "is_lc")
+
+    def __init__(self, volume: Fraction, decomposition: ZariskiDecomposition,
+                 is_lc: bool) -> None:
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "is_lc", is_lc)
 
     def to_doc(self) -> dict:
-        from .lattice import rat_str
-
         doc = self.decomposition.to_doc()
         doc["volume"] = rat_str(self.volume)
         doc["is_lc"] = self.is_lc

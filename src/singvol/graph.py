@@ -10,7 +10,8 @@ integer rows, parallel edges merged, and definiteness is tested in the
 form's one leaf-first elimination pass, cached with the determinant it
 gives, so building a tree costs O(vertices + edges) steps before
 big-integer growth. Graphs read from a document or a catalog
-name are refused above :data:`MAX_GRAPH_VERTICES` vertices.
+name are refused above :data:`MAX_GRAPH_VERTICES` vertices, and graph
+documents above :data:`MAX_CYCLE_RANK` independent cycles.
 
 The numerical pullback of the canonical class is the unique exceptional
 divisor ``B`` with ``(K_Y + B) . E_j = 0`` for every vertex, i.e. the
@@ -27,23 +28,32 @@ parts of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
 from .lattice import QVector, SymForm, rat_str
+from .record import Record
 
 # The most vertices of a graph read from a document or a catalog name. The
 # trace's rounds cost O(n^2) on long non-lc arms, which sets the value.
 MAX_GRAPH_VERTICES = 700
+# The largest cycle rank (edges - vertices + 1) of a graph document. Each
+# cycle adds fill-in to the elimination: `graph vol` on a 700-vertex tree of
+# (-10)-curves plus 50 chords took 0.7-1.5 s, on (-6)-curves plus 100 chords
+# 4.2 s (2-vCPU machine, Python 3.11).
+MAX_CYCLE_RANK = 50
 
 
-def check_graph_size(count: int) -> None:
-    """Refuse a graph of ``count`` vertices, before it is built, if too large."""
+def check_graph_size(count: int, edges: int = 0) -> None:
+    """Refuse a graph of ``count`` vertices and ``edges`` edge records,
+    before it is built, if too large."""
     if count > MAX_GRAPH_VERTICES:
         raise DomainError(f"graph has {count} vertices, above the limit of "
                           f"{MAX_GRAPH_VERTICES}", reason="too-large")
+    if edges - count + 1 > MAX_CYCLE_RANK:
+        raise DomainError(f"graph has cycle rank {edges - count + 1}, above the limit of "
+                          f"{MAX_CYCLE_RANK}", reason="too-large")
 
 
 def _is_int(value) -> bool:
@@ -51,33 +61,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     """An exceptional curve: identifier, self-intersection, genus."""
 
-    id: str
-    self_int: int
-    genus: int
+    __slots__ = _fields = ("id", "self_int", "genus")
+
+    def __init__(self, id: str, self_int: int, genus: int) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """An intersection between two distinct curves with multiplicity >= 1."""
 
-    i: str
-    j: str
-    mult: int
+    __slots__ = _fields = ("i", "j", "mult")
+
+    def __init__(self, i: str, j: str, mult: int) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "mult", mult)
 
     def joins(self, a: str, b: str) -> bool:
         return {self.i, self.j} == {a, b}
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+class ResolutionGraph(Record):
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate; a method of its own, which ``perfbench`` traces."""
         if not self.vertices:
             raise MalformedInputError("graph needs at least one vertex")
         seen: set[str] = set()
@@ -219,14 +237,14 @@ class ResolutionGraph:
         }
 
 
-@dataclass(frozen=True)
-class ExcDivisor:
+class ExcDivisor(Record):
     """A rational divisor supported on the exceptional curves of one graph."""
 
-    graph: ResolutionGraph
-    coeffs: QVector
+    __slots__ = _fields = ("graph", "coeffs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, graph: ResolutionGraph, coeffs: QVector) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != len(self.graph.vertices):
             raise MalformedInputError(
                 f"divisor has {len(self.coeffs)} coefficients for "
@@ -272,14 +290,17 @@ class ExcDivisor:
         return {v.id: rat_str(c) for v, c in zip(self.graph.vertices, self.coeffs)}
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(Record):
     """Canonical pullback ``B``, log discrepancies ``ell``, and the lc data."""
 
-    b: ExcDivisor
-    ell: ExcDivisor
-    is_lc: bool
-    lc_mod_support: frozenset[str]
+    __slots__ = _fields = ("b", "ell", "is_lc", "lc_mod_support")
+
+    def __init__(self, b: ExcDivisor, ell: ExcDivisor, is_lc: bool,
+                 lc_mod_support: frozenset[str]) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "is_lc", is_lc)
+        object.__setattr__(self, "lc_mod_support", lc_mod_support)
 
     def to_doc(self) -> dict:
         return {

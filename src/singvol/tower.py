@@ -15,35 +15,43 @@ for a satellite) and leaves the old ones alone; pushforward drops it, so
 nef part of the envelope pulls back on the nose. ``invariance_report``
 recomputes both sides of each of these from scratch at every level and
 reports any mismatch as a structured counterexample.
+
+The tower document codec lives here too (:func:`tower_from_doc`,
+:func:`tower_to_doc`), so reading graphs never loads this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
+from typing import Any, Union
 
+from . import io as sio
 from .envelope import VolumeReport, nef_envelope_trace, volume
 from .errors import MalformedInputError
 from .graph import Edge, ExcDivisor, ResolutionGraph, Vertex
 from .lattice import QVector, rat_str
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FreeBlowup:
+class FreeBlowup(Record):
     """Blow up a smooth point of the curve ``vertex``."""
 
-    vertex: str
+    __slots__ = _fields = ("vertex",)
+
+    def __init__(self, vertex: str) -> None:
+        object.__setattr__(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class SatelliteBlowup:
+class SatelliteBlowup(Record):
     """Blow up a node of ``i`` and ``j``; ``edge`` picks among parallel
     edge records joining them (in edge-list order)."""
 
-    i: str
-    j: str
-    edge: int = 0
+    __slots__ = _fields = ("i", "j", "edge")
+
+    def __init__(self, i: str, j: str, edge: int = 0) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "edge", edge)
 
 
 BlowupStep = Union[FreeBlowup, SatelliteBlowup]
@@ -64,7 +72,7 @@ def blow_up(graph: ResolutionGraph, step: BlowupStep) -> ResolutionGraph:
     if isinstance(step, FreeBlowup):
         i = graph.index(step.vertex)
         vertices = tuple(
-            replace(v, self_int=v.self_int - 1) if k == i else v
+            Vertex(v.id, v.self_int - 1, v.genus) if k == i else v
             for k, v in enumerate(graph.vertices)
         ) + (Vertex(nid, -1, 0),)
         edges = graph.edges + (Edge(step.vertex, nid, 1),)
@@ -85,11 +93,11 @@ def blow_up(graph: ResolutionGraph, step: BlowupStep) -> ResolutionGraph:
         consumed = ij_edges[step.edge]
         touched = {step.i, step.j}
         vertices = tuple(
-            replace(v, self_int=v.self_int - 1) if v.id in touched else v
+            Vertex(v.id, v.self_int - 1, v.genus) if v.id in touched else v
             for v in graph.vertices
         ) + (Vertex(nid, -1, 0),)
         edges = tuple(
-            replace(e, mult=e.mult - 1) if k == consumed else e
+            Edge(e.i, e.j, e.mult - 1) if k == consumed else e
             for k, e in enumerate(graph.edges)
             if not (k == consumed and e.mult == 1)
         ) + (Edge(step.i, nid, 1), Edge(step.j, nid, 1))
@@ -149,13 +157,16 @@ class ModelTower:
         return tuple(volume(g) for g in self.models)
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
-    level: int
-    name: str
-    passed: bool
-    lhs: dict | str
-    rhs: dict | str
+class InvarianceCheck(Record):
+    __slots__ = _fields = ("level", "name", "passed", "lhs", "rhs")
+
+    def __init__(self, level: int, name: str, passed: bool, lhs: dict | str,
+                 rhs: dict | str) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def to_doc(self) -> dict:
         return {
@@ -167,10 +178,12 @@ class InvarianceCheck:
         }
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    ok: bool
-    checks: tuple[InvarianceCheck, ...]
+class InvarianceReport(Record):
+    __slots__ = _fields = ("ok", "checks")
+
+    def __init__(self, ok: bool, checks: tuple[InvarianceCheck, ...]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "checks", checks)
 
     def failures(self) -> tuple[InvarianceCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -267,3 +280,44 @@ def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
     # top model, but its envelope must still be the pulled-back nef part.
     top_dec = nef_envelope_trace(tower.top, current)
     return top_dec.p.coeffs == p.coeffs
+
+
+# -- tower documents ------------------------------------------------------------
+
+
+def tower_from_doc(doc: Any) -> ModelTower:
+    doc = sio.take(sio.require_mapping(doc, "tower"), "tower", ("base", "steps"))
+    base = sio.graph_from_doc(doc["base"])
+    if not isinstance(doc["steps"], list):
+        raise MalformedInputError("tower steps must be a list")
+    steps = []
+    for s in doc["steps"]:
+        s = sio.require_mapping(s, "step")
+        kind = s.get("kind")
+        if kind == "free":
+            s = sio.take(s, "free step", ("kind", "i"))
+            if not isinstance(s["i"], str):
+                raise MalformedInputError("free step needs a vertex id string")
+            steps.append(FreeBlowup(s["i"]))
+        elif kind == "satellite":
+            s = sio.take(s, "satellite step", ("kind", "i", "j"), ("edge",))
+            if not isinstance(s["i"], str) or not isinstance(s["j"], str):
+                raise MalformedInputError("satellite step needs two vertex id strings")
+            steps.append(SatelliteBlowup(s["i"], s["j"], sio.require_int(s.get("edge", 0), "edge")))
+        else:
+            raise MalformedInputError(f"unknown step kind {kind!r}")
+    return ModelTower(base, tuple(steps))
+
+
+def tower_to_doc(tower: ModelTower) -> dict:
+    steps = []
+    for s in tower.steps:
+        if isinstance(s, FreeBlowup):
+            steps.append({"kind": "free", "i": s.vertex})
+        else:
+            steps.append({"kind": "satellite", "i": s.i, "j": s.j, "edge": s.edge})
+    return {"base": tower.base.to_doc(), "steps": steps}
+
+
+# The codec's names in ``io``, its home before, bound by this module's import.
+sio.tower_from_doc, sio.tower_to_doc = tower_from_doc, tower_to_doc

@@ -5,6 +5,7 @@ as they happen; without ``-s`` pytest still shows one PASSED/FAILED row per
 criterion.
 """
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
@@ -24,9 +25,9 @@ from singvol import (
     volume,
     zariski_oracle,
 )
-from singvol.catalog import graph_by_name, ruled_surface_cone
+from singvol.catalog import graph_by_name
 from singvol.cli import main
-from singvol.cone import STATUS_CITED, STATUS_OPEN
+from singvol.cone import STATUS_CITED, STATUS_OPEN, ruled_surface_cone
 from singvol.lattice import QVector
 from singvol.randgen import random_divisor, random_graph, random_tower
 
@@ -237,3 +238,22 @@ def test_criterion_12_large_tree_tower_invariance() -> None:
         assert rep.ok, [c.to_doc() for c in rep.failures()]
     for graph in tower.models:
         assert graph.intersection_form.det() == _tree_det(graph)
+
+
+def test_criterion_13_many_cycle_graph_doc_refused(tmp_path, capsys) -> None:
+    # 700 vertices, a tree plus 1,400 chords: eliminating it took minutes
+    rng = Random(2)
+    edges = {(rng.randrange(k), k) for k in range(1, 700)}
+    while len(edges) < 2100:
+        a, b = sorted(rng.sample(range(700), 2))
+        edges.add((a, b))
+    doc = {"vertices": [{"id": f"v{k}", "self_int": -3, "genus": 0} for k in range(700)],
+           "edges": [{"i": f"v{a}", "j": f"v{b}"} for a, b in sorted(edges)]}
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with criterion(13, "graph vol on a 700-vertex graph of cycle rank 1,401 ends with a "
+                   "JSON error, exit 1", 2.0):
+        code = main(["graph", "vol", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert '"reason": "too-large"' in out

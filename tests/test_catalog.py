@@ -8,7 +8,6 @@ from singvol import MalformedInputError, volume
 from singvol.catalog import (
     a_n,
     catalog_entries,
-    cone_by_name,
     cone_over_curve,
     cusp_cycle,
     d_n,
@@ -18,6 +17,7 @@ from singvol.catalog import (
     graph_by_name,
     simple_elliptic,
 )
+from singvol.cone import cone_by_name
 
 F = Fraction
 

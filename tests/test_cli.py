@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from singvol.cli import _COMMANDS, main
-from singvol.cone import MAX_FACET_SUBSETS
+from singvol.cone import MAX_FACET_SUBSETS, PolarizedCone
 
 GRAPH_DOC = {
     "vertices": [
@@ -214,6 +214,22 @@ def test_cone_valuation(capsys) -> None:
     assert doc["result"]["natural_valuation"] == 3
     assert doc["result"]["valuation_limit"] == "1"
     assert doc["result"]["normalized_gap"] == "0"
+
+
+def test_cone_valuation_evaluates_the_slope_once(capsys, monkeypatch) -> None:
+    calls = []
+    slope = PolarizedCone._slope
+
+    def counted(self, cls):
+        calls.append(cls)
+        return slope(self, cls)
+
+    monkeypatch.setattr(PolarizedCone, "_slope", counted)
+    code, doc = run(capsys, "cone", "valuation", "catalog:paper-ruled-surface",
+                    "--class", "1/2,5/2", "--k", "2")
+    assert code == 0
+    assert (doc["result"]["natural_valuation"], doc["result"]["valuation_limit"]) == (5, "5/2")
+    assert len(calls) == 1
 
 
 def test_cone_limiting_carries_caveat(capsys) -> None:

@@ -25,7 +25,8 @@ from singvol import (
     vol_upper_bound,
     volume,
 )
-from singvol.catalog import cone_by_name, cone_over_curve, ruled_surface_cone
+from singvol.catalog import cone_over_curve
+from singvol.cone import cone_by_name, ruled_surface_cone
 from singvol.errors import InternalConsistencyError
 
 F = Fraction

@@ -5,16 +5,10 @@ import json
 import pytest
 
 from singvol import FreeBlowup, MalformedInputError, ModelTower, SatelliteBlowup
-from singvol.catalog import graph_by_name, ruled_surface_cone
-from singvol.io import (
-    cone_from_doc,
-    digest,
-    graph_from_doc,
-    load_json,
-    to_json,
-    tower_from_doc,
-    tower_to_doc,
-)
+from singvol.catalog import graph_by_name
+from singvol.cone import cone_from_doc, ruled_surface_cone
+from singvol.io import digest, graph_from_doc, load_json, to_json
+from singvol.tower import tower_from_doc, tower_to_doc
 
 GRAPH_DOC = {
     "vertices": [
@@ -192,5 +186,21 @@ def test_oversized_graph_doc_is_refused_before_any_vertex() -> None:
         graph_from_doc(doc)
     assert exc.value.reason == "too-large"
     doc["vertices"] = doc["vertices"][:MAX_GRAPH_VERTICES]
+    with pytest.raises(MalformedInputError):
+        graph_from_doc(doc)
+
+
+def test_graph_doc_with_too_many_cycles_is_refused_before_any_vertex() -> None:
+    from singvol import DomainError
+    from singvol.graph import MAX_CYCLE_RANK
+
+    # n vertices and n - 1 + r edge records have cycle rank r
+    n = 10
+    doc = {"vertices": [None] * n, "edges": [None] * (n + MAX_CYCLE_RANK)}
+    with pytest.raises(DomainError) as exc:
+        graph_from_doc(doc)
+    assert exc.value.reason == "too-large"
+    assert f"cycle rank {MAX_CYCLE_RANK + 1}" in str(exc.value)
+    doc["edges"].pop()
     with pytest.raises(MalformedInputError):
         graph_from_doc(doc)
