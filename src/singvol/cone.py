@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 from . import io as sio
 from .catalog import build_named, name_number
@@ -84,15 +84,6 @@ class RigidClass(Record):
     def __init__(self, cls: QVector, only_rep: tuple[tuple[str, Fraction], ...]) -> None:
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "only_rep", only_rep)
-
-
-class _FacetMatrix(NamedTuple):
-    """The facet normals as ``int`` rows, and ``phi(H)`` for each row as an
-    integer over ``h_den``, the common denominator of ``H``."""
-
-    rows: tuple[tuple[int, ...], ...]
-    phi_h: tuple[int, ...]
-    h_den: int
 
 
 class PolarizedCone:
@@ -209,40 +200,41 @@ class PolarizedCone:
         return tuple(QVector(phi) for phi in sorted(normals))
 
     @cached_property
-    def _facets(self) -> _FacetMatrix:
-        rows = tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
-        h_den, h_num = numerators(self.h_class)
-        return _FacetMatrix(rows, tuple(sum(map(mul, r, h_num)) for r in rows), h_den)
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The facet normals as ``int`` rows."""
+        return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
+
+    def _values(self, cls: QVector) -> tuple[int, list[int]]:
+        """``(den, [den * phi(cls)])`` over the facets ``phi``, ``den`` the
+        common denominator of ``cls``: the one evaluation of the facet
+        functionals on a class, all in integers."""
+        den, num = numerators(self._check_vec(cls, "class"))
+        return den, [sum(map(mul, row, num)) for row in self._rows]
 
     def contains(self, cls: QVector) -> bool:
         """Exact pseudo-effective cone membership: no facet functional is
         negative on ``cls``."""
-        num = numerators(self._check_vec(cls, "class"))[1]
-        return all(sum(map(mul, row, num)) >= 0 for row in self._facets.rows)
+        return min(self._values(cls)[1]) >= 0
 
     def on_boundary(self, cls: QVector) -> bool:
-        cls = self._check_vec(cls, "class")
-        num = numerators(cls)[1]
-        return self.contains(cls) and any(
-            sum(map(mul, row, num)) == 0 for row in self._facets.rows
-        )
+        return min(self._values(cls)[1]) == 0
 
     def _slope(self, cls: QVector) -> tuple[int, int]:
         """The largest ``phi(cls) / phi(H)`` over the facets, unclamped, as
         ``(p, q)`` with ``q > 0``: ``t H - cls`` is pseudo-effective exactly
         when ``t >= p / q``. Ratios are compared by cross-multiplying, every
         ``phi(H)`` being positive."""
-        den, num = numerators(self._check_vec(cls, "class"))
-        facets = self._facets
-        best = best_h = None
-        for row, phi_h in zip(facets.rows, facets.phi_h):
-            v = sum(map(mul, row, num))
-            if best is None or v * best_h > best * phi_h:
+        den, values = self._values(cls)
+        best, best_h = values[0], self._phi_h[0]
+        for v, phi_h in zip(values, self._phi_h):
+            if v * best_h > best * phi_h:
                 best, best_h = v, phi_h
-        return best * facets.h_den, best_h * den
+        return best * self._h_den, best_h * den
 
     def _validate_geometry(self) -> None:
-        if any(phi_h <= 0 for phi_h in self._facets.phi_h):
+        # phi(H) per facet as integers over h_den, the common denominator of H
+        self._h_den, self._phi_h = self._values(self.h_class)
+        if min(self._phi_h) <= 0:
             raise MalformedInputError(
                 "H is not interior to the pseudo-effective cone (not ample)",
                 reason="h-not-ample",
@@ -296,8 +288,6 @@ class PolarizedCone:
         positive rational) with coefficients scaled by ``t``.
         """
         cls = self._check_vec(cls, "class")
-        if cls.is_zero():
-            return None
         for r in self.rigid:
             t = _proportionality(cls, r.cls)
             if t is not None and t > 0:
@@ -406,13 +396,13 @@ def boundary_class(cone: PolarizedCone, a) -> BoundaryClass:
     """Numerical boundary class at slope ``a``, with exact effectivity."""
     a = rat(a)
     cls = -cone.k_class + cone.h_class.scale(a)
-    effective = cone.contains(cls)
+    low = min(cone._values(cls)[1])
     return BoundaryClass(
         a=a,
         cls=cls,
-        effective=effective,
-        on_pseff_boundary=effective and cone.on_boundary(cls),
-        rigid_rep=cone.rigid_decomposition(cls) if effective else None,
+        effective=low >= 0,
+        on_pseff_boundary=low == 0,
+        rigid_rep=cone.rigid_decomposition(cls) if low >= 0 else None,
     )
 
 
@@ -465,18 +455,21 @@ def natural_valuation(cone: PolarizedCone, cls: QVector, k: int,
 
     The value is ``ceil(k * valuation_limit(cls))``, from one evaluation of
     the exact slope (none when the caller passes that ``limit``), re-verified
-    by direct membership on both sides of the step.
+    by membership on both sides of the step. By linearity,
+    ``phi(j H - k cls)`` has the sign of ``j phi(H) den - k phi(cls) h_den``
+    over the facet values, so the re-checks are integer sign tests.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
-    cls = cone._check_vec(cls, "class")
     if limit is None:
         limit = valuation_limit(cone, cls)
     j = -(-k * limit.numerator // limit.denominator)  # ceil(k * limit)
-    scaled = cls.scale(k)
-    if not cone.contains(cone.h_class.scale(j) - scaled):
+    den, values = cone._values(cls)
+    h_step = [phi_h * den for phi_h in cone._phi_h]
+    slack = [j * h - k * cone._h_den * v for h, v in zip(h_step, values)]
+    if min(slack) < 0:
         raise InternalConsistencyError("valuation optimum fails membership")
-    if j > 0 and cone.contains(cone.h_class.scale(j - 1) - scaled):
+    if j > 0 and all(s >= h for s, h in zip(slack, h_step)):
         raise InternalConsistencyError("valuation optimum is not minimal")
     return j
 
@@ -514,11 +507,9 @@ class LcVerdict(Record):
         }
 
 
-def _class_str(cone: PolarizedCone, cls: QVector) -> str:
-    parts = [
-        f"{rat_str(c)}*{token}" for token, c in zip(cone.basis, cls) if c != 0
-    ]
-    return " + ".join(parts) if parts else "0"
+def _terms(pairs) -> str:
+    """``c1*token1 + c2*token2 ...`` over the nonzero coefficients."""
+    return " + ".join(f"{rat_str(c)}*{token}" for token, c in pairs if c != 0) or "0"
 
 
 def lc_boundary_exists(cone: PolarizedCone) -> LcVerdict:
@@ -535,94 +526,58 @@ def lc_boundary_exists(cone: PolarizedCone) -> LcVerdict:
     witness. Anything else is honestly unknown.
     """
     a_min = Fraction(*cone._slope(cone.k_class))
-    effectivity = (
+    exists = None
+    certificate = [
         f"effectivity: -K_V + a*H is pseudo-effective only for a >= {rat_str(a_min)} "
-        "(exact LP over the pseff generators)"
-    )
-    lc_constraint = (
+        "(exact LP over the pseff generators)",
         "log canonicity: the exceptional divisor has log discrepancy -a, "
-        "so a <= 0 is required"
-    )
+        "so a <= 0 is required",
+    ]
     if a_min > 0:
-        return LcVerdict(
-            exists=False,
-            forced_a=None,
-            certificate=(
-                effectivity,
-                lc_constraint,
-                f"conclusion: the slope range [{rat_str(a_min)}, 0] is empty, "
-                "so no boundary exists",
-            ),
+        exists = False
+        certificate.append(
+            f"conclusion: the slope range [{rat_str(a_min)}, 0] is empty, "
+            "so no boundary exists"
         )
-    ratio = _proportionality(cone.k_class, cone.h_class)
-    if ratio is not None and ratio <= 0:
-        a0 = ratio
-        return LcVerdict(
-            exists=True,
-            forced_a=Fraction(0) if a_min == 0 else None,
-            certificate=(
-                effectivity,
-                lc_constraint,
-                f"witness: K_V = {rat_str(a0)}*H exactly, so the empty boundary "
-                f"realizes slope a = {rat_str(a0)} and the pair with no boundary "
-                "is log canonical",
-            ),
+    elif (ratio := _proportionality(cone.k_class, cone.h_class)) is not None and ratio <= 0:
+        exists = True
+        certificate.append(
+            f"witness: K_V = {rat_str(ratio)}*H exactly, so the empty boundary "
+            f"realizes slope a = {rat_str(ratio)} and the pair with no boundary "
+            "is log canonical"
         )
-    if a_min == 0:
+    elif a_min < 0:
+        certificate.append(
+            f"undecided: every slope in [{rat_str(a_min)}, 0] admits an effective "
+            "boundary class and the annotations do not single one out"
+        )
+    else:
         pinned = -cone.k_class
-        pinned_str = _class_str(cone, pinned)
-        pinning = (
-            "pinning: the two constraints force a = 0, so the boundary class "
-            f"must be -K_V = {pinned_str}"
-        )
-        rep = cone.rigid_decomposition(pinned)
-        if rep is None:
-            return LcVerdict(
-                exists=None,
-                forced_a=Fraction(0),
-                certificate=(
-                    effectivity,
-                    lc_constraint,
-                    pinning,
-                    "undecided: no rigidity annotation covers the pinned class",
-                ),
-            )
-        rep_str = " + ".join(f"{rat_str(c)}*{token}" for token, c in rep)
-        too_big = [(token, c) for token, c in rep if c > 1]
+        pinned_str = _terms(zip(cone.basis, pinned))
+        rep = cone.rigid_decomposition(pinned) or ()
+        rep_str = _terms(rep)
+        too_big = next(((token, c) for token, c in rep if c > 1), None)
         if too_big:
-            token, c = too_big[0]
-            return LcVerdict(
-                exists=False,
-                forced_a=Fraction(0),
-                certificate=(
-                    effectivity,
-                    lc_constraint,
-                    f"rigidity: the only effective representative of {pinned_str} "
-                    f"is {rep_str}, whose component {token} carries coefficient "
-                    f"{rat_str(c)} > 1, which no log canonical boundary allows",
-                ),
+            exists = False
+            certificate.append(
+                f"rigidity: the only effective representative of {pinned_str} "
+                f"is {rep_str}, whose component {too_big[0]} carries coefficient "
+                f"{rat_str(too_big[1])} > 1, which no log canonical boundary allows"
             )
-        return LcVerdict(
-            exists=None,
-            forced_a=Fraction(0),
-            certificate=(
-                effectivity,
-                lc_constraint,
-                pinning,
+        else:
+            certificate += [
+                "pinning: the two constraints force a = 0, so the boundary class "
+                f"must be -K_V = {pinned_str}",
                 f"undecided: the rigid representative {rep_str} has coefficients "
                 "<= 1, but annotations alone cannot certify the pair is log "
-                "canonical",
-            ),
-        )
+                "canonical"
+                if rep
+                else "undecided: no rigidity annotation covers the pinned class",
+            ]
     return LcVerdict(
-        exists=None,
-        forced_a=None,
-        certificate=(
-            effectivity,
-            lc_constraint,
-            f"undecided: every slope in [{rat_str(a_min)}, 0] admits an effective "
-            "boundary class and the annotations do not single one out",
-        ),
+        exists=exists,
+        forced_a=Fraction(0) if a_min == 0 else None,
+        certificate=tuple(certificate),
     )
 
 
@@ -870,12 +825,14 @@ def cone_from_doc(doc: Any) -> PolarizedCone:
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise MalformedInputError("num_basis must be a list of strings")
     form_rows = doc["form"]
-    if not isinstance(form_rows, list):
+    if not isinstance(form_rows, list) or not all(isinstance(row, list) for row in form_rows):
         raise MalformedInputError("form must be a list of rows")
     form = SymForm([[rat(x) for x in row] for row in form_rows])
     for field in ("nef_gens", "pseff_gens"):
         if not isinstance(doc[field], list):
             raise MalformedInputError(f"{field} must be a list of classes")
+    if not isinstance(doc.get("rigid", []), list):
+        raise MalformedInputError("rigid must be a list of annotations")
     rigid = []
     for r in doc.get("rigid", []):
         r = sio.take(sio.require_mapping(r, "rigid entry"), "rigid entry", ("class", "only_rep"))

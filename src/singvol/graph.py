@@ -43,6 +43,11 @@ MAX_GRAPH_VERTICES = 700
 # (-10)-curves plus 50 chords took 0.7-1.5 s, on (-6)-curves plus 100 chords
 # 4.2 s (2-vCPU machine, Python 3.11).
 MAX_CYCLE_RANK = 50
+# The most bits in all of a graph document's entries (self-intersections,
+# genera, multiplicities), since Bareiss pivots grow with them: 700 vertices
+# plus 50 chords took 1.5-2.6 s at 3,549-3,999 bits, and 18.9 s with
+# (-10,000)-curves at 10,549 bits (2-vCPU machine, Python 3.11).
+MAX_ENTRY_BITS = 4_000
 
 
 def check_graph_size(count: int, edges: int = 0) -> None:

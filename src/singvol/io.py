@@ -25,8 +25,8 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-from .errors import MalformedInputError
-from .graph import Edge, ResolutionGraph, Vertex, check_graph_size
+from .errors import DomainError, MalformedInputError
+from .graph import MAX_ENTRY_BITS, Edge, ResolutionGraph, Vertex, check_graph_size
 
 
 def require_mapping(doc: Any, what: str) -> Mapping:
@@ -67,15 +67,20 @@ def graph_from_doc(doc: Any) -> ResolutionGraph:
         v = take(require_mapping(v, "vertex"), "vertex", ("id", "self_int", "genus"))
         if not isinstance(v["id"], str):
             raise MalformedInputError("vertex id must be a string")
-        vertices.append(Vertex(v["id"], require_int(v["self_int"], "self_int"),
-                               require_int(v["genus"], "genus")))
+        vertices.append((v["id"], require_int(v["self_int"], "self_int"),
+                         require_int(v["genus"], "genus")))
     edges = []
     for e in doc["edges"]:
         e = take(require_mapping(e, "edge"), "edge", ("i", "j"), ("mult",))
         if not isinstance(e["i"], str) or not isinstance(e["j"], str):
             raise MalformedInputError("edge endpoints must be vertex id strings")
-        edges.append(Edge(e["i"], e["j"], require_int(e.get("mult", 1), "mult")))
-    return ResolutionGraph(tuple(vertices), tuple(edges))
+        edges.append((e["i"], e["j"], require_int(e.get("mult", 1), "mult")))
+    bits = (sum(s.bit_length() + g.bit_length() for _, s, g in vertices)
+            + sum(m.bit_length() for _, _, m in edges))
+    if bits > MAX_ENTRY_BITS:
+        raise DomainError(f"graph entries have {bits} bits in all, above the limit of "
+                          f"{MAX_ENTRY_BITS}", reason="too-large")
+    return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
 
 
 # -- canonical JSON and digests -------------------------------------------------

@@ -257,3 +257,23 @@ def test_criterion_13_many_cycle_graph_doc_refused(tmp_path, capsys) -> None:
         out = capsys.readouterr().out
         assert code == 1
         assert '"reason": "too-large"' in out
+
+
+def test_criterion_14_large_entry_graph_doc_refused(tmp_path, capsys) -> None:
+    # 700 (-10,000)-curves on a tree plus 50 chords: inside both size limits,
+    # it took about 15 s to build and solve
+    rng = Random(0)
+    edges = {(rng.randrange(k), k) for k in range(1, 700)}
+    while len(edges) < 749:
+        a, b = sorted(rng.sample(range(700), 2))
+        edges.add((a, b))
+    doc = {"vertices": [{"id": f"v{k}", "self_int": -10_000, "genus": 0} for k in range(700)],
+           "edges": [{"i": f"v{a}", "j": f"v{b}"} for a, b in sorted(edges)]}
+    path = tmp_path / "large-entries.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with criterion(14, "graph vol on 700 (-10,000)-curves with 50 chords ends with a "
+                   "JSON error, exit 1", 2.0):
+        code = main(["graph", "vol", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert '"reason": "too-large"' in out

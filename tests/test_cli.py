@@ -257,6 +257,48 @@ def test_cone_counterexample_report(capsys) -> None:
     assert all(value == "0" for value in limits.values())
 
 
+def test_cone_counterexample_decides_the_lc_verdict_once(capsys, monkeypatch) -> None:
+    import singvol.cone as cone_module
+
+    calls = []
+    verdict = cone_module.lc_boundary_exists
+
+    def counted(cone):
+        calls.append(cone)
+        return verdict(cone)
+
+    monkeypatch.setattr(cone_module, "lc_boundary_exists", counted)
+    code, doc = run(capsys, "cone", "counterexample")
+    assert code == 0
+    assert doc["result"]["lc_boundary"] == doc["result"]["table"]["lc_boundary"]
+    assert len(calls) == 1
+
+
+RULED_DOC = {
+    "dim_X": 3,
+    "num_basis": ["C0", "F"],
+    "form": [["0", "1"], ["1", "0"]],
+    "nef_gens": [["1", "0"], ["0", "1"]],
+    "pseff_gens": [["1", "0"], ["0", "1"]],
+    "K_V": ["-2", "0"],
+    "H": ["1", "1"],
+}
+
+
+@pytest.mark.parametrize("patch, message", [
+    pytest.param({"form": [1]}, "form must be a list of rows", id="form-row-int"),
+    pytest.param({"form": [["0", "1"], 5]}, "form must be a list of rows", id="form-row-late"),
+    pytest.param({"rigid": 5}, "rigid must be a list of annotations", id="rigid-int"),
+    pytest.param({"rigid": {"x": 1}}, "rigid must be a list of annotations", id="rigid-object"),
+])
+def test_malformed_cone_document_exits_2(tmp_path, capsys, patch, message) -> None:
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({**RULED_DOC, **patch}), encoding="utf-8")
+    code, out = run(capsys, "cone", "limiting", str(path), "--m", "2")
+    assert code == 2
+    assert out["error"] == {"message": message, "reason": "malformed-input"}
+
+
 def test_cone_dcc_scan(capsys) -> None:
     code, doc = run(capsys, "cone", "dcc-scan", "--g-max", "5", "--a-max", "3")
     assert code == 0

@@ -26,7 +26,7 @@ from singvol import (
     volume,
 )
 from singvol.catalog import cone_over_curve
-from singvol.cone import cone_by_name, ruled_surface_cone
+from singvol.cone import RigidClass, cone_by_name, ruled_surface_cone
 from singvol.errors import InternalConsistencyError
 
 F = Fraction
@@ -272,6 +272,20 @@ def test_natural_valuation_membership_rechecks_catch_a_wrong_slope(
         natural_valuation(c, vec(1, 0), 3)
 
 
+def test_natural_valuation_rechecks_build_no_vector(monkeypatch) -> None:
+    c = ruled_surface_cone()
+
+    def forbidden(*args):
+        raise AssertionError("natural_valuation built a vector or re-ran contains")
+
+    monkeypatch.setattr(QVector, "scale", forbidden)
+    monkeypatch.setattr(QVector, "__sub__", forbidden)
+    monkeypatch.setattr(PolarizedCone, "contains", forbidden)
+    assert natural_valuation(c, vec(F(1, 2), F(5, 2)), 2) == 5
+    assert natural_valuation(c, vec(-2, 0), 7) == 0
+    assert limiting_discrepancy(c, 3) == 0
+
+
 SAMPLE_CLASSES = [
     (1, 0), (0, 1), (1, 1), (-2, 0), (-1, -1),
     (1, -1), (2, 3), (-3, 1), (0, 5), (2, 0),
@@ -343,6 +357,64 @@ def test_certificate_mentions_rigidity_step() -> None:
     assert any("rigidity" in step for step in v.certificate)
     assert any("a >= 0" in step for step in v.certificate)
     assert any("a <= 0" in step for step in v.certificate)
+
+
+def ruled_variant(k_class: QVector, rigid=()) -> PolarizedCone:
+    return PolarizedCone(
+        dim_x=3, basis=("C0", "F"), form=SymForm(((0, 1), (1, 0))),
+        nef_gens=(vec(1, 0), vec(0, 1)), pseff_gens=(vec(1, 0), vec(0, 1)),
+        k_class=k_class, h_class=vec(1, 1), rigid=rigid,
+    )
+
+
+EFFECTIVITY = ("effectivity: -K_V + a*H is pseudo-effective only for a >= {} "
+               "(exact LP over the pseff generators)")
+LC_CONSTRAINT = ("log canonicity: the exceptional divisor has log discrepancy -a, "
+                 "so a <= 0 is required")
+PINNING = ("pinning: the two constraints force a = 0, so the boundary class must be "
+           "-K_V = 2*C0")
+
+
+@pytest.mark.parametrize("cone, exists, forced_a, a_min, tail", [
+    pytest.param(
+        lambda: curve_cone(2, 1), False, None, "2",
+        ["conclusion: the slope range [2, 0] is empty, so no boundary exists"],
+        id="empty-range"),
+    pytest.param(
+        lambda: cone_by_name("elliptic-cone"), True, F(0), "0",
+        ["witness: K_V = 0*H exactly, so the empty boundary realizes slope a = 0 and "
+         "the pair with no boundary is log canonical"],
+        id="witness"),
+    pytest.param(
+        lambda: curve_cone(0, 1), True, None, "-2",
+        ["witness: K_V = -2*H exactly, so the empty boundary realizes slope a = -2 and "
+         "the pair with no boundary is log canonical"],
+        id="witness-open-range"),
+    pytest.param(
+        ruled_surface_cone, False, F(0), "0",
+        ["rigidity: the only effective representative of 2*C0 is 2*C0, whose component "
+         "C0 carries coefficient 2 > 1, which no log canonical boundary allows"],
+        id="pinned-refuted-by-rigidity"),
+    pytest.param(
+        lambda: ruled_variant(vec(-2, 0)), None, F(0), "0",
+        [PINNING, "undecided: no rigidity annotation covers the pinned class"],
+        id="pinned-unannotated"),
+    pytest.param(
+        lambda: ruled_variant(vec(-2, 0), (RigidClass(vec(2, 0), (("A", F(1)), ("B", F(1, 2)))),)),
+        None, F(0), "0",
+        [PINNING, "undecided: the rigid representative 1*A + 1/2*B has coefficients <= 1, "
+         "but annotations alone cannot certify the pair is log canonical"],
+        id="pinned-rigid-within-bounds"),
+    pytest.param(
+        lambda: ruled_variant(vec(-2, -1)), None, None, "-1",
+        ["undecided: every slope in [-1, 0] admits an effective boundary class and the "
+         "annotations do not single one out"],
+        id="open-range"),
+])
+def test_lc_verdict_branches_exact(cone, exists, forced_a, a_min, tail) -> None:
+    v = lc_boundary_exists(cone())
+    assert (v.exists, v.forced_a) == (exists, forced_a)
+    assert v.certificate == (EFFECTIVITY.format(a_min), LC_CONSTRAINT, *tail)
 
 
 def test_vol_plus_table_rows_and_verdicts() -> None:
@@ -580,6 +652,11 @@ def test_integer_facet_kernel_matches_fraction_reference() -> None:
             for k in (1, 2, 5):
                 assert natural_valuation(cone, cls, k) == max(0, math.ceil(k * limit))
         a_min = max(phi.dot(k_class) / phi.dot(h) for phi in expected)
+        for a in (a_min - 1, a_min, a_min + F(1, 3), -a_min):
+            bc = boundary_class(cone, a)
+            values = [phi.dot(bc.cls) for phi in expected]
+            assert bc.effective == (min(values) >= 0)
+            assert bc.on_pseff_boundary == (min(values) == 0)
         verdict = lc_boundary_exists(cone)
         assert f"a >= {a_min} (" in verdict.certificate[0]
         i = next(i for i, x in enumerate(h) if x != 0)

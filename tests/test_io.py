@@ -190,6 +190,27 @@ def test_oversized_graph_doc_is_refused_before_any_vertex() -> None:
         graph_from_doc(doc)
 
 
+def test_graph_doc_over_the_entry_bit_budget_is_refused_before_any_vertex(monkeypatch) -> None:
+    import singvol.io as sio
+    from singvol import DomainError
+    from singvol.graph import MAX_ENTRY_BITS
+
+    # one vertex of large degree: self_int has MAX_ENTRY_BITS - 1 bits, genus 1 one
+    doc = {"vertices": [{"id": "c", "self_int": -(2 ** (MAX_ENTRY_BITS - 2)), "genus": 1}],
+           "edges": []}
+    assert graph_from_doc(doc).vertices[0].genus == 1
+    doc["vertices"][0]["genus"] = 2
+
+    def no_vertex(*args):
+        raise AssertionError("a Vertex was built")
+
+    monkeypatch.setattr(sio, "Vertex", no_vertex)
+    with pytest.raises(DomainError) as exc:
+        graph_from_doc(doc)
+    assert exc.value.reason == "too-large"
+    assert f"{MAX_ENTRY_BITS + 1} bits" in str(exc.value)
+
+
 def test_graph_doc_with_too_many_cycles_is_refused_before_any_vertex() -> None:
     from singvol import DomainError
     from singvol.graph import MAX_CYCLE_RANK
