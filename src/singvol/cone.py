@@ -7,10 +7,11 @@ gives the single exceptional divisor ``E = V``, with co-normal bundle
 along ``E``. Everything here is numerical: classes live in a small exact
 lattice spanned by ``num_basis``, effectivity means membership in the
 pseudo-effective cone (decided exactly by its facet inequalities, which are
-enumerated from the generators and kept as one integer matrix, so every
-facet test is an integer dot product), and the only non-numerical input is
-the optional rigidity annotation saying that some class has a unique
-effective representative.
+found from the generators by the double description method in integers,
+one generator at a time, and kept as one integer matrix, so every facet
+test is an integer dot product), and the only non-numerical input is the
+optional rigidity annotation saying that some class has a unique effective
+representative.
 
 The key quantities:
 
@@ -43,7 +44,6 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 from typing import Any, Sequence
 
@@ -63,12 +63,20 @@ STATUS_COMPUTED = "computed-exact"
 STATUS_CITED = "cited-not-computed"
 STATUS_OPEN = "open-not-computed"
 
-# Facet enumeration reduces every (n-1)-subset of the pseudo-effective
-# generators; a cone with more subsets than this is refused as too large.
-# At the limit, enumeration took about 4 s for 316 generators on the moment
-# curve at basis 3 (2-vCPU machine, Python 3.11); perfbench's largest cone
-# has C(13, 3) = 286 subsets.
+# A cone with more (n-1)-subsets of its m pseudo-effective generators than
+# this is refused as too large. Each facet of every intermediate cone of the
+# double description is spanned by n - 1 of its generators, so C(m, n - 1)
+# bounds the normals kept at each of the m insertions, and with them the
+# work. At the limit, on the moment curve, in order or shuffled, enumeration
+# took 0.05-0.07 s for 316 generators at basis 3 (316 facets), 0.01-0.05 s
+# for 67 at basis 4, 0.06 s for 34 at basis 5 (527 facets) and 0.04-0.09 s
+# for 24 at basis 6; reducing every subset took 1-4 s there (2-vCPU machine,
+# Python 3.11). perfbench's largest cone has C(13, 3) = 286 subsets.
 MAX_FACET_SUBSETS = 50_000
+# The most cells g_max * a_max of a dcc scan grid. Every cell with a | 2g - 2
+# builds and solves a graph, and a_max = 1 makes every cell do so: 10,000 x 1
+# took 1.3 s and 1,000 x 10 0.45 s (2-vCPU machine, Python 3.11).
+MAX_DCC_CELLS = 5_000
 
 
 class RigidClass(Record):
@@ -147,14 +155,22 @@ class PolarizedCone:
         Each generator is scaled to an integer ray (a positive multiple, so
         the cone is unchanged). The cone must be full-dimensional (the rays
         span) and salient (the normals span back); both are schema
-        requirements and are rejected here otherwise. Every facet of a
-        full-dimensional cone is spanned by ``dim - 1`` of its generators:
-        each such subset that is independent is reduced by :func:`_echelon`,
-        its kernel read off as a primitive integer normal, and the normal
-        kept, pointing inwards, when no ray lies strictly on each side of it.
-        Extra supporting hyperplanes that turn up are valid inequalities and
-        harmless. A cone with more than ``MAX_FACET_SUBSETS`` subsets is
-        refused before any is reduced (``reason="too-large"``).
+        requirements and are rejected here otherwise.
+
+        The normals are the extreme rays of the dual cone, found in integers
+        by the double description method (Motzkin, Raiffa, Thompson and
+        Thrall, 1953). ``n`` independent rays, picked greedily, span a
+        simplicial cone: its normals are the kernels of its ``(n - 1)``-
+        subsets (:func:`_kernel_normal`). Each other ray ``g`` is added in
+        turn: normals with ``phi(g) >= 0`` stay, the others go, and each
+        adjacent ``(+, -)`` pair gives the new normal
+        ``phi+(g) phi- - phi-(g) phi+`` over its gcd. Two normals are
+        adjacent when their zero sets (the added rays they vanish on) meet
+        in at least ``n - 2`` rays and no third normal's zero set contains
+        that meet (Fukuda and Prodon, "Double description method revisited",
+        1996). So the work follows the facet count, not the subset count;
+        a cone with more than ``MAX_FACET_SUBSETS`` generator subsets is
+        still refused first (``reason="too-large"``).
         """
         n = len(self.basis)
         subsets = math.comb(len(self.pseff_gens), n - 1)
@@ -165,39 +181,52 @@ class PolarizedCone:
                 reason="too-large",
             )
         rays = [numerators(g)[1] for g in self.pseff_gens]
-        if len(_echelon(rays, n)[0]) != n:
+        start: list[int] = []
+        for j, ray in enumerate(rays):
+            if len(_echelon([rays[i] for i in start] + [ray], n)[0]) > len(start):
+                start.append(j)
+                if len(start) == n:
+                    break
+        else:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
                 reason="cone-not-full-dimensional",
             )
-        normals: set[tuple[int, ...]] = set()
-        for subset in combinations(rays, n - 1):
-            pivots, rows = _echelon(subset, n)
-            if len(pivots) != n - 1:
+        # each normal's zero set: a bit mask of the added rays it vanishes on
+        normals, zeros = [], []
+        for i in start:
+            normal = _kernel_normal([rays[j] for j in start if j != i], n)
+            g = math.gcd(*normal)
+            if sum(map(mul, normal, rays[i])) < 0:
+                g = -g
+            normals.append(tuple(x // g for x in normal))
+            zeros.append(sum(1 << j for j in start if j != i))
+        for j, ray in enumerate(rays):
+            if j in start:
                 continue
-            # the kernel is a line: l = lcm of the pivot entries on the free
-            # column, and each pivot coordinate is -l * (that row's free
-            # entry) / (its pivot entry)
-            free = next(c for c in range(n) if c not in pivots)
-            scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
-            normal = [0] * n
-            normal[free] = scale
-            for row, col in zip(rows, pivots):
-                normal[col] = -row[free] * (scale // row[col])
-            sides = set()
-            for ray in rays:
-                v = sum(map(mul, normal, ray))
-                if v:
-                    sides.add(v > 0)
-                    if len(sides) == 2:
-                        break
-            if len(sides) == 1:
-                # divide by the gcd, negated when the rays lie below
-                g = math.gcd(*normal) if sides.pop() else -math.gcd(*normal)
-                normals.add(tuple(x // g for x in normal))
-        if len(_echelon(list(normals), n)[0]) != n:
+            bit = 1 << j
+            values = [sum(map(mul, phi, ray)) for phi in normals]
+            negative = [q for q, v in enumerate(values) if v < 0]
+            kept = [phi for phi, v in zip(normals, values) if v >= 0]
+            kept_zeros = [zs | bit if v == 0 else zs for zs, v in zip(zeros, values) if v >= 0]
+            for p, vp in enumerate(values):
+                if vp <= 0:
+                    continue
+                for q in negative:
+                    meet = zeros[p] & zeros[q]
+                    if meet.bit_count() < n - 2 or any(
+                        zs & meet == meet for k, zs in enumerate(zeros) if k != p and k != q
+                    ):
+                        continue
+                    normal = [vp * a - values[q] * b for a, b in zip(normals[q], normals[p])]
+                    g = math.gcd(*normal)
+                    kept.append(tuple(x // g for x in normal))
+                    kept_zeros.append(meet | bit)
+            normals, zeros = kept, kept_zeros
+        normals.sort()
+        if len(_echelon(normals, n)[0]) != n:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
-        return tuple(QVector(phi) for phi in sorted(normals))
+        return tuple(QVector(phi) for phi in normals)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
@@ -344,6 +373,22 @@ def _echelon(
                 rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, rows[: len(pivots)]
+
+
+def _kernel_normal(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """An integer vector spanning the kernel of ``n - 1`` independent integer
+    rows (``n`` columns each)."""
+    pivots, reduced = _echelon(rows, n)
+    # the kernel is a line: l = lcm of the pivot entries on the free column,
+    # and each pivot coordinate is -l * (that row's free entry) / (its pivot
+    # entry)
+    free = next(c for c in range(n) if c not in pivots)
+    scale = math.lcm(*(row[col] for row, col in zip(reduced, pivots)))
+    normal = [0] * n
+    normal[free] = scale
+    for row, col in zip(reduced, pivots):
+        normal[col] = -row[free] * (scale // row[col])
+    return normal
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:
@@ -718,6 +763,9 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
 
     if g_max < 2 or a_max < 1:
         raise DomainError("need g_max >= 2 and a_max >= 1")
+    if g_max * a_max > MAX_DCC_CELLS:
+        raise DomainError(f"dcc scan grid of {g_max} x {a_max} cells exceeds the limit of "
+                          f"{MAX_DCC_CELLS}", reason="too-large")
     rows = []
     for g in range(2, g_max + 1):
         for a in range(1, a_max + 1):

@@ -113,6 +113,11 @@ def load_json(path: str) -> Any:
         raise MalformedInputError(f"{path} is not UTF-8: {exc}", reason="invalid-encoding") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}", reason="invalid-json") from exc
+    except ValueError:
+        # json parses integer literals with int(), which refuses more digits
+        # than sys.get_int_max_str_digits() (4,300 by default)
+        raise DomainError(f"JSON in {path} has an integer literal too long to parse",
+                          reason="too-large") from None
     except RecursionError as exc:
         raise MalformedInputError(f"JSON in {path} is nested too deeply",
                                   reason="too-deeply-nested") from exc

@@ -14,8 +14,10 @@ from time import perf_counter
 from singvol import (
     FreeBlowup,
     ModelTower,
+    PolarizedCone,
     ResolutionGraph,
     SatelliteBlowup,
+    SymForm,
     invariance_report,
     lc_boundary_exists,
     natural_valuation,
@@ -277,3 +279,22 @@ def test_criterion_14_large_entry_graph_doc_refused(tmp_path, capsys) -> None:
         out = capsys.readouterr().out
         assert code == 1
         assert '"reason": "too-large"' in out
+
+
+def test_criterion_15_large_cone_facets() -> None:
+    # 316 generators at basis 3 sit just inside MAX_FACET_SUBSETS; reducing
+    # every pair of them took about 4.5 s
+    gens = [QVector([F(t ** p) for p in range(3)]) for t in range(-158, 158)]
+    h = sum(gens[1:], gens[0])
+    with criterion(15, "facets of the 316-generator moment-curve cone at basis 3", 0.5):
+        cone = PolarizedCone(dim_x=3, basis=("e0", "e1", "e2"),
+                             form=SymForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                             nef_gens=(h,), pseff_gens=gens, k_class=QVector.zero(3),
+                             h_class=h)
+        normals = cone.facet_normals
+    # the cyclic polygon: one facet through each pair of neighbours on the curve
+    assert len(normals) == 316
+    rays = [[int(x) for x in g] for g in gens]
+    for phi in normals:
+        values = [sum(int(a) * b for a, b in zip(phi, ray)) for ray in rays]
+        assert min(values) == 0 and values.count(0) == 2

@@ -80,6 +80,28 @@ def test_graph_blowup_tower(tmp_path, capsys) -> None:
     assert doc["result"]["ok"] is True
 
 
+@pytest.mark.parametrize("steps", [51, 120])
+def test_graph_blowup_tower_over_the_step_limit_exits_1(tmp_path, capsys, steps) -> None:
+    doc = dict(TOWER_DOC, steps=[{"kind": "free", "i": "v1"}] * steps)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "graph", "blowup", str(path))
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
+    assert str(steps) in out["error"]["message"]
+
+
+def test_json_integer_beyond_int_parsing_is_too_large(tmp_path, capsys) -> None:
+    # json parses integers with int(), which refuses more than 4,300 digits;
+    # that ended in a traceback instead of a JSON error
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": [{"id": "c", "self_int": -' + "9" * 5000
+                    + ', "genus": 0}], "edges": []}', encoding="utf-8")
+    code, out = run(capsys, "graph", "vol", str(path))
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
+
+
 def test_reports_are_byte_identical(tmp_path, capsys) -> None:
     code1 = main(["graph", "vol", "catalog:E6"])
     out1 = capsys.readouterr().out
@@ -304,6 +326,13 @@ def test_cone_dcc_scan(capsys) -> None:
     assert code == 0
     assert doc["result"]["min_volume"] == "2"
     assert doc["result"]["min_witnesses"] == [{"g": 2, "a": 1, "d": 2}]
+
+
+def test_cone_dcc_scan_grid_too_large_exits_1(capsys) -> None:
+    # a million cells, 1.6 s of graph solves before the grid was bounded
+    code, out = run(capsys, "cone", "dcc-scan", "--g-max", "1000", "--a-max", "1000")
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
 
 
 def test_random_suite_is_deterministic(capsys) -> None:

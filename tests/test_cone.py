@@ -12,6 +12,7 @@ from singvol import (
     MalformedInputError,
     PolarizedCone,
     QVector,
+    ResolutionGraph,
     SymForm,
     boundary_class,
     cone_log_discrepancy,
@@ -26,7 +27,7 @@ from singvol import (
     volume,
 )
 from singvol.catalog import cone_over_curve
-from singvol.cone import RigidClass, cone_by_name, ruled_surface_cone
+from singvol.cone import MAX_DCC_CELLS, RigidClass, cone_by_name, ruled_surface_cone
 from singvol.errors import InternalConsistencyError
 
 F = Fraction
@@ -483,6 +484,20 @@ def test_dcc_scan_rejects_bad_bounds() -> None:
         dcc_scan(5, 0)
 
 
+def test_dcc_scan_grid_is_bounded_before_any_graph_is_built(monkeypatch) -> None:
+    assert 60 * 16 <= MAX_DCC_CELLS
+    assert len(dcc_scan(2, MAX_DCC_CELLS // 2)["rows"]) == 2
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(ResolutionGraph, "make", no_graph)
+    for g_max, a_max in ((2, MAX_DCC_CELLS // 2 + 1), (10**9, 10**9)):
+        with pytest.raises(DomainError) as exc:
+            dcc_scan(g_max, a_max)
+        assert exc.value.reason == "too-large"
+
+
 def test_dcc_scan_volumes_never_drop_below_two() -> None:
     out = dcc_scan(12, 6)
     assert all(F(row["volume"]) >= 2 for row in out["rows"])
@@ -617,6 +632,72 @@ def _random_cone_data(rng):
     k_class = (h.scale(-rng.randint(1, 2)) if rng.random() < 0.2
                else QVector(_random_rational(rng) for _ in range(n)))
     return n, form, nef, gens, k_class, h
+
+
+def _bare_facets(gens, n):
+    """``facet_normals`` of bare generators, or the error it raises, without
+    the rest of the cone validation (which refuses a zero generator)."""
+    cone = object.__new__(PolarizedCone)
+    cone.basis = tuple(f"b{i}" for i in range(n))
+    cone.pseff_gens = tuple(gens)
+    try:
+        return cone.facet_normals
+    except MalformedInputError as exc:
+        return exc.reason
+
+
+def _reference_or_reason(gens, n):
+    try:
+        return _ref_facets(gens, n)
+    except MalformedInputError as exc:
+        return exc.reason
+
+
+def _cyclic(n, m, rng):
+    """``m`` rational points on the moment curve in ``n`` dimensions, each
+    scaled by a positive rational, shuffled."""
+    return [QVector(F(t ** p) for p in range(n)).scale(F(rng.randint(1, 4), rng.randint(1, 3)))
+            for t in rng.sample(range(-9, 10), m)]
+
+
+def _rare_shapes():
+    rng = Random(11)
+    for n, m in ((3, 12), (4, 9), (5, 8), (6, 7)):
+        gens = _cyclic(n, m, rng)
+        yield f"cyclic-{n}", n, gens
+        interior = [sum(rng.sample(gens, rng.randint(2, m)), QVector.zero(n)) for _ in range(3)]
+        yield f"interior-{n}", n, rng.sample(gens + interior, m + 3)
+        copies = [g.scale(F(rng.randint(1, 5), rng.randint(1, 3))) for g in gens[:2]] + gens[:2]
+        yield f"duplicates-{n}", n, rng.sample(gens + copies, m + 4)
+        zero = list(gens)
+        zero.insert(rng.randrange(m + 1), QVector.zero(n))
+        yield f"zero-{n}", n, zero
+        yield f"zero-first-{n}", n, [QVector.zero(n)] + gens
+        yield f"line-{n}", n, rng.sample(gens + [-gens[0]], m + 1)
+        yield f"all-signs-{n}", n, gens[:n] + [-g for g in gens[:n]]
+        flat = [QVector(tuple(g)[:-1] + (F(0),)) for g in gens]
+        yield f"not-spanning-{n}", n, flat
+    yield "cyclic-3-in-order", 3, [QVector(F(t ** p) for p in range(3)) for t in range(-6, 7)]
+    yield "simplicial-2", 2, [vec(1, 0), vec(0, 1)]
+    yield "ray-1", 1, [vec(2), vec(F(1, 3)), vec(0)]
+    yield "line-1", 1, [vec(2), vec(-1)]
+    yield "half-plane-2", 2, [vec(1, 0), vec(0, 1), vec(-1, 0)]
+
+
+_RARE_SHAPES = list(_rare_shapes())
+
+
+@pytest.mark.parametrize("name, n, gens", _RARE_SHAPES, ids=[c[0] for c in _RARE_SHAPES])
+def test_facet_enumeration_matches_reference_on_rare_shapes(name, n, gens) -> None:
+    expected = _reference_or_reason(gens, n)
+    assert _bare_facets(gens, n) == expected
+    kind = name.rsplit("-", 1)[0]
+    if kind in ("line", "all-signs", "half-plane"):
+        assert expected == "cone-not-salient"
+    elif kind == "not-spanning":
+        assert expected == "cone-not-full-dimensional"
+    else:
+        assert isinstance(expected, tuple) and expected
 
 
 def test_integer_facet_kernel_matches_fraction_reference() -> None:

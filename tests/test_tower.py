@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from singvol import (
+    DomainError,
     FreeBlowup,
     MalformedInputError,
     ModelTower,
@@ -18,7 +19,8 @@ from singvol import (
     volume,
 )
 from singvol.randgen import random_divisor, random_graph, random_tower
-from singvol.tower import envelope_pullback_check, fresh_vertex_id
+from singvol.graph import MAX_GRAPH_VERTICES
+from singvol.tower import MAX_TOWER_STEPS, envelope_pullback_check, fresh_vertex_id
 
 F = Fraction
 
@@ -75,6 +77,28 @@ def test_blowup_rejects_bad_steps() -> None:
         blow_up(g, SatelliteBlowup("v1", "v3"))  # no edge
     with pytest.raises(MalformedInputError):
         blow_up(g, SatelliteBlowup("v1", "v2", edge=1))  # index out of range
+
+
+@pytest.mark.parametrize("base, steps", [
+    (MAX_GRAPH_VERTICES, 1),  # the top model would pass the graph size limit
+    (MAX_GRAPH_VERTICES - 10, 11),
+    (2, MAX_TOWER_STEPS + 1),
+])
+def test_tower_size_is_refused_before_the_first_blowup(monkeypatch, base, steps) -> None:
+    def no_blowup(*args):
+        raise AssertionError("a blowup ran")
+
+    graph = a_chain(base)
+    monkeypatch.setattr("singvol.tower.blow_up", no_blowup)
+    with pytest.raises(DomainError) as exc:
+        ModelTower(graph, (FreeBlowup("v1"),) * steps)
+    assert exc.value.reason == "too-large"
+
+
+def test_tower_at_the_size_limits_is_built() -> None:
+    assert len(ModelTower(a_chain(2), (FreeBlowup("v1"),) * MAX_TOWER_STEPS).top.ids) == 52
+    top = ModelTower(a_chain(MAX_GRAPH_VERTICES - 1), (FreeBlowup("v1"),)).top
+    assert len(top.ids) == MAX_GRAPH_VERTICES
 
 
 def test_pullback_free_copies_center_coefficient() -> None:
