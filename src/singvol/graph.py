@@ -23,7 +23,9 @@ are exactly the centers a log-canonical modification must keep.
 All of these come from one cached ``DiscrepancyReport`` per graph, built
 on the one cached solve for ``b`` that ``mumford_pullback_canonical``
 returns; ``log_discrepancy_divisor`` and ``discrepancy_report`` return
-parts of it.
+parts of it. That solve substitutes through the factor the definiteness
+pass left, so a graph is eliminated once, and the solution is checked
+against ``M b = -k`` before it is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
-from .lattice import QVector, SymForm, rat_str
+from .lattice import QVector, SymForm, numerators, rat_str
 from .record import Record
 
 # The most vertices of a graph read from a document or a catalog name. The
@@ -209,11 +211,19 @@ class ResolutionGraph(Record):
 
     @cached_property
     def _canonical_pullback(self) -> "ExcDivisor":
-        """The one solve of ``M b = -k``. On a relatively minimal model (all
+        """The one solve of ``M b = -k``, certified in the same call by one
+        integer mat-vec: ``(L M) y = -L q k`` for ``y = q b``, ``q`` the
+        common denominator of ``b``. On a relatively minimal model (all
         ``k_j >= 0``) a negative entry of ``b`` would be a solver bug and
         raises; models carrying (-1)-vertices may legitimately have them."""
         k = self.canonical_intersections()
-        b = self.intersection_form.solve(-k)
+        form = self.intersection_form
+        b = form.solve(-k)
+        scale, sparse = form._integral
+        q, y = numerators(b)
+        if any(sum([a * y[j] for j, a in row]) != -scale * q * kj.numerator
+               for row, kj in zip(sparse, k)):
+            raise InternalConsistencyError(f"canonical pullback fails M b = -k: b = {b!r}")
         if all(entry >= 0 for entry in k) and not b.is_nonnegative():
             raise InternalConsistencyError(
                 "canonical pullback has a negative coefficient on a relatively "

@@ -14,10 +14,12 @@ elimination", Math. Comp. 22, 1968) on Python ints over the nonzero
 entries, with row swaps, in leaf-first order, where a tree gets no
 fill-in. One cached pass over the whole form gives both the determinant
 and the definiteness test (Sylvester's criterion holds for the leading
-minors of any symmetric reordering); solves run their own pass on the
-block and right-hand side they need. The mat-vec and the pairing are
-integer sums over one denominator; results become ``Fraction`` only when
-returned.
+minors of any symmetric reordering). The pass keeps its factor: pivots,
+row swaps, multipliers and upper rows. A solve carries its integer
+right-hand side through a factor and back-substitutes: the whole-form
+solve through the cached pass, a solve on a support through one pass on
+that block. The mat-vec and the pairing are integer sums over one
+denominator; results become ``Fraction`` only when returned.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1.
@@ -145,9 +147,10 @@ class SymForm:
     nonzero entries of an integer matrix. Its only state is
     ``_integral = (L, rows)``: ``L`` the lcm of the denominators and the
     nonzero entries of ``L * M`` as ``(column, int)`` pairs sorted by
-    column. That is canonical, so equality and hashing use it. The one
-    leaf-first pass behind :meth:`det` and :meth:`is_negative_definite`
-    is cached.
+    column. That is canonical, so equality and hashing use it. The factor
+    of the one leaf-first pass behind :meth:`det`,
+    :meth:`is_negative_definite` and the whole-form :meth:`solve` is
+    cached.
     """
 
     __slots__ = ("_integral", "_pass")
@@ -238,68 +241,66 @@ class SymForm:
         With ``support``, solve the principal subsystem on those indices
         instead: ``x`` vanishes off ``support`` and ``(M x)_i = rhs_i`` for
         every ``i`` in it; entries of ``rhs`` off the support are ignored.
+        The whole form substitutes through the cached pass, a support
+        through one pass on its block, both in leaf-first order.
         """
         n = self.dim
         self._check_len(rhs, "rhs")
-        # Graphs mostly list a vertex before the ones hanging off it (blowups
-        # append theirs), so reverse order eliminates leaves first and a
-        # tree gets no fill-in.
-        order = list(reversed(range(n) if support is None else support))
-        if any(not 0 <= i < n for i in order):
-            raise MalformedInputError(f"support index out of range for dimension {n}")
         x = [Fraction(0)] * n
-        m = len(order)
-        if not m:
-            return _qvector(x)
-        den, num = numerators([rhs[i] for i in order])
-        rows = self._block(order)
-        for row, c in zip(rows, num):
-            row[m] = self._integral[0] * c
-        pivots, _ = _eliminate(rows, m)
-        if not pivots[-1]:
+        if support is None:
+            order, factor = range(n - 1, -1, -1), self._whole_pass()
+        else:
+            order = list(reversed(support))
+            if any(not 0 <= i < n for i in order):
+                raise MalformedInputError(f"support index out of range for dimension {n}")
+            if not order:
+                return _qvector(x)
+            factor = self._factor(order)
+        if not factor[0][-1]:
             raise SingularSystemError("form matrix is singular")
-        # Fraction-free back-substitution: y = d x with d the last pivot.
-        d = pivots[-1]
-        y = [0] * m
-        for k in range(m - 1, -1, -1):
-            acc = d * rows[k].get(m, 0)
-            for j, a in rows[k].items():
-                if k < j < m:
-                    acc -= a * y[j]
-            y[k] = acc // pivots[k]
+        den, num = numerators([rhs[i] for i in order])
+        scale = self._integral[0]
+        d, y = _substitute(factor, [scale * c for c in num])
         d *= den
-        for k, i in enumerate(order):
-            x[i] = Fraction(y[k], d)
+        for i, v in zip(order, y):
+            x[i] = Fraction(v, d)
         return _qvector(x)
 
-    def _leaf_pass(self, k: int) -> tuple[Fraction, bool]:
-        """The determinant of the leading k x k block, and whether the block
-        is negative definite, from one leaf-first pass. The determinant is
-        ``(-1)^swaps`` times the last pivot, over ``L^k``. Definiteness is
-        Sylvester's criterion, minors of sign (-1)^i, on the leaf-first
-        order: without a swap the pivots are those minors, a swap means one
-        of them was zero, and a pass that stops early ends at a zero pivot."""
-        pivots, swaps = _eliminate(self._block(range(k - 1, -1, -1)), k)
-        det = Fraction((-1) ** swaps * pivots[-1], self._integral[0] ** k)
-        return det, not swaps and all(p and (p < 0) == (i % 2 == 0) for i, p in enumerate(pivots))
+    def _factor(self, order: Sequence[int]) -> tuple:
+        """The :func:`_eliminate` factor of the principal block on ``order``."""
+        return _eliminate(self._block(order), len(order))
 
-    def _whole_pass(self) -> tuple[Fraction, bool]:
-        """:meth:`_leaf_pass` over the whole form, run on first use and cached."""
+    def _whole_pass(self) -> tuple:
+        """The factor of the whole form, run on first use and cached. Graphs
+        mostly list a vertex before the ones hanging off it (blowups append
+        theirs), so reverse order eliminates leaves first and a tree gets no
+        fill-in."""
         if self._pass is None:
-            object.__setattr__(self, "_pass", self._leaf_pass(self.dim))
+            object.__setattr__(self, "_pass", self._factor(range(self.dim - 1, -1, -1)))
         return self._pass
 
+    def _minor(self, factor: tuple) -> Fraction:
+        """The determinant of a factor's block: ``(-1)^swaps`` times the last
+        pivot, over ``L^size``."""
+        pivots, swaps, _, rows = factor
+        return Fraction((-1) ** swaps * pivots[-1], self._integral[0] ** len(rows))
+
     def det(self) -> Fraction:
-        return self._whole_pass()[0]
+        return self._minor(self._whole_pass())
 
     def leading_principal_minors(self) -> tuple[Fraction, ...]:
         """Determinants of the leading k x k blocks, k = 1..dim, all exact:
         one leaf-first pass per block, the last one the cached :meth:`det`."""
-        return tuple(self._leaf_pass(k)[0] for k in range(1, self.dim)) + (self.det(),)
+        return tuple(self._minor(self._factor(range(k - 1, -1, -1)))
+                     for k in range(1, self.dim)) + (self.det(),)
 
     def is_negative_definite(self) -> bool:
-        """Sylvester's criterion on the cached leaf-first pass."""
-        return self._whole_pass()[1]
+        """Sylvester's criterion, minors of sign (-1)^i, on the cached
+        leaf-first pass: without a swap the pivots are those minors, a swap
+        means one of them was zero, and a pass that stops early ends at a
+        zero pivot."""
+        pivots, swaps, _, _ = self._whole_pass()
+        return not swaps and all(p and (p < 0) == (i % 2 == 0) for i, p in enumerate(pivots))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymForm) and self._integral == other._integral
@@ -316,26 +317,29 @@ class SymForm:
         return out
 
 
-def _eliminate(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
+def _eliminate(rows: list[dict[int, int]], n: int) -> tuple:
     """Fraction-free Gaussian elimination (Bareiss 1968) with row swaps, in
     place.
 
     ``rows`` holds a symmetric n x n integer matrix as sparse rows
     ``{column: value}`` without zeros, already in elimination order (every
-    caller passes leaf-first order); entries in columns >= n ride along as
-    right-hand sides. Step k turns every row ``i > k`` into
+    caller passes leaf-first order). Step k turns every row ``i > k`` into
     ``(p_k row_i - a_ik row_k) / p_(k-1)``, with ``p_k`` the k-th pivot;
     each entry is then a minor of the input, so the division is exact and
     row k ends as row k of an upper-triangular system.
 
-    Returns ``(pivots, swaps)``. A zero pivot is first replaced by the next
-    row with a nonzero entry in its column, and ``swaps`` counts these
-    exchanges. While ``swaps == 0``, ``pivots[k]`` is the leading principal
-    minor of size k + 1, so a swap means one such minor vanished. The pass
-    stops at the first zero pivot it cannot replace, which it records, so
-    the matrix is nonsingular exactly when ``len(pivots) == n`` and
-    ``pivots[-1] != 0``; in every case the determinant is
-    ``(-1)^swaps * pivots[-1]``.
+    Returns the factor ``(pivots, swaps, steps, rows)``. A zero pivot is
+    first replaced by the next row with a nonzero entry in its column, and
+    ``swaps`` counts these exchanges. While ``swaps == 0``, ``pivots[k]`` is
+    the leading principal minor of size k + 1, so a swap means one such
+    minor vanished. The pass stops at the first zero pivot it cannot
+    replace, which it records, so the matrix is nonsingular exactly when
+    ``len(pivots) == n`` and ``pivots[-1] != 0``; in every case the
+    determinant is ``(-1)^swaps * pivots[-1]``. ``steps[k]`` is ``(r,
+    updates)``: the row ``r`` moved into place k (k itself without a swap)
+    and the ``(i, a_ik)`` of every row step k updated, in order, which is
+    what :func:`_substitute` replays on a right-hand side. ``rows`` ends as
+    the upper-triangular rows.
 
     A row without an entry in column k would only be scaled by
     ``p_k / p_(k-1)``; instead it keeps the step ``stage[i]`` it was last
@@ -344,6 +348,7 @@ def _eliminate(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
     update. A step then costs only the nonzeros it touches.
     """
     pivots: list[int] = []
+    steps: list[tuple[int, list[tuple[int, int]]]] = []
     stage = [-1] * n
     swaps = 0
 
@@ -356,9 +361,10 @@ def _eliminate(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
         return rows[i]
 
     for k in range(n):
+        r = k
         if not rows[k].get(k):
-            r = next((i for i in range(k + 1, n) if rows[i].get(k)), None)
-            if r is not None:
+            r = next((i for i in range(k + 1, n) if rows[i].get(k)), k)
+            if r != k:
                 rows[k], rows[r] = rows[r], rows[k]
                 stage[k], stage[r] = stage[r], stage[k]
                 swaps += 1
@@ -369,16 +375,61 @@ def _eliminate(rows: list[dict[int, int]], n: int) -> tuple[list[int], int]:
             break
         prev = pivots[k - 1] if k else 1
         if not swaps:  # the block still to be eliminated is symmetric
-            below = [i for i in top if k < i < n]
+            below = [i for i in top if i > k]
         else:
             below = [i for i in range(k + 1, n) if rows[i].get(k)]
+        updates = []
         for i in below:
             row = catch_up(i, k)
             a = row.pop(k)
+            updates.append((i, a))
             new = {j: b * p for j, b in row.items()}
             for j, b in top.items():
                 if j != k:
                     new[j] = new.get(j, 0) - a * b
             rows[i] = {j: b // prev for j, b in new.items() if b}
             stage[i] = k
-    return pivots, swaps
+        steps.append((r, updates))
+    return pivots, swaps, steps, rows
+
+
+def _substitute(factor: tuple, rhs: list[int]) -> tuple[int, list[int]]:
+    """Solve with a nonsingular :func:`_eliminate` factor: ``(d, y)`` with
+    ``d`` the last pivot and ``y = d x`` the integer solution of the block's
+    system for the integer right-hand side ``rhs``.
+
+    ``rhs`` goes through the factor as the column it would have been in
+    the elimination: the same swaps, the same updates ``(p_k b_i - a_ik
+    b_k) / p_(k-1)`` and the same lazy catch-ups, in the same order, so
+    every value is the same minor and every division exact. Back-substitution
+    on the upper rows then gives ``y``.
+    """
+    pivots, _, steps, rows = factor
+    b = list(rhs)
+    stage = [-1] * len(b)
+
+    def catch_up(i: int, k: int) -> int:
+        s = stage[i]
+        if s != k - 1:
+            b[i] = b[i] * pivots[k - 1] // (pivots[s] if s >= 0 else 1)
+            stage[i] = k - 1
+        return b[i]
+
+    for k, (r, updates) in enumerate(steps):
+        if r != k:
+            b[k], b[r] = b[r], b[k]
+            stage[k], stage[r] = stage[r], stage[k]
+        top = catch_up(k, k)
+        p, prev = pivots[k], (pivots[k - 1] if k else 1)
+        for i, a in updates:
+            b[i] = (p * catch_up(i, k) - a * top) // prev
+            stage[i] = k
+    d = pivots[-1]
+    y = [0] * len(b)
+    for k in range(len(b) - 1, -1, -1):
+        acc = d * b[k]
+        for j, a in rows[k].items():
+            if j != k:
+                acc -= a * y[j]
+        y[k] = acc // pivots[k]
+    return d, y

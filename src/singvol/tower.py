@@ -23,7 +23,7 @@ The tower document codec lives here too (:func:`tower_from_doc`,
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Union
+from typing import Any, Callable, Sequence, Union
 
 from . import io as sio
 from .envelope import VolumeReport, nef_envelope_trace, volume
@@ -127,23 +127,29 @@ class ModelTower:
 
     ``models[t]`` is the graph after ``t`` steps; the vertex step ``t``
     creates is the last one of ``models[t + 1]``. Construction applies every
-    step, so a tower that exists is structurally valid at every level.
+    step, so a tower that exists is structurally valid at every level. An
+    item of ``steps`` may also be a callable that draws the step from the
+    model it applies to, so a random tower is built in the same one pass.
     """
 
-    def __init__(self, base: ResolutionGraph, steps: tuple[BlowupStep, ...]) -> None:
+    def __init__(self, base: ResolutionGraph,
+                 steps: Sequence[BlowupStep | Callable[[ResolutionGraph], BlowupStep]]) -> None:
         self.base = base
-        self.steps = tuple(steps)
         # each step adds one vertex, so the sizes are known before any blowup
-        if len(self.steps) > MAX_TOWER_STEPS:
-            raise DomainError(f"tower has {len(self.steps)} steps, above the limit of "
+        if len(steps) > MAX_TOWER_STEPS:
+            raise DomainError(f"tower has {len(steps)} steps, above the limit of "
                               f"{MAX_TOWER_STEPS}", reason="too-large")
-        top = len(base.vertices) + len(self.steps)
+        top = len(base.vertices) + len(steps)
         if top > MAX_GRAPH_VERTICES:
             raise DomainError(f"tower's top model would have {top} vertices, above the "
                               f"limit of {MAX_GRAPH_VERTICES}", reason="too-large")
-        models = [base]
-        for step in self.steps:
+        models, applied = [base], []
+        for step in steps:
+            if callable(step):
+                step = step(models[-1])
+            applied.append(step)
             models.append(blow_up(models[-1], step))
+        self.steps = tuple(applied)
         self.models = tuple(models)
 
     @property

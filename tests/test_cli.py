@@ -363,6 +363,22 @@ def test_catalog_list(capsys) -> None:
     assert any(p.startswith("A<n>") for p in doc["result"]["graphs"]["patterns"])
 
 
+def test_failed_canonical_certificate_exits_3(monkeypatch, capsys) -> None:
+    from singvol import lattice
+
+    substitute = lattice._substitute
+
+    def wrong(factor, rhs):
+        d, y = substitute(factor, rhs)
+        return d, [y[0] + 1, *y[1:]]
+
+    monkeypatch.setattr(lattice, "_substitute", wrong)
+    code, doc = run(capsys, "graph", "vol", "catalog:E6")
+    assert code == 3
+    assert doc["error"]["reason"] == "internal-consistency"
+    assert "M b = -k" in doc["error"]["message"]
+
+
 def test_argparse_usage_error_exits_2() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["graph"])

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from singvol import Edge, MalformedInputError, ResolutionGraph, Vertex
+from singvol.errors import InternalConsistencyError
 from singvol.randgen import random_graph
 
 F = Fraction
@@ -207,3 +208,25 @@ def test_graph_doc_shape() -> None:
     doc = two_vertex_example().to_doc()
     assert doc["vertices"][0] == {"id": "c", "self_int": -2, "genus": 2}
     assert doc["edges"] == [{"i": "c", "j": "t", "mult": 1}]
+
+
+@pytest.mark.parametrize("vertices", [
+    [("v1", -2, 0), ("v2", -3, 0), ("v3", -2, 1)],
+    [("v1", -3, 0), ("v2", -1, 0), ("v3", -4, 0)],  # a (-1)-vertex: k has a negative entry
+])
+def test_canonical_solve_is_certified_by_a_mat_vec(monkeypatch, vertices) -> None:
+    # a wrong substitution must be caught by the M b = -k check in the same
+    # call, also where the nonnegativity check does not apply
+    from singvol import lattice
+
+    substitute = lattice._substitute
+
+    def wrong(factor, rhs):
+        d, y = substitute(factor, rhs)
+        return d, [y[0] + d, *y[1:]]
+
+    graph = ResolutionGraph.make(vertices, [("v1", "v2"), ("v2", "v3")])
+    assert graph.intersection_form.is_negative_definite()
+    monkeypatch.setattr(lattice, "_substitute", wrong)
+    with pytest.raises(InternalConsistencyError, match="M b = -k"):
+        graph.mumford_pullback_canonical()

@@ -150,6 +150,32 @@ def test_to_json_is_canonical() -> None:
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
 
 
+def test_to_json_matches_json_dumps_on_random_documents() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(max_size=6) | st.sampled_from(
+        ["", '"', "\\", "\n\t\x00\x7f", "\u00e9", "\u2028", "\U0001f600", "a/b"])
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-(10 ** 80), max_value=-(10 ** 30)) | text)
+    docs = st.recursive(scalars, lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.lists(text, max_size=4) | st.dictionaries(text, kids, max_size=4)
+    ), max_leaves=16)
+
+    @hypothesis.settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(docs)
+    def check(doc) -> None:
+        assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+    check()
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [1, {2}]}, {"a": object()}, {1.5: "x"}, {(1,): 2}])
+def test_to_json_refuses_what_it_does_not_render(doc) -> None:
+    with pytest.raises(TypeError):
+        to_json(doc)
+
+
 def test_digest_is_stable_hex() -> None:
     d1 = digest({"x": 1, "y": 2})
     d2 = digest({"y": 2, "x": 1})

@@ -335,9 +335,10 @@ def test_sparse_form_rejects_bad_entries() -> None:
 
 
 def test_graph_form_is_eliminated_once(monkeypatch) -> None:
-    # construction's definiteness test is the form's one leaf-first pass,
-    # and det and the test read it afterwards
-    from singvol import ResolutionGraph, lattice
+    # construction's definiteness test is the form's one leaf-first pass;
+    # det and the test read it afterwards, the canonical solve substitutes
+    # through its factor, and an lc graph's volume runs no trace round
+    from singvol import ResolutionGraph, lattice, volume
 
     calls = []
     eliminate = lattice._eliminate
@@ -352,6 +353,49 @@ def test_graph_form_is_eliminated_once(monkeypatch) -> None:
     assert calls == [40]
     assert form.det() != 0 and form.is_negative_definite()
     assert calls == [40]
+    calls.clear()
+    rng = Random(610)
+    chain = ResolutionGraph.make([(f"v{k}", -rng.randint(2, 4), 0) for k in range(40)],
+                                 [(f"v{k}", f"v{k + 1}") for k in range(39)])
+    assert calls == [40]
+    assert chain.intersection_form.det() != 0
+    report = chain.discrepancy_report()
+    assert report.is_lc and not report.b.coeffs.is_zero()
+    assert volume(chain).volume == 0
+    assert calls == [40]
+
+
+def test_solve_through_the_factor_matches_sympy_seeded() -> None:
+    # whole-form and support solves against sympy on every kind of
+    # _random_symmetric: swaps, singular blocks and rational forms
+    sympy = pytest.importorskip("sympy")
+    rng = Random(611)
+    seen = set()
+    for case in range(400):
+        kind = case % 4
+        form = SymForm(_random_symmetric(rng, kind))
+        n = form.dim
+        m = _sympy_matrix(sympy, form)
+        rhs = QVector(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        support = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        for sup in (None, support):
+            idx = list(range(n) if sup is None else sup)
+            sub = m.extract(idx, idx)
+            if sub.det() == 0:
+                with pytest.raises(SingularSystemError):
+                    form.solve(rhs, sup)
+                seen.add("singular")
+                continue
+            b = sympy.Matrix([sympy.Rational(rhs[i].numerator, rhs[i].denominator)
+                              for i in idx])
+            expected = dict(zip(idx, (_as_fraction(v) for v in sub.LUsolve(b))))
+            assert form.solve(rhs, sup) == tuple(expected.get(i, Fraction(0))
+                                                 for i in range(n)), (kind, sup)
+            if form._factor(idx[::-1])[1]:
+                seen.add("swap")
+            if kind == 3:
+                seen.add("rational")
+    assert seen == {"singular", "swap", "rational"}, seen
 
 
 def _natural_order_negative_definite(form: SymForm) -> bool:

@@ -18,9 +18,14 @@ from singvol import (
     pushforward,
     volume,
 )
-from singvol.randgen import random_divisor, random_graph, random_tower
+from singvol.randgen import random_divisor, random_graph, random_step, random_tower
 from singvol.graph import MAX_GRAPH_VERTICES
-from singvol.tower import MAX_TOWER_STEPS, envelope_pullback_check, fresh_vertex_id
+from singvol.tower import (
+    MAX_TOWER_STEPS,
+    envelope_pullback_check,
+    fresh_vertex_id,
+    tower_to_doc,
+)
 
 F = Fraction
 
@@ -229,3 +234,35 @@ def test_tower_doc_ok_flag() -> None:
     assert doc["ok"] is True
     assert doc["failures"] == []
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_random_tower_blows_up_each_step_once(monkeypatch) -> None:
+    # each step is drawn inside the tower's own loop against the model it
+    # applies to: one blowup per step, and the same tower and rng state as
+    # drawing every step against a running model first
+    from singvol import randgen
+    from singvol import tower as tower_module
+
+    calls = []
+    real = tower_module.blow_up
+
+    def counting(graph, step):
+        calls.append(step)
+        return real(graph, step)
+
+    for seed in range(30):
+        rng, replay = Random(seed), Random(seed)
+        base = random_graph(rng, 6)
+        random_graph(replay, 6)
+        steps, current = [], base
+        for _ in range(replay.randint(1, 3)):
+            steps.append(random_step(replay, current))
+            current = real(current, steps[-1])
+        for module in (tower_module, randgen):
+            monkeypatch.setattr(module, "blow_up", counting)
+        calls.clear()
+        tower = random_tower(rng, base)
+        monkeypatch.undo()
+        assert calls == steps
+        assert tower_to_doc(tower) == tower_to_doc(ModelTower(base, tuple(steps)))
+        assert tower.top == current and rng.getstate() == replay.getstate()
