@@ -171,55 +171,52 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
         )
     rng = Random(args.seed)
     failures: list[dict] = []
-    oracle_checked = tower_checked = 0
-    for case in range(args.count):
-        graph = random_graph(rng, args.max_vertices)
-        a = random_divisor(rng, graph)
-        trace = nef_envelope_trace(graph, a)
-        oracle = zariski_oracle(graph, a)
-        oracle_checked += 1
-        if (trace.p.coeffs, trace.n.coeffs, trace.active) != (
-            oracle.p.coeffs,
-            oracle.n.coeffs,
-            oracle.active,
-        ):
-            failures.append(
-                {
-                    "case": case,
-                    "check": "envelope-vs-oracle",
-                    "graph": graph.to_doc(),
-                    "a": a.to_doc(),
-                    "trace": trace.to_doc(),
-                    "oracle": oracle.to_doc(),
-                }
-            )
-        tower = random_tower(rng, graph)
-        inv = invariance_report(tower)
-        tower_checked += 1
-        if not inv.ok:
-            failures.append(
-                {
-                    "case": case,
-                    "check": "tower-invariance",
-                    "tower": tower_to_doc(tower),
-                    "failures": [c.to_doc() for c in inv.failures()],
-                }
-            )
-        if not envelope_pullback_check(tower, a):
-            failures.append(
-                {
-                    "case": case,
-                    "check": "envelope-pullback",
-                    "tower": tower_to_doc(tower),
-                    "a": a.to_doc(),
-                }
-            )
+    try:
+        for case in range(args.count):
+            graph = random_graph(rng, args.max_vertices)
+            a = random_divisor(rng, graph)
+            trace = nef_envelope_trace(graph, a)
+            oracle = zariski_oracle(graph, a)
+            if trace != oracle:  # records of one graph: equal P, N and active set
+                failures.append(
+                    {
+                        "case": case,
+                        "check": "envelope-vs-oracle",
+                        "graph": graph.to_doc(),
+                        "a": a.to_doc(),
+                        "trace": trace.to_doc(),
+                        "oracle": oracle.to_doc(),
+                    }
+                )
+            tower = random_tower(rng, graph)
+            inv = invariance_report(tower)
+            if not inv.ok:
+                failures.append(
+                    {
+                        "case": case,
+                        "check": "tower-invariance",
+                        "tower": tower_to_doc(tower),
+                        "failures": [c.to_doc() for c in inv.failures()],
+                    }
+                )
+            if not envelope_pullback_check(tower, a):
+                failures.append(
+                    {
+                        "case": case,
+                        "check": "envelope-pullback",
+                        "tower": tower_to_doc(tower),
+                        "a": a.to_doc(),
+                    }
+                )
+    except SingvolError as exc:  # say which case failed, and how to draw it again
+        exc.context = {"seed": args.seed, "case": case, "max_vertices": args.max_vertices}
+        raise
     doc = {
         "inputs": {"count": args.count, "max_vertices": args.max_vertices},
         "seed": args.seed,
         "result": {
-            "oracle_comparisons": oracle_checked,
-            "tower_checks": tower_checked,
+            "oracle_comparisons": args.count,
+            "tower_checks": args.count,
             "failures": failures,
             "ok": not failures,
         },
@@ -385,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SingvolError as exc:
         error = {"error": {"reason": exc.reason, "message": str(exc)}}
+        if exc.context is not None:
+            error["error"]["context"] = exc.context
         code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
     try:
         _emit(error, args.out)

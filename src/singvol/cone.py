@@ -89,10 +89,6 @@ class RigidClass(Record):
 
     __slots__ = _fields = ("cls", "only_rep")
 
-    def __init__(self, cls: QVector, only_rep: tuple[tuple[str, Fraction], ...]) -> None:
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "only_rep", only_rep)
-
 
 class PolarizedCone:
     """Numerical data of a cone singularity over a polarized ``(V, H)``."""
@@ -417,14 +413,6 @@ class BoundaryClass(Record):
 
     __slots__ = _fields = ("a", "cls", "effective", "on_pseff_boundary", "rigid_rep")
 
-    def __init__(self, a: Fraction, cls: QVector, effective: bool, on_pseff_boundary: bool,
-                 rigid_rep: tuple[tuple[str, Fraction], ...] | None) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "effective", effective)
-        object.__setattr__(self, "on_pseff_boundary", on_pseff_boundary)
-        object.__setattr__(self, "rigid_rep", rigid_rep)
-
     def to_doc(self) -> dict:
         return {
             "a": rat_str(self.a),
@@ -537,12 +525,6 @@ class LcVerdict(Record):
     the pinned slope when the numerics force one, and the reasoning chain."""
 
     __slots__ = _fields = ("exists", "forced_a", "certificate")
-
-    def __init__(self, exists: bool | None, forced_a: Fraction | None,
-                 certificate: tuple[str, ...]) -> None:
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "forced_a", forced_a)
-        object.__setattr__(self, "certificate", certificate)
 
     def to_doc(self) -> dict:
         return {

@@ -50,11 +50,6 @@ class ZariskiDecomposition(Record):
 
     __slots__ = _fields = ("p", "n", "active")
 
-    def __init__(self, p: ExcDivisor, n: ExcDivisor, active: frozenset[str]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "active", active)
-
     def to_doc(self) -> dict:
         return {
             "P": self.p.to_doc(),
@@ -65,12 +60,6 @@ class ZariskiDecomposition(Record):
 
 class VolumeReport(Record):
     __slots__ = _fields = ("volume", "decomposition", "is_lc")
-
-    def __init__(self, volume: Fraction, decomposition: ZariskiDecomposition,
-                 is_lc: bool) -> None:
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "is_lc", is_lc)
 
     def to_doc(self) -> dict:
         doc = self.decomposition.to_doc()

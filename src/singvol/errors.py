@@ -3,7 +3,8 @@
 The command line maps these onto exit codes: :class:`DomainError` -> 1,
 :class:`MalformedInputError` -> 2, :class:`InternalConsistencyError` -> 3.
 Each error carries a machine-readable ``reason`` slug next to the human
-message so reports stay diffable.
+message so reports stay diffable, and optionally a ``context`` mapping that
+says where it happened (for instance the seed and case of a random suite).
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ class SingvolError(Exception):
 
     reason: str = "error"
 
-    def __init__(self, message: str, *, reason: str | None = None) -> None:
+    def __init__(self, message: str, *, reason: str | None = None,
+                 context: dict | None = None) -> None:
         super().__init__(message)
         if reason is not None:
             self.reason = reason
+        self.context = context
 
 
 class MalformedInputError(SingvolError):

@@ -2,10 +2,14 @@
 dataclasses (importing ``dataclasses`` pulls in ``inspect`` and costs more
 than a short command's own work).
 
-A record class names its fields in ``_fields`` and assigns them in its own
-``__init__`` through ``object.__setattr__``; any later assignment raises.
-Two records are equal when they are of the same class with equal fields, so
-records of different classes never compare equal (unlike ``NamedTuple``s).
+A record class declares its fields once, in ``_fields``, with defaults for
+the trailing ones in ``_defaults`` as for ``namedtuple``. Defining the class
+compiles its ``__init__``: it takes the fields by position or keyword, sets
+them, and then calls ``self.__post_init__()`` if the class has that hook,
+looking it up on each call so that a hook replaced on the class is the one
+that runs. Any later assignment raises. Two records are equal when they are
+of the same class with equal fields, so records of different classes never
+compare equal (unlike ``NamedTuple``s).
 """
 
 from __future__ import annotations
@@ -14,6 +18,22 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Compile ``cls.__init__``. Its code names only the fields and the
+        helpers ``_self`` and ``_setattr``, which no field may shadow."""
+        super().__init_subclass__(**kwargs)
+        if any(f.startswith("_") for f in cls._fields):
+            raise TypeError(f"{cls.__qualname__}: record field names may not start with '_'")
+        lines = [f"def __init__(_self, {', '.join(cls._fields)}):"]
+        lines += [f" _setattr(_self, {f!r}, {f})" for f in cls._fields]
+        lines.append(" _self.__post_init__()" if hasattr(cls, "__post_init__") else " pass")
+        namespace = {"_setattr": object.__setattr__}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -38,20 +38,13 @@ class FreeBlowup(Record):
 
     __slots__ = _fields = ("vertex",)
 
-    def __init__(self, vertex: str) -> None:
-        object.__setattr__(self, "vertex", vertex)
-
 
 class SatelliteBlowup(Record):
     """Blow up a node of ``i`` and ``j``; ``edge`` picks among parallel
     edge records joining them (in edge-list order)."""
 
     __slots__ = _fields = ("i", "j", "edge")
-
-    def __init__(self, i: str, j: str, edge: int = 0) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "edge", edge)
+    _defaults = (0,)
 
 
 BlowupStep = Union[FreeBlowup, SatelliteBlowup]
@@ -180,14 +173,6 @@ class ModelTower:
 class InvarianceCheck(Record):
     __slots__ = _fields = ("level", "name", "passed", "lhs", "rhs")
 
-    def __init__(self, level: int, name: str, passed: bool, lhs: dict | str,
-                 rhs: dict | str) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
     def to_doc(self) -> dict:
         return {
             "level": self.level,
@@ -200,10 +185,6 @@ class InvarianceCheck(Record):
 
 class InvarianceReport(Record):
     __slots__ = _fields = ("ok", "checks")
-
-    def __init__(self, ok: bool, checks: tuple[InvarianceCheck, ...]) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "checks", checks)
 
     def failures(self) -> tuple[InvarianceCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)

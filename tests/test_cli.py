@@ -350,6 +350,28 @@ def test_random_suite_is_deterministic(capsys) -> None:
     assert doc["result"]["failures"] == []
 
 
+def test_random_suite_failure_says_which_case(capsys, monkeypatch) -> None:
+    # the oracle runs once per case (the trace also runs inside volume and
+    # the pullback check), so its third call is case 2's
+    import singvol.envelope
+    from singvol.errors import InternalConsistencyError
+
+    calls = []
+    oracle = singvol.envelope.zariski_oracle
+
+    def failing_oracle(graph, a):
+        calls.append(graph)
+        if len(calls) == 3:
+            raise InternalConsistencyError("oracle disagrees")
+        return oracle(graph, a)
+
+    monkeypatch.setattr(singvol.envelope, "zariski_oracle", failing_oracle)
+    code, out = run(capsys, "graph", "random-suite", "--count", "5", "--seed", "4")
+    assert code == 3
+    assert out["error"] == {"reason": "internal-consistency", "message": "oracle disagrees",
+                            "context": {"seed": 4, "case": 2, "max_vertices": 5}}
+
+
 def test_random_suite_rejects_oversized_graphs(capsys) -> None:
     code, doc = run(capsys, "graph", "random-suite", "--count", "1", "--max-vertices", "13")
     assert code == 1

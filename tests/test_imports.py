@@ -8,6 +8,8 @@ using the modules of an earlier import, and a call-time import would hand
 those the new import's classes.
 """
 
+import ast
+import copy
 import importlib
 import json
 import os
@@ -150,13 +152,10 @@ def test_catalog_lists_the_named_cones_cone_resolves() -> None:
 
 def test_records_are_immutable_values_of_their_own_class() -> None:
     from singvol.record import Record
+    from singvol.tower import SatelliteBlowup
 
     class Pair(Record):
         __slots__ = _fields = ("a", "b")
-
-        def __init__(self, a, b) -> None:
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
 
     class OtherPair(Pair):
         __slots__ = ()
@@ -173,3 +172,59 @@ def test_records_are_immutable_values_of_their_own_class() -> None:
     assert p.a == 1
     graph = singvol.ResolutionGraph.make([("a", -2, 0), ("b", -3, 1)], [("a", "b")])
     assert pickle.loads(pickle.dumps(graph)) == graph  # as for the frozen dataclasses
+
+    # the generated __init__: positional, keyword and default arguments
+    class Triple(Record):
+        __slots__ = _fields = ("cls", "self", "c")
+        _defaults = ("c0",)
+
+    assert Pair(1, "x") == Pair(1, b="x") == Pair(b="x", a=1)
+    assert (Triple(1, 2).cls, Triple(1, 2).self, Triple(1, 2).c) == (1, 2, "c0")
+    assert Triple(cls=1, self=2, c=3)._values() == (1, 2, 3)
+    for args, kwargs, message in [((1,), {}, "missing 1 required positional argument: 'b'"),
+                                  ((1, 2, 3), {}, "takes 3 positional arguments but 4"),
+                                  ((1,), {"a": 2}, "got multiple values for argument 'a'"),
+                                  ((1, 2), {"c": 3}, "got an unexpected keyword argument 'c'")]:
+        with pytest.raises(TypeError, match=rf"Pair\.__init__\(\) {message}"):
+            Pair(*args, **kwargs)
+    with pytest.raises(TypeError, match="may not start with '_'"):
+        class Bad(Record):
+            __slots__ = _fields = ("_setattr",)
+
+    # the hook runs once every field is set, and is looked up on each call
+    seen = []
+
+    class Checked(Record):
+        __slots__ = _fields = ("a", "b")
+
+        def __post_init__(self) -> None:
+            seen.append(self._values())  # every field is set before the hook
+            if self.a < 0:
+                raise ValueError("negative")
+
+    assert Checked(1, 2).b == 2 and seen == [(1, 2)]
+    with pytest.raises(ValueError, match="negative"):
+        Checked(-1, 2)
+    Checked.__post_init__ = lambda self: seen.append("replaced")  # as perfbench does
+    Checked(3, 4)
+    assert seen == [(1, 2), (-1, 2), "replaced"]
+
+    step = SatelliteBlowup("a", "b")
+    assert step.edge == 0 and step == SatelliteBlowup("a", "b", 0)
+    for twin in (pickle.loads(pickle.dumps(step)), copy.copy(step), copy.deepcopy(step)):
+        assert twin == step and type(twin) is SatelliteBlowup
+
+
+def test_records_declare_their_fields_once() -> None:
+    # a hand-written record __init__ would name each field again
+    for path in sorted((SRC / "singvol").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in node.bases):
+                assert not any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                               for item in node.body), f"{path.name}: {node.name}.__init__"
+        if "object.__setattr__" in text:
+            # the generator itself, and ``SymForm``'s cache
+            assert path.name in {"record.py", "lattice.py"}, path.name
