@@ -10,11 +10,12 @@ Zariski decomposition: ``N >= 0``, ``P`` nef, and ``P . E_j = 0`` wherever
 
 Two independent routes are provided and kept separate on purpose:
 
-* :func:`nef_envelope_trace`, the production active-set iteration, at most
-  one linear solve per vertex, with integer right-hand sides and integer
-  sign tests; for ``A >= 0`` it runs no round, since every nef divisor is
-  ``<= 0`` (``-M^-1 >= 0`` entrywise on a connected negative-definite
-  graph) and so ``P = 0``;
+* :func:`nef_envelope_trace`, the production active-set iteration: one
+  fraction-free factor per call, bordered by each round's new vertices so
+  that every vertex is eliminated at most once, one integer substitution
+  and integer sign tests per round; for ``A >= 0`` it runs no round, since
+  every nef divisor is ``<= 0`` (``-M^-1 >= 0`` entrywise on a connected
+  negative-definite graph) and so ``P = 0``;
 * :func:`zariski_oracle`, brute force over all ``2^r`` candidate active
   sets, used as ground truth at small sizes.
 
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector, numerators, rat_str
+from .lattice import QVector, _eliminate, _qvector, _substitute, numerators, rat_str
 from .record import Record
 
 # The most vertices the exponential oracle accepts (2^12 subsets).
@@ -99,9 +100,13 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     Otherwise start from the vertices ``A`` meets negatively, solve for the
     negative part on that set, then grow the set by every vertex the
     candidate nef part still meets negatively. The set only grows, so at
-    most ``r`` rounds run, each one solve with the integer right-hand side
-    ``c = L den (A . E)`` and integer sign tests. :func:`_finish` certifies
-    the result; a failure is an internal error, never repaired silently.
+    most ``r`` rounds run. One fraction-free factor of the working set lives
+    for the whole call: each round borders it with the new vertices
+    (:func:`~singvol.lattice._eliminate`), so every working vertex is
+    eliminated once, and substitutes the integer right-hand side ``c = L
+    den (A . E)`` through it; the sign tests are on integers, and only the
+    returned ``N`` is made of ``Fraction``s. :func:`_finish` certifies the
+    result; a failure is an internal error, never repaired silently.
     """
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)  # revalidates the length
@@ -111,33 +116,30 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     form = graph.intersection_form
     scale, sparse = form._integral
     c = [sum([x * a_num[j] for j, x in row]) for row in sparse]
-    working = {j for j, x in enumerate(c) if x < 0}
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > len(graph.vertices) + 1:
-            raise InternalConsistencyError("active set failed to stabilize")
-        # x = L den N is supported on the working set, where M x = c; unique
-        # because principal submatrices stay negative definite.
-        support = sorted(working)
-        x = form.solve(c, support)
-        q, y = numerators([x[i] for i in support])
-        # q L (L den (P . E_j)) = q L c_j - (L M y)_j; q, L, den > 0. Off the
-        # working set only the neighbours of its vertices can turn negative.
-        my: dict[int, int] = {}
-        for i, yi in zip(support, y):
-            for j, v in sparse[i]:
-                my[j] = my.get(j, 0) + v * yi
+    new = [j for j, x in enumerate(c) if x < 0]
+    order: list[int] = []  # the working set in elimination order
+    rim: set[int] = set()  # the neighbours of the working set outside it
+    factor, q, y = None, 1, []
+    while new:
+        # appended in reverse so that vertices hanging off others come first
+        order += sorted(new, reverse=True)
+        factor = _eliminate(form._block(order, len(order) - len(new)), len(new), factor)
+        # y = q L den N on the working set, where M N = A . E; q > 0, and the
+        # solution is unique because principal submatrices stay negative
+        # definite. q L (L den (P . E_j)) = q L c_j - (L M y)_j, and off the
+        # working set only the rim can turn negative.
+        q, y = _substitute(factor, [scale * c[i] for i in order])
+        at = dict(zip(order, y))
+        rim.update(j for i in new for j, _ in sparse[i])
+        rim.difference_update(at)
         qc = q * scale
-        violators = {j for j, v in my.items() if j not in working and qc * c[j] < v}
-        if not violators:
-            break
-        working |= violators
+        new = [j for j in rim
+               if qc * c[j] < sum([v * at[i] for i, v in sparse[j] if i in at])]
     n_coeffs = [Fraction(0)] * len(c)
     q *= scale * den
-    for i, yi in zip(support, y):
+    for i, yi in zip(order, y):
         n_coeffs[i] = Fraction(yi, q)
-    return _finish(graph, a, QVector(n_coeffs))
+    return _finish(graph, a, _qvector(n_coeffs))
 
 
 def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:

@@ -34,11 +34,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
-from .lattice import QVector, SymForm, numerators, rat_str
+from .lattice import QVector, SymForm, _qvector, rat_str
 from .record import Record
 
-# The most vertices of a graph read from a document or a catalog name. The
-# trace's rounds cost O(n^2) on long non-lc arms, which sets the value.
+# The most vertices of a graph read from a document or a catalog name, set
+# by 50-step towers, whose report runs one trace per level: 2-2.8 s over a
+# 650-vertex (-2)-chain, 14-15 s over a 600-vertex non-lc chain. One `graph
+# vol` costs less: 0.3-0.5 s on a 700-vertex non-lc chain, 0.9-1.3 s on a
+# 700-vertex tree plus 50 chords (2-vCPU machine, Python 3.11).
 MAX_GRAPH_VERTICES = 700
 # The largest cycle rank (edges - vertices + 1) of a graph document. Each
 # cycle adds fill-in to the elimination: `graph vol` on a 700-vertex tree of
@@ -182,7 +185,10 @@ class ResolutionGraph(Record):
 
     def canonical_intersections(self) -> QVector:
         """``k_j = K . E_j = 2 genus_j - 2 - self_int_j`` (adjunction)."""
-        return QVector(2 * v.genus - 2 - v.self_int for v in self.vertices)
+        return QVector(self._canonical_ints())
+
+    def _canonical_ints(self) -> list[int]:
+        return [2 * v.genus - 2 - v.self_int for v in self.vertices]
 
     def mumford_pullback_canonical(self) -> "ExcDivisor":
         """The exceptional part ``B`` of the canonical pullback."""
@@ -197,20 +203,20 @@ class ResolutionGraph(Record):
 
     @cached_property
     def _canonical_pullback(self) -> "ExcDivisor":
-        """The one solve of ``M b = -k``, certified in the same call by one
-        integer mat-vec: ``(L M) y = -L q k`` for ``y = q b``, ``q`` the
-        common denominator of ``b``. On a relatively minimal model (all
-        ``k_j >= 0``) a negative entry of ``b`` would be a solver bug and
-        raises; models carrying (-1)-vertices may legitimately have them."""
-        k = self.canonical_intersections()
+        """The one integer solve ``(q, y = q b)`` of ``M b = -k``, certified in
+        the same call by one integer mat-vec: ``(L M) y = -L q k``. On a
+        relatively minimal model (all ``k_j >= 0``) a negative entry of ``b``
+        would be a solver bug and raises; models carrying (-1)-vertices may
+        legitimately have them."""
+        k = self._canonical_ints()
         form = self.intersection_form
-        b = form.solve(-k)
+        q, y = form.solve_int([-x for x in k])
+        b = _qvector(Fraction(v, q) for v in y)
         scale, sparse = form._integral
-        q, y = numerators(b)
-        if any(sum([a * y[j] for j, a in row]) != -scale * q * kj.numerator
+        if any(sum([a * y[j] for j, a in row]) != -scale * q * kj
                for row, kj in zip(sparse, k)):
             raise InternalConsistencyError(f"canonical pullback fails M b = -k: b = {b!r}")
-        if all(entry >= 0 for entry in k) and not b.is_nonnegative():
+        if min(k) >= 0 and min(y) < 0:
             raise InternalConsistencyError(
                 "canonical pullback has a negative coefficient on a relatively "
                 f"minimal model: b = {b!r}"

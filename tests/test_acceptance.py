@@ -298,3 +298,14 @@ def test_criterion_15_large_cone_facets() -> None:
     for phi in normals:
         values = [sum(int(a) * b for a, b in zip(phi, ray)) for ray in rays]
         assert min(values) == 0 and values.count(0) == 2
+
+
+def test_criterion_16_long_non_lc_chain_volume() -> None:
+    # a genus-1 (-1)-curve after 699 (-2)-curves: the trace's working set
+    # grows by one vertex per round, and eliminating it afresh each round
+    # took 2.5 s (2-vCPU machine, Python 3.11)
+    graph = ResolutionGraph.make([(f"v{k}", -2, 0) for k in range(699)] + [("e", -1, 1)],
+                                 [(f"v{k}", f"v{k + 1}") for k in range(698)] + [("v698", "e")])
+    with criterion(16, "volume of a genus-1 (-1)-curve after 699 (-2)-curves", 1.0):
+        rep = volume(graph)
+        assert rep.volume == F(488601, 700) and not rep.is_lc

@@ -16,7 +16,7 @@ from singvol import (
 from singvol.envelope import ORACLE_MAX_VERTICES, ZariskiDecomposition, _finish
 from singvol.errors import InternalConsistencyError
 from singvol.graph import ExcDivisor
-from singvol.lattice import QVector, SymForm
+from singvol.lattice import QVector
 from singvol.randgen import random_divisor, random_graph
 
 F = Fraction
@@ -283,14 +283,16 @@ def _reference_graph(rng: Random) -> ResolutionGraph:
 
 
 def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
-    solves = []
-    real_solve = SymForm.solve
+    from singvol import envelope
 
-    def counting_solve(self, rhs, support=None):
-        solves.append(1)
-        return real_solve(self, rhs, support)
+    rows: list[int] = []  # the rows each round hands to the elimination
+    eliminate = envelope._eliminate
 
-    monkeypatch.setattr(SymForm, "solve", counting_solve)
+    def counting(block, n, *args):
+        rows.append(n)
+        return eliminate(block, n, *args)
+
+    monkeypatch.setattr(envelope, "_eliminate", counting)
     rng = Random(606)
     seen = set()
     kinds = ("mixed", "nonnegative", "nonpositive", "log-discrepancy")
@@ -306,11 +308,11 @@ def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
         else:
             a = g.log_discrepancy_divisor()
         expected = reference_trace(g, a)
-        del solves[:]
+        del rows[:]
         dec = nef_envelope_trace(g, a)
         assert dec == expected, case
         if a.coeffs.is_nonnegative():
-            assert not solves, case  # the A >= 0 shortcut runs no round
+            assert not rows, case  # the A >= 0 shortcut runs no round
             assert dec.n == a and dec.p.coeffs.is_zero()
         pairs = [frozenset((e.i, e.j)) for e in g.edges]
         seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
@@ -339,3 +341,33 @@ def test_volume_builds_no_dense_form() -> None:
     g = ResolutionGraph.make([("c", -2, 2)] + [(f"v{k}", -2, 0) for k in range(30)],
                              [("c", "v0")] + [(f"v{k}", f"v{k + 1}") for k in range(29)])
     assert volume(g).volume > 0
+
+
+@pytest.mark.parametrize("center, arms", [(-1, (11,)), (-3, (4, 4, 3))])
+def test_trace_eliminates_each_working_vertex_once(monkeypatch, center, arms) -> None:
+    # a genus-1 curve with (-2)-chains hanging off it: the working set grows
+    # by about one vertex per arm per round, and each round borders the one
+    # factor, so the rows handed to the elimination add up to the support
+    from singvol import envelope, lattice
+
+    vertices, edges = [("e", center, 1)], []
+    for a, length in enumerate(arms):
+        ids = ["e"] + [f"a{a}v{k}" for k in range(length)]
+        vertices += [(v, -2, 0) for v in ids[1:]]
+        edges += list(zip(ids, ids[1:]))
+    g = ResolutionGraph.make(vertices, edges)
+    ell = g.log_discrepancy_divisor()
+    rows: list[int] = []
+    eliminate = lattice._eliminate
+
+    def counting(block, n, *args, **options):
+        rows.append(n)
+        return eliminate(block, n, *args, **options)
+
+    monkeypatch.setattr(lattice, "_eliminate", counting)
+    monkeypatch.setattr(envelope, "_eliminate", counting, raising=False)
+    dec = nef_envelope_trace(g, ell)
+    assert len(rows) >= 3
+    assert sum(rows) == len(dec.active)
+    monkeypatch.undo()
+    assert dec == zariski_oracle(g, ell)

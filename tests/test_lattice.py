@@ -437,6 +437,96 @@ def _random_symmetric(rng: Random, kind: int) -> list[list]:
     return rows
 
 
+def test_integer_solve_matches_solve_seeded() -> None:
+    # solve_int returns (d, y = d x) with d > 0 for the x that solve and sympy
+    # give, on every kind of _random_symmetric, with or without a support;
+    # an odd negative-definite block has a negative last pivot, and both
+    # signs come up
+    sympy = pytest.importorskip("sympy")
+    rng = Random(612)
+    seen = set()
+    for case in range(400):
+        form = SymForm(_random_symmetric(rng, case % 4))
+        n = form.dim
+        m = _sympy_matrix(sympy, form)
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        support = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        for sup in (None, support):
+            idx = list(range(n) if sup is None else sup)
+            sub = m.extract(idx, idx)
+            if sub.det() == 0:
+                with pytest.raises(SingularSystemError):
+                    form.solve_int(rhs, sup)
+                continue
+            d, y = form.solve_int(rhs, sup)
+            assert d > 0 and len(y) == n and all(type(v) is int for v in y)
+            x = form.solve(rhs, sup)
+            assert tuple(Fraction(v, d) for v in y) == x
+            expected = sub.LUsolve(sympy.Matrix([rhs[i] for i in idx]))
+            assert [x[i] for i in idx] == [_as_fraction(v) for v in expected]
+            seen.add(form._factor(idx[::-1])[0][-1] > 0)
+    assert seen == {True, False}
+
+
+def test_bordered_factor_equals_a_fresh_one_seeded() -> None:
+    # a factor bordered chunk by chunk, in random growth orders on random
+    # negative-definite forms, is the factor of its whole block computed
+    # afresh (the same pivots, upper rows and updates per step), and it
+    # solves as sympy does on the block
+    sympy = pytest.importorskip("sympy")
+    from singvol.lattice import _eliminate, _substitute
+
+    rng = Random(613)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        form = _graph_form(rng, n, rng.randint(0, 3))
+        m, sparse = _sympy_matrix(sympy, form), form._integral[1]
+        todo = rng.sample(range(n), rng.randint(1, n))
+        order: list[int] = []
+        pos: dict[int, int] = {}
+        factor = None
+        while todo:
+            chunk = [todo.pop() for _ in range(min(len(todo), rng.randint(1, 4)))]
+            start = len(order)
+            for v in chunk:
+                pos[v] = len(order)
+                order.append(v)
+            border = [{pos[j]: a for j, a in sparse[i] if j in pos} for i in chunk]
+            before = [set(row) for row in border]
+            if any(j != start + t and j >= start for t, row in enumerate(before) for j in row):
+                seen.add("adjacent new rows")
+            if any(j < start for row in before for j in row):
+                seen.add("old steps")
+            factor = _eliminate(border, len(border), factor)
+            if any(j >= start and j not in row
+                   for t, row in enumerate(before) for j in factor[3][start + t]):
+                seen.add("fill among new rows")
+            fresh = form._factor(order)
+            assert factor[:2] == fresh[:2] and factor[1] == 0
+            assert factor[3] == fresh[3]
+            assert [(r, sorted(u)) for r, u in factor[2]] == [(r, sorted(u)) for r, u in fresh[2]]
+            rhs = [rng.randint(-6, 6) for _ in order]
+            d, y = _substitute(factor, rhs)
+            assert d > 0 and (d, y) == _substitute(fresh, rhs)
+            x = m.extract(order, order).LUsolve(sympy.Matrix(rhs))
+            assert [Fraction(v, d) for v in y] == [_as_fraction(v) for v in x]
+            seen.add(len(order) % 2)
+    assert seen == {"adjacent new rows", "old steps", "fill among new rows", 0, 1}, seen
+
+
+def test_bordering_a_swapped_or_singular_factor_is_refused() -> None:
+    from singvol.errors import InternalConsistencyError
+    from singvol.lattice import _eliminate
+
+    swapped = _eliminate([{1: 1}, {0: 1, 1: 1}], 2)  # a zero leading pivot
+    singular = _eliminate([{0: -1, 1: 1}, {0: 1, 1: -1}], 2)
+    assert swapped[1] == 1 and singular[0] == [-1, 0]
+    for factor in (swapped, singular):
+        with pytest.raises(InternalConsistencyError):
+            _eliminate([{2: -1}], 1, factor)
+
+
 def test_leaf_first_definiteness_matches_natural_minors_seeded() -> None:
     rng = Random(607)
     seen = set()

@@ -85,7 +85,9 @@ def test_tracer_records_every_cone_span_of_a_cone_item() -> None:
 
 def test_oracle_runs_no_production_solve() -> None:
     # the oracle keeps its own elimination, so the trace's solves and the
-    # oracle share no code; the benchmark counts solves by enclosing span
+    # oracle share no code; the benchmark counts solves by enclosing span.
+    # The trace borders one factor of its own instead of calling SymForm.solve,
+    # so neither span reads a lattice.solve
     catalog = importlib.import_module("singvol.catalog")
 
     def run(modules):
@@ -98,7 +100,7 @@ def test_oracle_runs_no_production_solve() -> None:
     assert trace == oracle and oracle.active and not oracle.p.coeffs.is_zero()
     summary = tr.summary()
     assert summary["by_name"]["envelope.oracle"]["calls"] == 1
-    assert summary["inside"][("envelope.trace", "lattice.solve")][0] >= 1
+    assert ("envelope.trace", "lattice.solve") not in summary["inside"]
     assert ("envelope.oracle", "lattice.solve") not in summary["inside"]
 
 
