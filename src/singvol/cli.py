@@ -4,7 +4,8 @@ Every command emits one JSON report to stdout (or ``--out``), canonically
 rendered so identical inputs and seeds give byte-identical bytes. Exit
 codes: 0 success, 1 domain error, 2 malformed input, 3 internal
 consistency failure. Errors are reported as a JSON object with a
-machine-readable ``reason`` slug.
+machine-readable ``reason`` slug; an internal consistency failure after a
+command has read its input carries that input's ``source`` and ``digest``.
 
 Start-up is most of a command's cost, so each command body imports the
 modules it runs beyond ``io`` and ``lattice``, which every command needs:
@@ -30,7 +31,7 @@ from .lattice import QVector, rat, rat_str
 
 def _load(args):
     """The graph or cone of ``args.source``, ``catalog:<name>`` or a JSON
-    file, with the report's ``inputs`` record."""
+    file, with the report's ``inputs`` record, kept as ``args.inputs``."""
     if args.group == "graph":
         from .catalog import graph_by_name as by_name
         from_doc = graph_from_doc
@@ -40,7 +41,8 @@ def _load(args):
         obj = by_name(args.source[len("catalog:"):])
     else:
         obj = from_doc(load_json(args.source))
-    return obj, {"source": args.source, "digest": digest(obj.to_doc())}
+    args.inputs = {"source": args.source, "digest": digest(obj.to_doc())}
+    return obj, args.inputs
 
 
 def _parse_class(cone, text: str) -> QVector:
@@ -141,7 +143,7 @@ def _cmd_graph_blowup(args) -> tuple[dict, int]:
     from .tower import invariance_report, tower_from_doc, tower_to_doc
 
     tower = tower_from_doc(load_json(args.source))
-    inputs = {"source": args.source, "digest": digest(tower_to_doc(tower))}
+    inputs = args.inputs = {"source": args.source, "digest": digest(tower_to_doc(tower))}
     report = invariance_report(tower)
     doc = {
         "inputs": inputs,
@@ -307,7 +309,8 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
     from .cone import limiting_discrepancy, ruled_surface_cone, vol_plus_table
 
     cone = ruled_surface_cone()
-    inputs = {"source": "catalog:paper-ruled-surface", "digest": digest(cone.to_doc())}
+    inputs = args.inputs = {"source": "catalog:paper-ruled-surface",
+                            "digest": digest(cone.to_doc())}
     if args.a_seq:
         slopes = [rat(p.strip()) for p in args.a_seq.split(",")]
     else:
@@ -381,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, args.out)
         return code
     except SingvolError as exc:
+        if isinstance(exc, InternalConsistencyError) and exc.context is None:
+            exc.context = getattr(args, "inputs", None)
         error = {"error": {"reason": exc.reason, "message": str(exc)}}
         if exc.context is not None:
             error["error"]["context"] = exc.context

@@ -69,28 +69,27 @@ class VolumeReport(Record):
         return doc
 
 
-def _finish(graph: ResolutionGraph, a: ExcDivisor, n_coeffs: QVector) -> ZariskiDecomposition:
-    """Certify ``N`` as the negative part of ``A``, by integer sign tests
-    over one denominator ``den``: ``den N >= 0``, ``L den (P . E_j) >= 0``
+def _finish(graph: ResolutionGraph, den: int, a_num: list[int], n_num: list[int]
+            ) -> ZariskiDecomposition:
+    """Certify ``N`` as the negative part of ``A``, both given as integers
+    over one denominator ``den > 0`` (``A = a_num / den``, ``N = n_num /
+    den``), by integer sign tests: ``den N >= 0``, ``L den (P . E_j) >= 0``
     and ``sum_j den N_j * L den (P . E_j) = 0``; return ``A = P + N``."""
-    n_div = ExcDivisor(graph, n_coeffs)
-    r = len(n_coeffs)
-    den, nums = numerators((*a.coeffs, *n_coeffs))
-    n_num = nums[r:]
-    p_num = [x - v for x, v in zip(nums, n_num)]
+    n_coeffs = _qvector(Fraction(v, den) for v in n_num)
     if min(n_num) < 0:
         raise InternalConsistencyError(
             f"negative part has a negative coefficient: N = {n_coeffs!r}"
         )
+    p_num = [x - v for x, v in zip(a_num, n_num)]
     sparse = graph.intersection_form._integral[1]
     mp = [sum([x * p_num[j] for j, x in row]) for row in sparse]
     if min(mp) < 0:
         raise InternalConsistencyError("claimed nef part meets a curve negatively")
     if sum(map(mul, n_num, mp)):
         raise InternalConsistencyError("P and N are not orthogonal")
-    p_div = ExcDivisor(graph, QVector(Fraction(v, den) for v in p_num))
+    p_div = ExcDivisor(graph, _qvector(Fraction(v, den) for v in p_num))
     active = frozenset(v.id for v, c in zip(graph.vertices, n_num) if c)
-    return ZariskiDecomposition(p=p_div, n=n_div, active=active)
+    return ZariskiDecomposition(p=p_div, n=ExcDivisor(graph, n_coeffs), active=active)
 
 
 def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
@@ -104,15 +103,15 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     for the whole call: each round borders it with the new vertices
     (:func:`~singvol.lattice._eliminate`), so every working vertex is
     eliminated once, and substitutes the integer right-hand side ``c = L
-    den (A . E)`` through it; the sign tests are on integers, and only the
-    returned ``N`` is made of ``Fraction``s. :func:`_finish` certifies the
-    result; a failure is an internal error, never repaired silently.
+    den (A . E)`` through it; the sign tests are on integers. :func:`_finish`
+    gets ``A`` and ``N`` as integers over one denominator, certifies them and
+    makes the ``Fraction``s; a failure is an internal error, never repaired.
     """
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)  # revalidates the length
     den, a_num = numerators(a.coeffs)
     if min(a_num) >= 0:
-        return _finish(graph, a, a.coeffs)
+        return _finish(graph, den, a_num, a_num)
     form = graph.intersection_form
     scale, sparse = form._integral
     c = [sum([x * a_num[j] for j, x in row]) for row in sparse]
@@ -135,11 +134,11 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
         qc = q * scale
         new = [j for j in rim
                if qc * c[j] < sum([v * at[i] for i, v in sparse[j] if i in at])]
-    n_coeffs = [Fraction(0)] * len(c)
-    q *= scale * den
+    n_num = [0] * len(c)
     for i, yi in zip(order, y):
-        n_coeffs[i] = Fraction(yi, q)
-    return _finish(graph, a, _qvector(n_coeffs))
+        n_num[i] = yi
+    q *= scale
+    return _finish(graph, q * den, [q * x for x in a_num], n_num)
 
 
 def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
@@ -196,7 +195,8 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
         raise InternalConsistencyError(
             "feasible candidates have no componentwise-maximal element"
         )
-    return _finish(graph, a, a.coeffs - p_max)
+    den, nums = numerators((*a.coeffs, *p_max))
+    return _finish(graph, den, nums[:r], [x - p for x, p in zip(nums, nums[r:])])
 
 
 def _same_sign(values: Iterable[int], d: int) -> bool:

@@ -21,11 +21,11 @@ canonical when every ``ell_j >= 0``, and the vertices with ``ell_j < 0``
 are exactly the centers a log-canonical modification must keep.
 
 All of these come from one cached ``DiscrepancyReport`` per graph, built
-on the one cached solve for ``b`` that ``mumford_pullback_canonical``
-returns; ``log_discrepancy_divisor`` and ``discrepancy_report`` return
-parts of it. That solve substitutes through the factor the definiteness
-pass left, so a graph is eliminated once, and the solution is checked
-against ``M b = -k`` before it is kept.
+on the one cached integer solve ``(q, y = q b)`` behind
+``mumford_pullback_canonical``: ``ell_j = (q - y_j) / q``, negative exactly
+when ``y_j > q``. That solve substitutes through the factor the definiteness
+pass left, so a graph is eliminated once, and it is checked against ``M b =
+-k`` before it is kept.
 """
 
 from __future__ import annotations
@@ -124,19 +124,15 @@ class ResolutionGraph(Record):
             )
 
     def _check_connected(self) -> None:
-        ids = [v.id for v in self.vertices]
-        adjacent: dict[str, set[str]] = {i: set() for i in ids}
-        for e in self.edges:
-            adjacent[e.i].add(e.j)
-            adjacent[e.j].add(e.i)
-        reached = {ids[0]}
-        frontier = [ids[0]]
+        """Walk the form's integer rows, whose columns are the neighbours."""
+        rows = self.intersection_form._integral[1]
+        reached, frontier = {0}, [0]
         while frontier:
-            for nxt in adjacent[frontier.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != len(ids):
+            for j, _ in rows[frontier.pop()]:
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
+        if len(reached) != len(rows):
             raise MalformedInputError("graph is not connected", reason="not-connected")
 
     @classmethod
@@ -203,6 +199,11 @@ class ResolutionGraph(Record):
 
     @cached_property
     def _canonical_pullback(self) -> "ExcDivisor":
+        q, y = self._canonical_solve
+        return ExcDivisor(self, _qvector(Fraction(v, q) for v in y))
+
+    @cached_property
+    def _canonical_solve(self) -> tuple[int, list[int]]:
         """The one integer solve ``(q, y = q b)`` of ``M b = -k``, certified in
         the same call by one integer mat-vec: ``(L M) y = -L q k``. On a
         relatively minimal model (all ``k_j >= 0``) a negative entry of ``b``
@@ -211,25 +212,26 @@ class ResolutionGraph(Record):
         k = self._canonical_ints()
         form = self.intersection_form
         q, y = form.solve_int([-x for x in k])
-        b = _qvector(Fraction(v, q) for v in y)
         scale, sparse = form._integral
         if any(sum([a * y[j] for j, a in row]) != -scale * q * kj
                for row, kj in zip(sparse, k)):
-            raise InternalConsistencyError(f"canonical pullback fails M b = -k: b = {b!r}")
-        if min(k) >= 0 and min(y) < 0:
-            raise InternalConsistencyError(
-                "canonical pullback has a negative coefficient on a relatively "
-                f"minimal model: b = {b!r}"
-            )
-        return ExcDivisor(self, b)
+            problem = "fails M b = -k"
+        elif min(k) >= 0 and min(y) < 0:
+            problem = "has a negative coefficient on a relatively minimal model"
+        else:
+            return q, y
+        b = _qvector(Fraction(v, q) for v in y)
+        raise InternalConsistencyError(f"canonical pullback {problem}: b = {b!r}")
 
     @cached_property
     def _discrepancies(self) -> "DiscrepancyReport":
-        """``B`` with ``ell = 1 - b`` and the lc data derived from it."""
+        """``B`` with ``ell = 1 - b = (q - y) / q`` and the lc data read off the
+        solve's integers: ``ell_j < 0`` exactly when ``y_j > q``."""
         b = self.mumford_pullback_canonical()
-        ell = QVector(1 - x for x in b.coeffs)
-        is_lc = ell.is_nonnegative()
-        support = frozenset(v.id for v, x in zip(self.vertices, ell) if x < 0)
+        q, y = self._canonical_solve
+        ell = _qvector(Fraction(q - v, q) for v in y)
+        is_lc = max(y) <= q
+        support = frozenset(v.id for v, x in zip(self.vertices, y) if x > q)
         if is_lc != (not support):
             raise InternalConsistencyError("lc flag disagrees with its support")
         return DiscrepancyReport(b, ExcDivisor(self, ell), is_lc, support)

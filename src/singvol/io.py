@@ -92,9 +92,10 @@ def to_json(doc: Any) -> str:
 
     The output is byte-identical to ``json.dumps(doc, indent=2,
     sort_keys=True, ensure_ascii=True) + "\n"``, which never uses the C
-    encoder with an indent; this writer does less per value. It renders
-    dicts (str, int, bool or None keys), lists, tuples, str, int, bool and
-    None, and raises ``TypeError`` on anything else, as ``json`` does.
+    encoder with an indent; this writer does less per value, and joins a
+    list of strings or a dict of strings to strings (a divisor) in one go.
+    It renders dicts (str, int, bool or None keys), lists, tuples, str, int,
+    bool and None, and raises ``TypeError`` on anything else, as ``json`` does.
     Identical documents always produce identical bytes, which is what the
     reproducibility contract of the reports rests on.
     """
@@ -122,7 +123,11 @@ def _render(doc: Any, newline: str) -> str:
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        body = sep.join([_key(k) + ": " + _render(v, inner) for k, v in sorted(doc.items())])
+        items = sorted(doc.items())
+        if all(type(k) is str and type(v) is str for k, v in items):
+            body = sep.join([_quote(k) + ": " + _quote(v) for k, v in items])
+        else:
+            body = sep.join([_key(k) + ": " + _render(v, inner) for k, v in items])
         return "{" + inner + body + newline + "}"
     if isinstance(doc, (list, tuple)):
         if not doc:

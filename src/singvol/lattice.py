@@ -190,7 +190,8 @@ class SymForm:
                 if sparse[j].get(i, 0) != x:
                     raise MalformedInputError(f"form matrix is not symmetric at ({i}, {j})")
         object.__setattr__(self, "_integral", (scale, tuple(
-            tuple(sorted((j, x) for j, x in row.items() if x)) for row in sparse
+            tuple(sorted(row.items() if all(row.values()) else
+                         [(j, x) for j, x in row.items() if x])) for row in sparse
         )))
         object.__setattr__(self, "_pass", None)
 
@@ -229,11 +230,13 @@ class SymForm:
         )
 
     def pair(self, a: QVector, b: QVector) -> Fraction:
-        """Evaluate the form, ``a . M . b``, as one integer sparse sum."""
+        """Evaluate the form, ``a . M . b``, as one integer sparse sum; a
+        self-pairing ``pair(x, x)`` (one object) takes numerators once."""
         self._check_len(a)
         self._check_len(b)
         scale, sparse = self._integral
-        (da, na), (db, nb) = numerators(a), numerators(b)
+        da, na = numerators(a)
+        db, nb = (da, na) if b is a else numerators(b)
         total = sum(x * sum([c * nb[j] for j, c in row]) for x, row in zip(na, sparse) if x)
         return Fraction(total, scale * da * db)
 

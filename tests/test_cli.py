@@ -189,6 +189,20 @@ def test_not_negative_definite_graph_exits_2(tmp_path, capsys) -> None:
     assert doc["error"]["reason"] == "not-negative-definite"
 
 
+@pytest.mark.parametrize("isolated_first", [True, False])
+def test_disconnected_graph_exits_2(tmp_path, capsys, isolated_first) -> None:
+    vertices = [{"id": v, "self_int": -2, "genus": 0} for v in ("a", "b", "c")]
+    if isolated_first:
+        vertices.reverse()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": vertices, "edges": [{"i": "a", "j": "b"}]}),
+                   encoding="utf-8")
+    code, doc = run(capsys, "graph", "vol", str(bad))
+    assert code == 2
+    assert doc["error"]["reason"] == "not-connected"
+    assert "context" not in doc["error"]
+
+
 def test_cone_bound_value(capsys) -> None:
     code, doc = run(capsys, "cone", "bound", "catalog:paper-ruled-surface", "--a", "1/2")
     assert code == 0
@@ -399,6 +413,32 @@ def test_failed_canonical_certificate_exits_3(monkeypatch, capsys) -> None:
     assert code == 3
     assert doc["error"]["reason"] == "internal-consistency"
     assert "M b = -k" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("graph", "vol", "catalog:E6"), "singvol.envelope", "volume"),
+    (("cone", "valuation", "catalog:paper-ruled-surface", "--class", "1,1", "--k", "3"),
+     "singvol.cone", "valuation_limit"),
+])
+def test_internal_failure_carries_the_input_digest(monkeypatch, capsys, argv, module, name
+                                                   ) -> None:
+    import importlib
+
+    from singvol.errors import InternalConsistencyError
+
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    inputs = doc["inputs"]
+    assert set(inputs) == {"source", "digest"}
+
+    def failing(*args, **kwargs):
+        raise InternalConsistencyError("injected")
+
+    monkeypatch.setattr(importlib.import_module(module), name, failing)
+    code, doc = run(capsys, *argv)
+    assert code == 3
+    assert doc["error"] == {"reason": "internal-consistency", "message": "injected",
+                            "context": inputs}
 
 
 def test_argparse_usage_error_exits_2() -> None:

@@ -101,6 +101,18 @@ def test_oracle_size_guard() -> None:
         zariski_oracle(g, g.zero_divisor())
 
 
+def reference_finish(graph: ResolutionGraph, a, n_coeffs: QVector) -> object:
+    """``_finish`` as it was before it took integers: ``P = A - N`` in
+    ``Fraction``s, and the three certificate checks on ``Fraction`` vectors."""
+    apply = graph.intersection_form.apply
+    p = a.coeffs - n_coeffs
+    assert n_coeffs.is_nonnegative()
+    assert apply(p).is_nonnegative()
+    assert p.dot(apply(n_coeffs)) == 0
+    active = frozenset(v.id for v, c in zip(graph.vertices, n_coeffs) if c != 0)
+    return ZariskiDecomposition(ExcDivisor(graph, p), ExcDivisor(graph, n_coeffs), active)
+
+
 def reference_oracle(graph: ResolutionGraph, a) -> object:
     """The oracle as it was before the depth-first walk: one independent
     ``SymForm.solve`` per vertex subset, in size order, with ``Fraction``
@@ -124,7 +136,7 @@ def reference_oracle(graph: ResolutionGraph, a) -> object:
         raise InternalConsistencyError(
             "feasible candidates have no componentwise-maximal element"
         )
-    return _finish(graph, a, a.coeffs - p_max)
+    return reference_finish(graph, a, a.coeffs - p_max)
 
 
 def _differential_divisor(rng: Random, g: ResolutionGraph, kind: int):
@@ -256,12 +268,7 @@ def reference_trace(graph: ResolutionGraph, a) -> object:
         if not violators:
             break
         working |= violators
-    p = a.coeffs - n_coeffs
-    assert n_coeffs.is_nonnegative()
-    assert apply(p).is_nonnegative()
-    assert p.dot(apply(n_coeffs)) == 0
-    active = frozenset(v.id for v, c in zip(graph.vertices, n_coeffs) if c != 0)
-    return ZariskiDecomposition(ExcDivisor(graph, p), ExcDivisor(graph, n_coeffs), active)
+    return reference_finish(graph, a, n_coeffs)
 
 
 def _reference_graph(rng: Random) -> ResolutionGraph:
@@ -325,16 +332,54 @@ def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
         assert {(key, True), (key, False)} <= seen, seen
 
 
+def test_integer_path_matches_fraction_reference_seeded() -> None:
+    # ell and the lc data from the canonical solve's integers, the integer
+    # _finish behind the trace and the oracle, and the self-pairing, each
+    # against the Fraction computation it replaced
+    from singvol.catalog import graph_by_name
+
+    rng = Random(608)
+    graphs = [graph_by_name(n) for n in ("cusp-4", "simple-elliptic-3", "cone-g2-d1", "E8")]
+    graphs += [_reference_graph(rng) for _ in range(300)]
+    seen = set()
+    for case, g in enumerate(graphs):
+        report = g.discrepancy_report()
+        ell = QVector(1 - x for x in g.mumford_pullback_canonical().coeffs)
+        assert report.ell.coeffs == ell and all(type(x) is F for x in report.ell.coeffs), case
+        assert report.is_lc == ell.is_nonnegative(), case
+        assert report.lc_mod_support == {v.id for v, x in zip(g.vertices, ell) if x < 0}, case
+        form = g.intersection_form
+        for a in (report.ell, random_divisor(rng, g)):
+            dec = nef_envelope_trace(g, a)
+            assert dec == reference_finish(g, a, dec.n.coeffs), case
+            if len(g.vertices) <= 10:
+                oracle = zariski_oracle(g, a)
+                assert oracle == reference_finish(g, a, oracle.n.coeffs) == dec, case
+                seen.add("oracle")
+            for x in (a.coeffs, dec.p.coeffs):
+                copy = QVector(x)
+                assert copy is not x
+                assert form.pair(x, x) == form.pair(x, copy) == x.dot(form.apply(x)), case
+        seen.add(("lc", report.is_lc))
+        seen.add(("ell = 0", report.is_lc, 0 in ell))
+    assert "oracle" in seen
+    assert {("lc", True), ("lc", False)} <= seen, seen
+    assert {("ell = 0", True, True), ("ell = 0", False, True)} <= seen, seen
+
+
 def test_finish_refuses_each_broken_certificate() -> None:
+    # _finish(graph, den, den A, den N)
     g = chain(-2)  # M = (-2)
-    with pytest.raises(InternalConsistencyError, match="negative coefficient"):
-        _finish(g, g.divisor((F(0),)), QVector((F(-1),)))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"negative coefficient: N = QVector\(-1/3\)"):
+        _finish(g, 3, [0], [-1])
     with pytest.raises(InternalConsistencyError, match="meets a curve negatively"):
-        _finish(g, g.divisor((F(1),)), QVector((F(0),)))  # P = 1, P . E = -2
+        _finish(g, 1, [1], [0])  # P = 1, P . E = -2
     with pytest.raises(InternalConsistencyError, match="not orthogonal"):
-        _finish(g, g.divisor((F(0),)), QVector((F(1),)))  # P = -1 nef, P . N = 2
-    dec = _finish(g, g.divisor((F(1, 2),)), QVector((F(1, 2),)))
-    assert dec.p.coeffs == (F(0),) and dec.active == frozenset({"v1"})
+        _finish(g, 1, [0], [1])  # P = -1 nef, P . N = 2
+    dec = _finish(g, 4, [2], [2])
+    assert dec.p.coeffs == (F(0),) and dec.n.coeffs == (F(1, 2),)
+    assert dec.active == frozenset({"v1"})
 
 
 def test_volume_builds_no_dense_form() -> None:

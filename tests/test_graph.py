@@ -69,6 +69,31 @@ def test_canonical_pullback_is_solved_once() -> None:
     assert g.log_discrepancy_divisor() is g.discrepancy_report().ell
 
 
+# (vertices, edges, components): each component alone is a valid graph
+DISCONNECTED = {
+    "isolated vertex first": ((("z", -2, 0), ("a", -2, 0), ("b", -2, 0)), (("a", "b"),),
+                              ("z", "ab")),
+    "isolated vertex last": ((("a", -2, 0), ("b", -2, 0), ("z", -2, 0)), (("a", "b"),),
+                             ("ab", "z")),
+    "cycle with a parallel edge": (  # a triangle with a doubled edge, and a chain
+        (("a", -4, 0), ("b", -4, 0), ("c", -3, 0), ("d", -2, 0), ("e", -2, 0)),
+        (("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("d", "e")),
+        ("abc", "de"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISCONNECTED))
+def test_disconnected_graph_reason(case) -> None:
+    vertices, edges, components = DISCONNECTED[case]
+    for part in components:
+        ResolutionGraph.make([v for v in vertices if v[0] in part],
+                             [e for e in edges if e[0] in part])
+    with pytest.raises(MalformedInputError) as exc:
+        ResolutionGraph.make(vertices, edges)
+    assert exc.value.reason == "not-connected"
+
+
 def test_not_negative_definite_reason() -> None:
     with pytest.raises(MalformedInputError) as exc:
         ResolutionGraph.make((("a", -1, 0), ("b", -1, 0)), (("a", "b"),))

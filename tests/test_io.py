@@ -170,6 +170,26 @@ def test_to_json_matches_json_dumps_on_random_documents() -> None:
     check()
 
 
+ESCAPES = ['"', "\\", "\u2028", "\u00e9", "\U0001f600", 'a"b\\c\u2028\u00e9\U0001f600']
+
+
+@pytest.mark.parametrize("doc", [
+    {k: v for k, v in zip(ESCAPES, reversed(ESCAPES))},  # str keys and values: one join
+    {"": "", "a": ""},
+    {"": "x", "v1": "1/2", "v10": "-3", "v2": "0"},
+    {"b": "1", "a": 2},
+    {"b": "1", "a": None},
+    {"a": "1", "b": ["x", "y"], "c": {"d": "e"}},
+    {"a": "1", "b": {}},
+    {"P": {"v1": "1/2"}, "N": {"v1": "0"}, "active": []},
+    {None: "x"},
+    {1: "a", 10: "b", 2: "c"},
+    {-1: "\u00e9", 0: {"": "\U0001f600"}},
+])
+def test_to_json_matches_json_dumps_on_string_dicts(doc) -> None:
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
 @pytest.mark.parametrize("doc", [1.5, {"a": [1, {2}]}, {"a": object()}, {1.5: "x"}, {(1,): 2}])
 def test_to_json_refuses_what_it_does_not_render(doc) -> None:
     with pytest.raises(TypeError):

@@ -562,4 +562,19 @@ def test_integer_pair_matches_fraction_dot_on_rational_forms() -> None:
         expected = sum((a[i] * rows[i][j] * b[j] for i in range(n) for j in range(n)),
                        Fraction(0))
         assert form.pair(a, b) == expected
+        assert form.pair(a, a) == form.pair(a, QVector(a)) == a.dot(form.apply(a))
         assert form.apply(b) == tuple(QVector(row).dot(b) for row in rows)
+
+
+def test_self_pairing_takes_numerators_once(monkeypatch) -> None:
+    from singvol import lattice
+
+    calls = []
+    numerators = lattice.numerators
+    monkeypatch.setattr(lattice, "numerators", lambda v: calls.append(v) or numerators(v))
+    form = SymForm([[Fraction(-3, 2), 1], [1, -2]])
+    x = QVector([Fraction(1, 3), -2])
+    assert form.pair(x, x) == Fraction(-19, 2)
+    assert len(calls) == 1
+    assert form.pair(x, QVector(x)) == Fraction(-19, 2)  # equal, not the same object
+    assert len(calls) == 3
