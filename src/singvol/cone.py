@@ -54,6 +54,7 @@ from .errors import (
     InternalConsistencyError,
     MalformedInputError,
 )
+from .graph import ResolutionGraph
 from .lattice import QVector, SymForm, numerators, rat, rat_str
 from .record import Record
 
@@ -741,7 +742,6 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
     not).
     """
     from .envelope import volume as graph_volume
-    from .graph import ResolutionGraph
 
     if g_max < 2 or a_max < 1:
         raise DomainError("need g_max >= 2 and a_max >= 1")

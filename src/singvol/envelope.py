@@ -73,16 +73,15 @@ def _finish(graph: ResolutionGraph, den: int, a_num: list[int], n_num: list[int]
             ) -> ZariskiDecomposition:
     """Certify ``N`` as the negative part of ``A``, both given as integers
     over one denominator ``den > 0`` (``A = a_num / den``, ``N = n_num /
-    den``), by integer sign tests: ``den N >= 0``, ``L den (P . E_j) >= 0``
-    and ``sum_j den N_j * L den (P . E_j) = 0``; return ``A = P + N``."""
+    den``), by integer sign tests: ``den N >= 0``, ``den (P . E_j) >= 0``
+    and ``sum_j den N_j * den (P . E_j) = 0``; return ``A = P + N``."""
     n_coeffs = _qvector(Fraction(v, den) for v in n_num)
     if min(n_num) < 0:
         raise InternalConsistencyError(
             f"negative part has a negative coefficient: N = {n_coeffs!r}"
         )
     p_num = [x - v for x, v in zip(a_num, n_num)]
-    sparse = graph.intersection_form._integral[1]
-    mp = [sum([x * p_num[j] for j, x in row]) for row in sparse]
+    mp = graph.intersection_form.apply_int(p_num)
     if min(mp) < 0:
         raise InternalConsistencyError("claimed nef part meets a curve negatively")
     if sum(map(mul, n_num, mp)):
@@ -102,8 +101,8 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     most ``r`` rounds run. One fraction-free factor of the working set lives
     for the whole call: each round borders it with the new vertices
     (:func:`~singvol.lattice._eliminate`), so every working vertex is
-    eliminated once, and substitutes the integer right-hand side ``c = L
-    den (A . E)`` through it; the sign tests are on integers. :func:`_finish`
+    eliminated once, and substitutes the integer right-hand side ``c = den
+    (A . E)`` through it; the sign tests are on integers. :func:`_finish`
     gets ``A`` and ``N`` as integers over one denominator, certifies them and
     makes the ``Fraction``s; a failure is an internal error, never repaired.
     """
@@ -113,8 +112,8 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     if min(a_num) >= 0:
         return _finish(graph, den, a_num, a_num)
     form = graph.intersection_form
-    scale, sparse = form._integral
-    c = [sum([x * a_num[j] for j, x in row]) for row in sparse]
+    sparse = form._integral[1]
+    c = form.apply_int(a_num)
     new = [j for j, x in enumerate(c) if x < 0]
     order: list[int] = []  # the working set in elimination order
     rim: set[int] = set()  # the neighbours of the working set outside it
@@ -123,21 +122,19 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
         # appended in reverse so that vertices hanging off others come first
         order += sorted(new, reverse=True)
         factor = _eliminate(form._block(order, len(order) - len(new)), len(new), factor)
-        # y = q L den N on the working set, where M N = A . E; q > 0, and the
+        # y = q den N on the working set, where M N = A . E; q > 0, and the
         # solution is unique because principal submatrices stay negative
-        # definite. q L (L den (P . E_j)) = q L c_j - (L M y)_j, and off the
-        # working set only the rim can turn negative.
-        q, y = _substitute(factor, [scale * c[i] for i in order])
+        # definite. q den (P . E_j) = q c_j - (M y)_j, and off the working
+        # set only the rim can turn negative.
+        q, y = _substitute(factor, [c[i] for i in order])
         at = dict(zip(order, y))
         rim.update(j for i in new for j, _ in sparse[i])
         rim.difference_update(at)
-        qc = q * scale
         new = [j for j in rim
-               if qc * c[j] < sum([v * at[i] for i, v in sparse[j] if i in at])]
+               if q * c[j] < sum([v * at[i] for i, v in sparse[j] if i in at])]
     n_num = [0] * len(c)
     for i, yi in zip(order, y):
         n_num[i] = yi
-    q *= scale
     return _finish(graph, q * den, [q * x for x in a_num], n_num)
 
 
@@ -163,15 +160,14 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
         )
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)
-    scale, sparse = graph.intersection_form._integral
-    # The system scaled by L * den: (L M)_S (den N)_S = L den (A . E)_S.
+    sparse = graph.intersection_form._integral[1]
+    # The system scaled by den: M_S (den N)_S = den (A . E)_S.
     den, c = numerators(a.intersections())
-    c = [scale * x for x in c]
     feasible: list[QVector] = []
     visited = 0
     for d, y in _subset_walk(sparse, c):
         visited += 1
-        # den * d * (N_i, L (P . E_j)) = (y_i, d c_j - (L M y)_j); den, L > 0
+        # den * d * (N_i, P . E_j) = (y_i, d c_j - (M y)_j); den > 0
         if not _same_sign(y.values(), d):
             continue
         my = [d * cj for cj in c]

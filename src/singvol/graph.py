@@ -205,16 +205,14 @@ class ResolutionGraph(Record):
     @cached_property
     def _canonical_solve(self) -> tuple[int, list[int]]:
         """The one integer solve ``(q, y = q b)`` of ``M b = -k``, certified in
-        the same call by one integer mat-vec: ``(L M) y = -L q k``. On a
+        the same call by one integer mat-vec: ``M y = -q k``. On a
         relatively minimal model (all ``k_j >= 0``) a negative entry of ``b``
         would be a solver bug and raises; models carrying (-1)-vertices may
         legitimately have them."""
         k = self._canonical_ints()
         form = self.intersection_form
         q, y = form.solve_int([-x for x in k])
-        scale, sparse = form._integral
-        if any(sum([a * y[j] for j, a in row]) != -scale * q * kj
-               for row, kj in zip(sparse, k)):
+        if form.apply_int(y) != [-q * x for x in k]:
             problem = "fails M b = -k"
         elif min(k) >= 0 and min(y) < 0:
             problem = "has a negative coefficient on a relatively minimal model"

@@ -15,8 +15,8 @@ may outlive a fresh import of the package (perfbench re-imports it while its
 loop keeps the old modules), and a call-time import would hand it the new
 import's classes, failing ``isinstance`` against its own. Only ``cli``
 command bodies and the package's ``__getattr__`` import at call time, and
-``cone.dcc_scan``, which passes its call-time imports only graphs it builds
-with them.
+``cone.dcc_scan``, which imports ``envelope`` at call time and passes it
+only graphs it builds itself.
 """
 
 from __future__ import annotations
@@ -117,7 +117,11 @@ def _render(doc: Any, newline: str) -> str:
     if doc is False:
         return "false"
     if isinstance(doc, int):
-        return int.__repr__(doc)
+        try:
+            return int.__repr__(doc)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise DomainError("an integer result has too many digits to print",
+                              reason="too-large") from None
     inner = newline + "  "
     sep = "," + inner
     if isinstance(doc, dict):

@@ -6,22 +6,23 @@ small and completely exact: coefficients are ``fractions.Fraction`` with
 arbitrary-precision integers underneath, and no float ever appears.
 
 A form is stored only as sparse integer rows, the nonzero entries of
-``L * M`` with ``L`` the lcm of the denominators. A resolution graph hands
-these rows over directly, so its form costs O(vertices + edges) to build,
-and no dense matrix is ever kept. There is one elimination: fraction-free
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968) on Python ints over the nonzero
-entries, with row swaps, in leaf-first order, where a tree gets no
-fill-in. One cached pass over the whole form gives both the determinant
-and the definiteness test (Sylvester's criterion holds for the leading
-minors of any symmetric reordering). The pass keeps its factor: pivots,
-row swaps, multipliers and upper rows, and a swap-free factor can be
-bordered by more rows without eliminating it again. A solve carries its
+``L * M`` with ``L`` the lcm of the denominators. The dense constructor
+checks its input; a resolution graph's rows, built from validated data
+with ``L = 1``, are trusted, so its form costs O(vertices + edges) to
+build, and no dense matrix is ever kept. There is one elimination:
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968) on Python
+ints over the nonzero entries, with row swaps, in leaf-first order, where a
+tree gets no fill-in. One cached pass over the whole form gives both the
+determinant and the definiteness test (Sylvester's criterion holds for the
+leading minors of any symmetric reordering). The pass keeps its factor:
+pivots, row swaps, multipliers and upper rows, and a swap-free factor can
+be bordered by more rows without eliminating it again. A solve carries its
 integer right-hand side through a factor and back-substitutes: the
 whole-form solve through the cached pass, a solve on a support through one
 pass on that block. Solves return integers ``(d, d x)``, the mat-vec and
-the pairing are integer sums over one denominator, and results become
-``Fraction`` only when returned.
+the pairing are sums over the one integer mat-vec ``(L M) v``, and results
+become ``Fraction`` only when returned.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1.
@@ -31,9 +32,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InternalConsistencyError, MalformedInputError, SingularSystemError
+from .errors import (DomainError, InternalConsistencyError, MalformedInputError,
+                     SingularSystemError)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -55,10 +58,16 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Render ``p/q`` in lowest terms, or plain ``p`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render ``p/q`` in lowest terms, or plain ``p`` for integers. An
+    integer with more digits than Python converts to a string (4,300 by
+    default) is refused with ``too-large``."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise DomainError("a rational result has too many digits to print",
+                          reason="too-large") from None
 
 
 class QVector(tuple):
@@ -145,12 +154,12 @@ def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 class SymForm:
     """Symmetric bilinear form given by its exact Gram matrix ``M``.
 
-    Built from dense rows of rationals or, with :meth:`sparse`, from the
-    nonzero entries of an integer matrix. Its only state is
-    ``_integral = (L, rows)``: ``L`` the lcm of the denominators and the
-    nonzero entries of ``L * M`` as ``(column, int)`` pairs sorted by
-    column. That is canonical, so equality and hashing use it. The factor
-    of the one leaf-first pass behind :meth:`det`,
+    Built from dense rows of rationals, the one constructor that checks its
+    input, or with :meth:`sparse` from a graph's trusted integer rows. Its
+    only state is ``_integral = (L, rows)``: ``L`` the lcm of the
+    denominators and the nonzero entries of ``L * M`` as ``(column, int)``
+    pairs sorted by column. That is canonical, so equality and hashing use
+    it. The factor of the one leaf-first pass behind :meth:`det`,
     :meth:`is_negative_definite` and the whole-form :meth:`solve_int` is
     cached.
     """
@@ -161,39 +170,30 @@ class SymForm:
         mat = tuple(QVector(row) for row in rows)
         if any(len(row) != len(mat) for row in mat):
             raise MalformedInputError("form matrix is not square")
+        if not mat:
+            raise MalformedInputError("form must have at least one row")
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if x and mat[j][i] != x:
+                    raise MalformedInputError(f"form matrix is not symmetric at ({i}, {j})")
         scale = math.lcm(*(x.denominator for row in mat for x in row))
-        self._init(scale, [
-            {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
+        object.__setattr__(self, "_integral", (scale, tuple(
+            tuple((j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x)
             for row in mat
-        ])
+        )))
+        object.__setattr__(self, "_pass", None)
 
     @classmethod
     def sparse(cls, rows: Sequence[Mapping[int, int]]) -> "SymForm":
         """The form of the integer matrix with entries ``rows[i][j]`` and
-        zeros elsewhere. No dense matrix is built, so a graph's form costs
-        O(vertices + edges)."""
-        if any(isinstance(x, bool) or not isinstance(x, int)
-               for row in rows for x in row.values()):
-            raise MalformedInputError("sparse form entries must be integers")
+        zeros elsewhere (``L = 1``), in O(vertices + edges). Unchecked: only
+        ``ResolutionGraph.intersection_form`` calls it, on validated data,
+        with at least one row, nonzero ``int`` entries and ``rows[i][j] ==
+        rows[j][i]`` for columns in range."""
         form = object.__new__(cls)
-        form._init(1, rows)
+        object.__setattr__(form, "_integral", (1, tuple(tuple(sorted(row.items())) for row in rows)))
+        object.__setattr__(form, "_pass", None)
         return form
-
-    def _init(self, scale: int, sparse: Sequence[Mapping[int, int]]) -> None:
-        n = len(sparse)
-        if n == 0:
-            raise MalformedInputError("form must have at least one row")
-        for i, row in enumerate(sparse):
-            for j, x in row.items():
-                if not (isinstance(j, int) and 0 <= j < n):
-                    raise MalformedInputError(f"column {j!r} out of range for dimension {n}")
-                if sparse[j].get(i, 0) != x:
-                    raise MalformedInputError(f"form matrix is not symmetric at ({i}, {j})")
-        object.__setattr__(self, "_integral", (scale, tuple(
-            tuple(sorted(row.items() if all(row.values()) else
-                         [(j, x) for j, x in row.items() if x])) for row in sparse
-        )))
-        object.__setattr__(self, "_pass", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("SymForm is immutable")
@@ -219,26 +219,27 @@ class SymForm:
         sparse = self._integral[1]
         return [{pos[j]: a for j, a in sparse[i] if j in pos} for i in order[start:]]
 
+    def apply_int(self, v: Sequence[int]) -> list[int]:
+        """The integer mat-vec ``(L M) v`` of an integer vector, over the
+        nonzero entries only (no length check)."""
+        return [sum([a * v[j] for j, a in row]) for row in self._integral[1]]
+
     def apply(self, v: QVector) -> QVector:
-        """Matrix-vector product ``M v``, over the nonzero entries only."""
+        """Matrix-vector product ``M v``: :meth:`apply_int` on the numerators."""
         self._check_len(v)
-        scale, sparse = self._integral
         den, num = numerators(v)
-        den *= scale
-        return _qvector(
-            Fraction(sum([a * num[j] for j, a in row]), den) for row in sparse
-        )
+        den *= self._integral[0]
+        return _qvector(Fraction(x, den) for x in self.apply_int(num))
 
     def pair(self, a: QVector, b: QVector) -> Fraction:
-        """Evaluate the form, ``a . M . b``, as one integer sparse sum; a
-        self-pairing ``pair(x, x)`` (one object) takes numerators once."""
+        """Evaluate the form, ``a . M . b``, as one integer sum over
+        :meth:`apply_int`; a self-pairing ``pair(x, x)`` (one object) takes
+        numerators once."""
         self._check_len(a)
         self._check_len(b)
-        scale, sparse = self._integral
         da, na = numerators(a)
         db, nb = (da, na) if b is a else numerators(b)
-        total = sum(x * sum([c * nb[j] for j, c in row]) for x, row in zip(na, sparse) if x)
-        return Fraction(total, scale * da * db)
+        return Fraction(sum(map(mul, na, self.apply_int(nb))), self._integral[0] * da * db)
 
     def solve(self, rhs: Sequence[RationalLike], support: Sequence[int] | None = None) -> QVector:
         """Solve ``M x = rhs`` (ints or Fractions) exactly: :meth:`solve_int`

@@ -1,7 +1,11 @@
 """Command line surface: reports, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -454,6 +458,122 @@ def test_catalog_number_beyond_int_parsing_is_too_large(capsys, name: str) -> No
     code, out = run(capsys, "graph", "lc", f"catalog:{name}")
     assert code == 1
     assert out["error"]["reason"] == "too-large"
+
+
+NINES = "9" * 1500
+
+
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(("cone", "bound", "catalog:paper-ruled-surface", "--a", "1/" + NINES), None,
+                 id="bound-slope"),
+    pytest.param(("cone", "valuation", "catalog:paper-ruled-surface",
+                  "--class", "9" * 4200 + ",1", "--k", "9" * 4200), None, id="valuation"),
+    pytest.param(("cone", "counterexample", "--a-seq", NINES), None, id="counterexample"),
+    # H^2 has about 6,000 digits, though every entry is within the limits
+    pytest.param(("cone", "bound", "--a", "1"), {**RULED_DOC, "H": ["9" * 3000, "9" * 3000]},
+                 id="bound-document"),
+])
+def test_result_beyond_int_printing_is_too_large(tmp_path, capsys, argv, doc) -> None:
+    # every input parses, but the result has more digits than Python prints (4,300)
+    if doc is not None:
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = (*argv[:2], str(path), *argv[2:])
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
+
+
+def test_asymmetric_cone_form_exits_2(tmp_path, capsys) -> None:
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({**RULED_DOC, "form": [["0", "0"], ["1", "0"]]}),
+                    encoding="utf-8")
+    code, out = run(capsys, "cone", "bound", str(path), "--a", "1/2")
+    assert code == 2
+    assert out["error"] == {"message": "form matrix is not symmetric at (1, 0)",
+                            "reason": "malformed-input"}
+
+
+# (command, options after the document, the valid document it reads)
+FUZZ_TARGETS = [
+    (("graph", "vol"), (), GRAPH_DOC),
+    (("graph", "discrepancies"), (), GRAPH_DOC),
+    (("graph", "blowup"), (), TOWER_DOC),
+    (("cone", "bound"), ("--a", "1/2"), RULED_DOC),
+    (("cone", "valuation"), ("--class", "1,0", "--k", "3"), RULED_DOC),
+]
+FUZZ_KEYS = ["vertices", "edges", "id", "self_int", "genus", "i", "j", "mult", "base",
+             "steps", "kind", "edge", "form", "nef_gens", "K_V", "H", "rigid", "extra"]
+
+
+def test_mutated_documents_end_in_one_json_report() -> None:
+    # documents are mutated by dropping and adding keys, swapping in random
+    # JSON values, deep nesting, long integers and "p/q" strings; whatever
+    # the mutation, the command prints one JSON document and exits 0, 1 or 2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.sampled_from(["1/2", "-7/3", "0/5", "1/0", "2/-3", " 4 ", "1.5", "p/q",
+                                 "9" * 5000 + "/7", "7/" + "9" * 1300])
+    scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4) | rationals
+    values = st.recursive(scalars, lambda kids: st.lists(kids, max_size=3)
+                          | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                          max_leaves=8)
+    splices: list[str] = []  # raw JSON text json.dumps cannot write, by token
+
+    def splice(raw: str) -> str:
+        splices.append(raw)
+        return f"@splice{len(splices) - 1}@"
+
+    def mutate(data, node):
+        if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            node[key] = mutate(data, node[key])
+            return node
+        op = data.draw(st.sampled_from(["drop", "add", "replace", "nest", "long", "rational"]))
+        if op == "drop" and isinstance(node, (dict, list)) and node:
+            del node[data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                               else range(len(node))))]
+        elif op == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(FUZZ_KEYS) | st.text(max_size=4))] = data.draw(values)
+        elif op == "add" and isinstance(node, list):
+            node.append(data.draw(values))
+        elif op == "nest":
+            depth = data.draw(st.sampled_from([2, 40, 5000]))
+            return splice("[" * depth + json.dumps(node) + "]" * depth)
+        elif op == "long":
+            return splice(data.draw(st.sampled_from(["", "-"]))
+                          + "9" * data.draw(st.sampled_from([30, 1300, 4400])))
+        elif op == "rational":
+            return data.draw(rationals)
+        else:
+            return data.draw(values)
+        return node
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(FUZZ_TARGETS), st.data())
+    def check(target, data) -> None:
+        command, options, doc = target
+        splices.clear()
+        doc = copy.deepcopy(doc)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutate(data, doc)
+        text = json.dumps(doc)
+        for k in reversed(range(len(splices))):  # a later splice may hold an earlier one
+            text = text.replace(json.dumps(f"@splice{k}@"), splices[k])
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(out):
+                code = main([*command, str(path), *options])
+        assert code in (0, 1, 2), out.getvalue()[:400]
+        report = json.loads(out.getvalue())  # one document, nothing after it
+        assert ("error" in report) == (code != 0)
+        if code:
+            assert isinstance(report["error"]["reason"], str)
+
+    check()
 
 
 def _registered() -> list[tuple[str, str]]:

@@ -228,3 +228,15 @@ def test_records_declare_their_fields_once() -> None:
         if "object.__setattr__" in text:
             # the generator itself, and ``SymForm``'s cache
             assert path.name in {"record.py", "lattice.py"}, path.name
+
+
+def test_only_graph_builds_a_form_from_trusted_rows() -> None:
+    # SymForm.sparse checks nothing; only a graph's own rows, built from its
+    # validated vertices and edges, may reach it
+    callers = set()
+    for path in sorted((SRC / "singvol").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr == "sparse"
+               for node in ast.walk(tree)):
+            callers.add(path.name)
+    assert callers == {"graph.py"}

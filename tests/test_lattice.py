@@ -320,18 +320,22 @@ def test_sparse_graph_form_equals_dense_form_seeded() -> None:
         assert form.pair(u, v) == dense.pair(u, v)
 
 
-def test_sparse_form_rejects_bad_entries() -> None:
-    with pytest.raises(MalformedInputError):
-        SymForm.sparse([])
-    with pytest.raises(MalformedInputError):
-        SymForm.sparse([{0: -2, 1: 1}, {1: -2}])  # not symmetric
-    with pytest.raises(MalformedInputError):
-        SymForm.sparse([{0: -2, 2: 1}, {1: -2}])  # column out of range
-    with pytest.raises(MalformedInputError):
-        SymForm.sparse([{0: Fraction(1, 2)}])  # not an integer
-    with pytest.raises(MalformedInputError):
-        SymForm.sparse([{0: True}])
-    assert SymForm.sparse([{0: -2, 1: 0}, {1: -2}]) == SymForm(((-2, 0), (0, -2)))
+@pytest.mark.parametrize("rows, message", [
+    pytest.param([], "form must have at least one row", id="empty"),
+    pytest.param([[1, 2]], "form matrix is not square", id="not-square"),
+    pytest.param([[1, True], [True, 1]], "not a rational: True", id="bool"),
+    pytest.param([[1, "x"], ["x", 1]], "not a rational: 'x'", id="not-rational"),
+    # the first nonzero entry, row by row, whose mirror differs: here the
+    # mirror is zero, so checking (0, 2) first would name the wrong entry
+    pytest.param([[-2, 0, 0], [0, -2, 0], [1, 0, -2]],
+                 "form matrix is not symmetric at (2, 0)", id="asymmetric-zero-mirror"),
+])
+def test_dense_form_checks_each_entry(rows, message) -> None:
+    # the dense constructor is the one outside input reaches; the graph's
+    # sparse rows are trusted
+    with pytest.raises(MalformedInputError) as exc:
+        SymForm(rows)
+    assert str(exc.value) == message
 
 
 def test_graph_form_is_eliminated_once(monkeypatch) -> None:
