@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector, _eliminate, _qvector, _substitute, numerators, rat_str
+from .lattice import QVector, _eliminate, _substitute, numerators, rat_str
 from .record import Record
 
 # The most vertices the exponential oracle accepts (2^12 subsets).
@@ -74,9 +74,10 @@ def _finish(graph: ResolutionGraph, den: int, a_num: list[int], n_num: list[int]
     """Certify ``N`` as the negative part of ``A``, both given as integers
     over one denominator ``den > 0`` (``A = a_num / den``, ``N = n_num /
     den``), by integer sign tests: ``den N >= 0``, ``den (P . E_j) >= 0``
-    and ``sum_j den N_j * den (P . E_j) = 0``; return ``A = P + N``."""
-    n_coeffs = _qvector(Fraction(v, den) for v in n_num)
+    and ``sum_j den N_j * den (P . E_j) = 0``; return ``A = P + N``, both
+    parts kept as integers."""
     if min(n_num) < 0:
+        n_coeffs = ExcDivisor.from_ints(graph, den, n_num).coeffs
         raise InternalConsistencyError(
             f"negative part has a negative coefficient: N = {n_coeffs!r}"
         )
@@ -86,9 +87,9 @@ def _finish(graph: ResolutionGraph, den: int, a_num: list[int], n_num: list[int]
         raise InternalConsistencyError("claimed nef part meets a curve negatively")
     if sum(map(mul, n_num, mp)):
         raise InternalConsistencyError("P and N are not orthogonal")
-    p_div = ExcDivisor(graph, _qvector(Fraction(v, den) for v in p_num))
     active = frozenset(v.id for v, c in zip(graph.vertices, n_num) if c)
-    return ZariskiDecomposition(p=p_div, n=ExcDivisor(graph, n_coeffs), active=active)
+    return ZariskiDecomposition(p=ExcDivisor.from_ints(graph, den, p_num),
+                                n=ExcDivisor.from_ints(graph, den, n_num), active=active)
 
 
 def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecomposition:
@@ -103,12 +104,12 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     (:func:`~singvol.lattice._eliminate`), so every working vertex is
     eliminated once, and substitutes the integer right-hand side ``c = den
     (A . E)`` through it; the sign tests are on integers. :func:`_finish`
-    gets ``A`` and ``N`` as integers over one denominator, certifies them and
-    makes the ``Fraction``s; a failure is an internal error, never repaired.
+    gets ``A`` and ``N`` as integers over one denominator and certifies them,
+    and no ``Fraction`` is made; a failure is an internal error, never repaired.
     """
     if a.graph != graph:
         a = ExcDivisor(graph, a.coeffs)  # revalidates the length
-    den, a_num = numerators(a.coeffs)
+    den, a_num = a.ints
     if min(a_num) >= 0:
         return _finish(graph, den, a_num, a_num)
     form = graph.intersection_form
@@ -162,7 +163,7 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
         a = ExcDivisor(graph, a.coeffs)
     sparse = graph.intersection_form._integral[1]
     # The system scaled by den: M_S (den N)_S = den (A . E)_S.
-    den, c = numerators(a.intersections())
+    den, c = a.ints[0], graph.intersection_form.apply_int(a.ints[1])
     feasible: list[QVector] = []
     visited = 0
     for d, y in _subset_walk(sparse, c):

@@ -25,16 +25,19 @@ on the one cached integer solve ``(q, y = q b)`` behind
 ``mumford_pullback_canonical``: ``ell_j = (q - y_j) / q``, negative exactly
 when ``y_j > q``. That solve substitutes through the factor the definiteness
 pass left, so a graph is eliminated once, and it is checked against ``M b =
--k`` before it is kept.
+-k`` before it is kept. ``B`` and ``ell`` keep the solve's integers as
+``ExcDivisor.ints``; ``Fraction``s are made only when a caller reads ``coeffs``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
-from .lattice import QVector, SymForm, _qvector, rat_str
+from .lattice import QVector, SymForm, _qvector, numerators, ratio_str
 from .record import Record
 
 # The most vertices of a graph read from a document or a catalog name, set
@@ -173,11 +176,11 @@ class ResolutionGraph(Record):
         return ExcDivisor(self, QVector(coeffs))
 
     def basis_divisor(self, vertex_id: str) -> "ExcDivisor":
-        n = len(self.vertices)
-        return ExcDivisor(self, QVector.unit(n, self.index(vertex_id)))
+        i = self.index(vertex_id)
+        return ExcDivisor.from_ints(self, 1, [int(k == i) for k in range(len(self.vertices))])
 
     def zero_divisor(self) -> "ExcDivisor":
-        return ExcDivisor(self, QVector.zero(len(self.vertices)))
+        return ExcDivisor.from_ints(self, 1, [0] * len(self.vertices))
 
     def canonical_intersections(self) -> QVector:
         """``k_j = K . E_j = 2 genus_j - 2 - self_int_j`` (adjunction)."""
@@ -199,8 +202,7 @@ class ResolutionGraph(Record):
 
     @cached_property
     def _canonical_pullback(self) -> "ExcDivisor":
-        q, y = self._canonical_solve
-        return ExcDivisor(self, _qvector(Fraction(v, q) for v in y))
+        return ExcDivisor.from_ints(self, *self._canonical_solve)
 
     @cached_property
     def _canonical_solve(self) -> tuple[int, list[int]]:
@@ -218,7 +220,7 @@ class ResolutionGraph(Record):
             problem = "has a negative coefficient on a relatively minimal model"
         else:
             return q, y
-        b = _qvector(Fraction(v, q) for v in y)
+        b = ExcDivisor.from_ints(self, q, y).coeffs
         raise InternalConsistencyError(f"canonical pullback {problem}: b = {b!r}")
 
     @cached_property
@@ -227,12 +229,12 @@ class ResolutionGraph(Record):
         solve's integers: ``ell_j < 0`` exactly when ``y_j > q``."""
         b = self.mumford_pullback_canonical()
         q, y = self._canonical_solve
-        ell = _qvector(Fraction(q - v, q) for v in y)
+        ell = ExcDivisor.from_ints(self, q, [q - v for v in y])
         is_lc = max(y) <= q
         support = frozenset(v.id for v, x in zip(self.vertices, y) if x > q)
         if is_lc != (not support):
             raise InternalConsistencyError("lc flag disagrees with its support")
-        return DiscrepancyReport(b, ExcDivisor(self, ell), is_lc, support)
+        return DiscrepancyReport(b, ell, is_lc, support)
 
     def to_doc(self) -> dict:
         return {
@@ -245,9 +247,15 @@ class ResolutionGraph(Record):
 
 
 class ExcDivisor(Record):
-    """A rational divisor supported on the exceptional curves of one graph."""
+    """A rational divisor supported on the exceptional curves of one graph.
 
-    __slots__ = _fields = ("graph", "coeffs")
+    Built as ``ExcDivisor(graph, coeffs)`` or, trusted, :meth:`from_ints`.
+    Its state is ``ints = (den, nums)``, ``coeffs = nums / den`` in lowest
+    terms with ``den > 0``: canonical, so equality, hashing, the arithmetic
+    and :meth:`to_doc` use it. ``coeffs`` or ``ints`` is made on first read.
+    """
+
+    _fields = ("graph", "coeffs")
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.graph.vertices):
@@ -255,6 +263,25 @@ class ExcDivisor(Record):
                 f"divisor has {len(self.coeffs)} coefficients for "
                 f"{len(self.graph.vertices)} vertices"
             )
+
+    @classmethod
+    def from_ints(cls, graph: ResolutionGraph, den: int, nums) -> "ExcDivisor":
+        """``nums / den`` (``den > 0``, one entry per vertex) in lowest terms."""
+        g = math.gcd(den, *nums)
+        return cls._trusted(graph=graph, ints=(den // g, tuple([v // g for v in nums])))
+
+    @cached_property
+    def ints(self) -> tuple[int, tuple[int, ...]]:
+        den, nums = numerators(self.coeffs)  # coprime: den is the lcm
+        return den, tuple(nums)
+
+    @cached_property
+    def coeffs(self) -> QVector:
+        den, nums = self.ints
+        return _qvector(Fraction(v, den) for v in nums)
+
+    def _values(self) -> tuple:
+        return self.graph, self.ints
 
     def coeff(self, vertex_id: str) -> Fraction:
         return self.coeffs[self.graph.index(vertex_id)]
@@ -267,7 +294,8 @@ class ExcDivisor(Record):
         return self.intersections()[self.graph.index(vertex_id)]
 
     def self_intersection(self) -> Fraction:
-        return self.graph.intersection_form.pair(self.coeffs, self.coeffs)
+        den, nums = self.ints
+        return Fraction(sum(map(mul, nums, self.graph.intersection_form.apply_int(nums))), den**2)
 
     def _check_same_graph(self, other: "ExcDivisor") -> None:
         if self.graph != other.graph:
@@ -275,24 +303,29 @@ class ExcDivisor(Record):
 
     def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
         self._check_same_graph(other)
-        return ExcDivisor(self.graph, self.coeffs + other.coeffs)
+        (d1, n1), (d2, n2) = self.ints, other.ints
+        den = math.lcm(d1, d2)
+        return ExcDivisor.from_ints(self.graph, den, [den // d1 * a + den // d2 * b
+                                                      for a, b in zip(n1, n2)])
 
     def __sub__(self, other: "ExcDivisor") -> "ExcDivisor":
-        self._check_same_graph(other)
-        return ExcDivisor(self.graph, self.coeffs - other.coeffs)
+        return self + -other
 
     def __neg__(self) -> "ExcDivisor":
-        return ExcDivisor(self.graph, -self.coeffs)
+        den, nums = self.ints
+        return ExcDivisor.from_ints(self.graph, den, [-v for v in nums])
 
     def scale(self, factor) -> "ExcDivisor":
         return ExcDivisor(self.graph, self.coeffs.scale(factor))
 
     def leq(self, other: "ExcDivisor") -> bool:
         self._check_same_graph(other)
-        return self.coeffs.leq(other.coeffs)
+        (d1, n1), (d2, n2) = self.ints, other.ints
+        return all(a * d2 <= b * d1 for a, b in zip(n1, n2))
 
     def to_doc(self) -> dict[str, str]:
-        return {v.id: rat_str(c) for v, c in zip(self.graph.vertices, self.coeffs)}
+        den, nums = self.ints
+        return {v.id: ratio_str(x, den) for v, x in zip(self.graph.vertices, nums)}
 
 
 class DiscrepancyReport(Record):

@@ -21,11 +21,11 @@ be bordered by more rows without eliminating it again. A solve carries its
 integer right-hand side through a factor and back-substitutes: the
 whole-form solve through the cached pass, a solve on a support through one
 pass on that block. Solves return integers ``(d, d x)``, the mat-vec and
-the pairing are sums over the one integer mat-vec ``(L M) v``, and results
-become ``Fraction`` only when returned.
+the pairing are sums over the one integer mat-vec ``(L M) v``, and a graph's
+divisors keep their integers, so a ``Fraction`` is made only when read.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
-or ``"p"`` when the denominator is 1.
+or ``"p"`` when the denominator is 1 (:func:`ratio_str`).
 """
 
 from __future__ import annotations
@@ -53,21 +53,31 @@ def rat(value: RationalLike) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
+            if str(exc).startswith("Exceeds the limit"):  # int's digit limit, not malformed
+                digits = sum(map(str.isdigit, value))
+                raise DomainError(f"rational {value.strip()[:24]}... has {digits:,} digits, more "
+                                  "than Python's int parses", reason="too-large") from None
             raise MalformedInputError(f"not a rational: {value!r}") from exc
     raise MalformedInputError(f"not a rational: {value!r}")
 
 
-def rat_str(value: Fraction) -> str:
-    """Render ``p/q`` in lowest terms, or plain ``p`` for integers. An
-    integer with more digits than Python converts to a string (4,300 by
-    default) is refused with ``too-large``."""
+def ratio_str(num: int, den: int) -> str:
+    """Render ``num / den`` (``den > 0``) as ``p/q`` in lowest terms, or plain
+    ``p`` for an integer. An integer with more digits than Python converts to
+    a string (4,300 by default) is refused with ``too-large``."""
+    g = math.gcd(num, den)
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        if g == den:
+            return str(num // g)
+        return f"{num // g}/{den // g}"
     except ValueError:
         raise DomainError("a rational result has too many digits to print",
                           reason="too-large") from None
+
+
+def rat_str(value: Fraction) -> str:
+    """:func:`ratio_str` of a Fraction (or an int)."""
+    return ratio_str(value.numerator, value.denominator)
 
 
 class QVector(tuple):

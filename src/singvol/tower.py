@@ -29,7 +29,7 @@ from . import io as sio
 from .envelope import VolumeReport, nef_envelope_trace, volume
 from .errors import DomainError, MalformedInputError
 from .graph import MAX_GRAPH_VERTICES, Edge, ExcDivisor, ResolutionGraph, Vertex
-from .lattice import QVector, rat_str
+from .lattice import rat_str, ratio_str
 from .record import Record
 
 
@@ -112,7 +112,8 @@ def pushforward(divisor: ExcDivisor, parent: ResolutionGraph) -> ExcDivisor:
         raise MalformedInputError("parent graph has vertices the child lacks")
     if not extra and parent.ids != child.ids:
         raise MalformedInputError("graphs share all vertices but disagree on order")
-    return ExcDivisor(parent, QVector(divisor.coeff(i) for i in parent.ids))
+    den, nums = divisor.ints
+    return ExcDivisor.from_ints(parent, den, [nums[child.index(i)] for i in parent.ids])
 
 
 class ModelTower:
@@ -157,12 +158,13 @@ class ModelTower:
         """
         if not 0 <= t < len(self.steps) or divisor.graph != self.models[t]:
             raise MalformedInputError(f"divisor does not live on level {t} of the tower")
-        step = self.steps[t]
+        g, step = self.models[t], self.steps[t]
+        den, nums = divisor.ints
         if isinstance(step, FreeBlowup):
-            new_coeff = divisor.coeff(step.vertex)
+            new = nums[g.index(step.vertex)]
         else:
-            new_coeff = divisor.coeff(step.i) + divisor.coeff(step.j)
-        return ExcDivisor(self.models[t + 1], QVector(tuple(divisor.coeffs) + (new_coeff,)))
+            new = nums[g.index(step.i)] + nums[g.index(step.j)]
+        return ExcDivisor.from_ints(self.models[t + 1], den, (*nums, new))
 
     @cached_property
     def volumes(self) -> tuple[VolumeReport, ...]:
@@ -223,7 +225,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 
         p_up = tower.pullback(t, vol.decomposition.p)
         p2 = vol2.decomposition.p
-        record(t, "nef-part-pulls-back", p2.coeffs == p_up.coeffs,
+        record(t, "nef-part-pulls-back", p2.ints == p_up.ints,
                p2.to_doc(), p_up.to_doc())
         record(t, "nef-part-bounded-by-pullback", p2.leq(p_up),
                p2.to_doc(), p_up.to_doc())
@@ -233,23 +235,24 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         e_new = g2.basis_divisor(nid)
         b_up = tower.pullback(t, b)
         transformed = b_up - e_new
-        record(t, "canonical-transform", b2.coeffs == transformed.coeffs,
+        record(t, "canonical-transform", b2.ints == transformed.ints,
                b2.to_doc(), transformed.to_doc())
+        (den, nums), (den2, nums2) = b.ints, b2.ints
         if isinstance(step, FreeBlowup):
-            expected_new = b.coeff(step.vertex) - 1
+            expected = nums[g.index(step.vertex)] - den
         else:
-            expected_new = b.coeff(step.i) + b.coeff(step.j) - 1
-        record(t, "new-vertex-coefficient", b2.coeff(nid) == expected_new,
-               rat_str(b2.coeff(nid)), rat_str(expected_new))
+            expected = nums[g.index(step.i)] + nums[g.index(step.j)] - den
+        record(t, "new-vertex-coefficient", nums2[-1] * den == expected * den2,
+               ratio_str(nums2[-1], den2), ratio_str(expected, den))
 
         a = g.log_discrepancy_divisor()
         a2 = g2.log_discrepancy_divisor()
         gap = a2 - tower.pullback(t, a)
-        record(t, "discrepancy-gap-nonnegative", gap.coeffs.is_nonnegative(),
+        record(t, "discrepancy-gap-nonnegative", min(gap.ints[1]) >= 0,
                gap.to_doc(), "0")
 
         roundtrip = pushforward(b_up, g)
-        record(t, "pushforward-pullback-identity", roundtrip.coeffs == b.coeffs,
+        record(t, "pushforward-pullback-identity", roundtrip.ints == b.ints,
                roundtrip.to_doc(), b.to_doc())
 
         det, det2 = g.intersection_form.det(), g2.intersection_form.det()
@@ -263,7 +266,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
             running = tower.pullback(t, running) - g2.basis_divisor(g2.vertices[-1].id)
         top_b = tower.top.mumford_pullback_canonical()
         record(len(tower.steps) - 1, "composed-canonical-transform",
-               running.coeffs == top_b.coeffs, running.to_doc(), top_b.to_doc())
+               running.ints == top_b.ints, running.to_doc(), top_b.to_doc())
 
     return InvarianceReport(ok=all(c.passed for c in checks), checks=tuple(checks))
 
@@ -280,7 +283,7 @@ def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
     # The pulled-back A is generally not the log-discrepancy divisor of the
     # top model, but its envelope must still be the pulled-back nef part.
     top_dec = nef_envelope_trace(tower.top, current)
-    return top_dec.p.coeffs == p.coeffs
+    return top_dec.p.ints == p.ints
 
 
 # -- tower documents ------------------------------------------------------------

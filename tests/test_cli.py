@@ -460,6 +460,19 @@ def test_catalog_number_beyond_int_parsing_is_too_large(capsys, name: str) -> No
     assert out["error"]["reason"] == "too-large"
 
 
+def test_rational_option_beyond_int_parsing_is_too_large(capsys) -> None:
+    # a 5,000-digit --a is a size (exit 1) with a short message, not a
+    # malformed input echoed in full; a malformed one still exits 2
+    code, out = run(capsys, "cone", "bound", "catalog:paper-ruled-surface",
+                    "--a", "1/" + "9" * 5000)
+    assert code == 1
+    assert out["error"]["reason"] == "too-large"
+    assert "5,001 digits" in out["error"]["message"] and len(out["error"]["message"]) < 200
+    code, out = run(capsys, "cone", "bound", "catalog:paper-ruled-surface", "--a", "1/x")
+    assert code == 2
+    assert out["error"] == {"message": "not a rational: '1/x'", "reason": "malformed-input"}
+
+
 NINES = "9" * 1500
 
 

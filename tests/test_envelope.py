@@ -16,7 +16,7 @@ from singvol import (
 from singvol.envelope import ORACLE_MAX_VERTICES, ZariskiDecomposition, _finish
 from singvol.errors import InternalConsistencyError
 from singvol.graph import ExcDivisor
-from singvol.lattice import QVector
+from singvol.lattice import QVector, rat_str
 from singvol.randgen import random_divisor, random_graph
 
 F = Fraction
@@ -365,6 +365,67 @@ def test_integer_path_matches_fraction_reference_seeded() -> None:
     assert "oracle" in seen
     assert {("lc", True), ("lc", False)} <= seen, seen
     assert {("ell = 0", True, True), ("ell = 0", False, True)} <= seen, seen
+
+
+def test_integer_divisors_match_their_fractions_seeded() -> None:
+    # a divisor from (den, nums) against one from the Fractions nums / den:
+    # to_doc against rat_str per coefficient, equality and hashing, the
+    # integer arithmetic against QVector's, and pickle and copy of both
+    import copy
+    import math
+    import pickle
+
+    rng = Random(1717)
+    g4 = chain(-2, -2, -2, -2)
+    cases = [(g4, 6, [0, -3, 6, 4]), (g4, 4, [2, -4, 0, 6]), (g4, 1, [0, 0, 0, 0]),
+             (g4, 3, [-3, 3, -9, 0]), (g4, 5, [-7, 0, 10, 1])]
+    for _ in range(150):
+        g = _reference_graph(rng)
+        den = rng.randint(1, 12)
+        cases.append((g, den, [rng.randint(-3 * den, 3 * den) for _ in g.vertices]))
+    for case, (g, den, nums) in enumerate(cases):
+        coeffs = QVector(F(v, den) for v in nums)
+        from_ints, from_fractions = ExcDivisor.from_ints(g, den, nums), ExcDivisor(g, coeffs)
+        expected = {v.id: rat_str(x) for v, x in zip(g.vertices, coeffs)}
+        assert from_ints.to_doc() == expected == from_fractions.to_doc(), case
+        assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions), case
+        d, n = from_ints.ints
+        assert from_fractions.ints == (d, n) and type(n) is tuple, case
+        assert d > 0 and math.gcd(d, *n) == 1 and from_ints.coeffs == coeffs, case
+        for x in (from_ints, from_fractions):
+            for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert twin == x and hash(twin) == hash(x) and twin.to_doc() == expected, case
+        other = random_divisor(rng, g)
+        assert (from_ints + other).coeffs == coeffs + other.coeffs, case
+        assert (from_ints - other).coeffs == coeffs - other.coeffs, case
+        assert (-from_ints).coeffs == -coeffs, case
+        assert from_ints.leq(other) == coeffs.leq(other.coeffs), case
+        assert from_ints.leq(from_fractions) and other.leq(other), case
+        assert from_ints.self_intersection() == g.intersection_form.pair(coeffs, coeffs), case
+
+
+@pytest.mark.parametrize("name", ["star", "A80"])
+def test_volume_and_discrepancy_reports_build_no_fractions(name) -> None:
+    # B, ell, P and N keep the solves' integers up to the printed report:
+    # none of them builds (and caches) its Fraction coeffs on the way
+    from singvol.catalog import graph_by_name
+
+    if name == "star":  # the large-graphs star: a genus-2 centre, four long arms
+        vertices, edges = [("c", -4, 2)], []
+        for a in range(4):
+            ids = ["c"] + [f"a{a}_{k}" for k in range(6)]
+            vertices += [(v, -3 if (a + k) % 4 == 0 else -2, 0) for k, v in enumerate(ids[1:])]
+            edges += list(zip(ids, ids[1:]))
+        g = ResolutionGraph.make(vertices, edges)
+    else:
+        g = graph_by_name(name)
+    vol, report = volume(g), g.discrepancy_report()
+    docs = vol.to_doc(), report.to_doc()
+    divisors = (report.b, report.ell, vol.decomposition.p, vol.decomposition.n)
+    assert not any("coeffs" in vars(d) for d in divisors)
+    assert (vol.volume > 0) == (name == "star")
+    for doc, d in ((docs[1]["ell"], report.ell), (docs[0]["P"], vol.decomposition.p)):
+        assert doc == {v.id: rat_str(x) for v, x in zip(g.vertices, d.coeffs)}
 
 
 def test_finish_refuses_each_broken_certificate() -> None:

@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
-from singvol import Edge, MalformedInputError, ResolutionGraph, Vertex
+from singvol import DomainError, Edge, MalformedInputError, ResolutionGraph, Vertex
 from singvol.errors import InternalConsistencyError
+from singvol.graph import ExcDivisor
 from singvol.randgen import random_graph
 
 F = Fraction
@@ -183,6 +184,14 @@ def test_divisor_arithmetic() -> None:
     assert d.scale(F(1, 2)).coeffs == (F(1, 2), F(-1))
     assert g.zero_divisor().leq(e)
     assert not d.leq(g.zero_divisor())
+
+
+def test_divisor_beyond_int_printing_is_too_large() -> None:
+    # to_doc prints from the integers through the one guarded printer
+    d = ExcDivisor.from_ints(two_vertex_example(), 7, [10 ** 4400, 1])
+    with pytest.raises(DomainError) as err:
+        d.to_doc()
+    assert err.value.reason == "too-large"
 
 
 def test_divisor_intersections_use_the_form() -> None:
