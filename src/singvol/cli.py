@@ -6,6 +6,9 @@ codes: 0 success, 1 domain error, 2 malformed input, 3 internal
 consistency failure. Errors are reported as a JSON object with a
 machine-readable ``reason`` slug; an internal consistency failure after a
 command has read its input carries that input's ``source`` and ``digest``.
+A command line the parser refuses gets such an error too (``too-large`` for
+an integer option longer than Python's int parses); ``main`` then raises
+``SystemExit`` with the exit code, as argparse does.
 
 Start-up is most of a command's cost, so each command body imports the
 modules it runs beyond ``io`` and ``lattice``, which every command needs:
@@ -60,6 +63,19 @@ _COMMANDS: list[tuple] = []
 _GROUPS = {"graph": "resolution graph computations",
            "cone": "polarized cone computations",
            "catalog": "named graphs and cones"}
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # int's digit limit, not malformed
+            raise DomainError(f"integer {text[:24]}... has {len(text):,} characters, more "
+                              "than Python's int parses", reason="too-large") from None
+        raise
+
+
+_int.__name__ = "int"  # the name argparse gives the type in its errors
 
 
 def _arg(*flags, **options) -> tuple:
@@ -154,9 +170,9 @@ def _cmd_graph_blowup(args) -> tuple[dict, int]:
 
 
 @_command("graph", "random-suite", "seeded envelope-oracle and tower suite",
-          _arg("--count", type=int, default=100),
-          _arg("--max-vertices", type=int, default=5),
-          _arg("--seed", type=int, default=0))
+          _arg("--count", type=_int, default=100),
+          _arg("--max-vertices", type=_int, default=5),
+          _arg("--seed", type=_int, default=0))
 def _cmd_graph_random_suite(args) -> tuple[dict, int]:
     from random import Random
 
@@ -173,6 +189,10 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
         )
     rng = Random(args.seed)
     failures: list[dict] = []
+
+    def fail(check: str, **docs) -> None:  # a failed check of the current case
+        failures.append({"case": case, "check": check, **docs})
+
     try:
         for case in range(args.count):
             graph = random_graph(rng, args.max_vertices)
@@ -180,36 +200,15 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
             trace = nef_envelope_trace(graph, a)
             oracle = zariski_oracle(graph, a)
             if trace != oracle:  # records of one graph: equal P, N and active set
-                failures.append(
-                    {
-                        "case": case,
-                        "check": "envelope-vs-oracle",
-                        "graph": graph.to_doc(),
-                        "a": a.to_doc(),
-                        "trace": trace.to_doc(),
-                        "oracle": oracle.to_doc(),
-                    }
-                )
+                fail("envelope-vs-oracle", graph=graph.to_doc(), a=a.to_doc(),
+                     trace=trace.to_doc(), oracle=oracle.to_doc())
             tower = random_tower(rng, graph)
             inv = invariance_report(tower)
             if not inv.ok:
-                failures.append(
-                    {
-                        "case": case,
-                        "check": "tower-invariance",
-                        "tower": tower_to_doc(tower),
-                        "failures": [c.to_doc() for c in inv.failures()],
-                    }
-                )
+                fail("tower-invariance", tower=tower_to_doc(tower),
+                     failures=[c.to_doc() for c in inv.failures()])
             if not envelope_pullback_check(tower, a):
-                failures.append(
-                    {
-                        "case": case,
-                        "check": "envelope-pullback",
-                        "tower": tower_to_doc(tower),
-                        "a": a.to_doc(),
-                    }
-                )
+                fail("envelope-pullback", tower=tower_to_doc(tower), a=a.to_doc())
     except SingvolError as exc:  # say which case failed, and how to draw it again
         exc.context = {"seed": args.seed, "case": case, "max_vertices": args.max_vertices}
         raise
@@ -254,7 +253,7 @@ def _cmd_cone_bound(args) -> tuple[dict, int]:
           _CONE_SOURCE,
           _arg("--class", dest="cls", required=True,
                help="comma-separated rationals in num_basis order"),
-          _arg("--k", type=int, required=True, help="positive multiple"))
+          _arg("--k", type=_int, required=True, help="positive multiple"))
 def _cmd_cone_valuation(args) -> tuple[dict, int]:
     from .cone import natural_valuation, valuation_limit
 
@@ -277,7 +276,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
 
 
 @_command("cone", "limiting", "m-truncated log-discrepancy coefficient",
-          _CONE_SOURCE, _arg("--m", type=int, required=True))
+          _CONE_SOURCE, _arg("--m", type=_int, required=True))
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
     from .cone import STATUS_CITED, limiting_discrepancy
 
@@ -330,8 +329,8 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
 
 
 @_command("cone", "dcc-scan", "Gorenstein cone volume scan",
-          _arg("--g-max", type=int, required=True),
-          _arg("--a-max", type=int, required=True))
+          _arg("--g-max", type=_int, required=True),
+          _arg("--a-max", type=_int, required=True))
 def _cmd_cone_dcc_scan(args) -> tuple[dict, int]:
     from .cone import dcc_scan
 
@@ -349,8 +348,25 @@ def _cmd_catalog_list(args) -> tuple[dict, int]:
 # -- wiring -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``MalformedInputError``s, not exits."""
+
+    def error(self, message: str):
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
+def _out_of(argv: list[str] | None) -> str | None:
+    """The ``--out`` of a command line the full parser refused, if readable."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--out")
+    try:
+        return parser.parse_known_args(argv)[0].out
+    except MalformedInputError:
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singvol",
         description=(
             "Exact volumes, log discrepancies and valuation bounds of normal "
@@ -376,9 +392,9 @@ _EXIT_CODES = ((MalformedInputError, 2), (InternalConsistencyError, 3), (Singvol
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         report, code = args.fn(args)
         report["command"] = f"{args.group} {args.command}"
         _emit(report, args.out)
@@ -390,10 +406,13 @@ def main(argv: list[str] | None = None) -> int:
         if exc.context is not None:
             error["error"]["context"] = exc.context
         code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
+    out = _out_of(argv) if args is None else args.out
     try:
-        _emit(error, args.out)
+        _emit(error, out)
     except MalformedInputError:  # --out itself is unwritable
         _emit(error, None)
+    if args is None:  # the command line was refused: end as argparse's own errors do
+        raise SystemExit(code)
     return code
 
 

@@ -157,8 +157,10 @@ class PolarizedCone:
         The normals are the extreme rays of the dual cone, found in integers
         by the double description method (Motzkin, Raiffa, Thompson and
         Thrall, 1953). ``n`` independent rays, picked greedily, span a
-        simplicial cone: its normals are the kernels of its ``(n - 1)``-
-        subsets (:func:`_kernel_normal`). Each other ray ``g`` is added in
+        simplicial cone. Its normals, the columns of ``S^-1`` for ``S`` with
+        those rays as rows, come from one :func:`_echelon` of ``(S | I)`` to
+        ``(D | X)``, ``D`` diagonal: ``phi_i[k] = X[k][i] L / D[k]`` for ``L =
+        lcm(D)``, so ``phi_i(s_i) = L > 0``. Each other ray ``g`` is added in
         turn: normals with ``phi(g) >= 0`` stay, the others go, and each
         adjacent ``(+, -)`` pair gives the new normal
         ``phi+(g) phi- - phi-(g) phi+`` over its gcd. Two normals are
@@ -190,14 +192,15 @@ class PolarizedCone:
                 reason="cone-not-full-dimensional",
             )
         # each normal's zero set: a bit mask of the added rays it vanishes on
+        _, reduced = _echelon([rays[j] + [int(k == i) for k in range(n)]
+                               for i, j in enumerate(start)], n)
+        scale = math.lcm(*(row[k] for k, row in enumerate(reduced)))
         normals, zeros = [], []
-        for i in start:
-            normal = _kernel_normal([rays[j] for j in start if j != i], n)
+        for i, j in enumerate(start):
+            normal = [row[n + i] * scale // row[k] for k, row in enumerate(reduced)]
             g = math.gcd(*normal)
-            if sum(map(mul, normal, rays[i])) < 0:
-                g = -g
             normals.append(tuple(x // g for x in normal))
-            zeros.append(sum(1 << j for j in start if j != i))
+            zeros.append(sum(1 << k for k in start if k != j))
         for j, ray in enumerate(rays):
             if j in start:
                 continue
@@ -370,22 +373,6 @@ def _echelon(
                 rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return pivots, rows[: len(pivots)]
-
-
-def _kernel_normal(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """An integer vector spanning the kernel of ``n - 1`` independent integer
-    rows (``n`` columns each)."""
-    pivots, reduced = _echelon(rows, n)
-    # the kernel is a line: l = lcm of the pivot entries on the free column,
-    # and each pivot coordinate is -l * (that row's free entry) / (its pivot
-    # entry)
-    free = next(c for c in range(n) if c not in pivots)
-    scale = math.lcm(*(row[col] for row, col in zip(reduced, pivots)))
-    normal = [0] * n
-    normal[free] = scale
-    for row, col in zip(reduced, pivots):
-        normal[col] = -row[free] * (scale // row[col])
-    return normal
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:

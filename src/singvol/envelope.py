@@ -108,7 +108,7 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     and no ``Fraction`` is made; a failure is an internal error, never repaired.
     """
     if a.graph != graph:
-        a = ExcDivisor(graph, a.coeffs)  # revalidates the length
+        a = ExcDivisor(graph, a.ints)  # revalidates the length
     den, a_num = a.ints
     if min(a_num) >= 0:
         return _finish(graph, den, a_num, a_num)
@@ -160,7 +160,7 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
             f"oracle bound exceeded: {r} vertices > {ORACLE_MAX_VERTICES}"
         )
     if a.graph != graph:
-        a = ExcDivisor(graph, a.coeffs)
+        a = ExcDivisor(graph, a.ints)
     sparse = graph.intersection_form._integral[1]
     # The system scaled by den: M_S (den N)_S = den (A . E)_S.
     den, c = a.ints[0], graph.intersection_form.apply_int(a.ints[1])

@@ -173,7 +173,8 @@ class ResolutionGraph(Record):
         return SymForm.sparse(rows)
 
     def divisor(self, coeffs) -> "ExcDivisor":
-        return ExcDivisor(self, QVector(coeffs))
+        """The divisor with rational ``coeffs``, one per vertex."""
+        return ExcDivisor.from_ints(self, *numerators(QVector(coeffs)))
 
     def basis_divisor(self, vertex_id: str) -> "ExcDivisor":
         i = self.index(vertex_id)
@@ -249,39 +250,31 @@ class ResolutionGraph(Record):
 class ExcDivisor(Record):
     """A rational divisor supported on the exceptional curves of one graph.
 
-    Built as ``ExcDivisor(graph, coeffs)`` or, trusted, :meth:`from_ints`.
-    Its state is ``ints = (den, nums)``, ``coeffs = nums / den`` in lowest
-    terms with ``den > 0``: canonical, so equality, hashing, the arithmetic
-    and :meth:`to_doc` use it. ``coeffs`` or ``ints`` is made on first read.
+    Its fields are the graph and ``ints = (den, nums)``, the coefficients
+    ``nums / den`` in lowest terms with ``den > 0``: canonical, so equality,
+    hashing, the arithmetic and :meth:`to_doc` use them. ``ints`` given to
+    the one, checked, constructor must already be in lowest terms;
+    :meth:`from_ints` reduces first, :meth:`ResolutionGraph.divisor` takes
+    rationals, and the ``Fraction`` ``coeffs`` are made on first read.
     """
 
-    _fields = ("graph", "coeffs")
+    _fields = ("graph", "ints")
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.graph.vertices):
-            raise MalformedInputError(
-                f"divisor has {len(self.coeffs)} coefficients for "
-                f"{len(self.graph.vertices)} vertices"
-            )
+        if len(self.ints[1]) != len(self.graph.vertices):
+            raise MalformedInputError(f"divisor has {len(self.ints[1])} coefficients for "
+                                      f"{len(self.graph.vertices)} vertices")
 
     @classmethod
     def from_ints(cls, graph: ResolutionGraph, den: int, nums) -> "ExcDivisor":
         """``nums / den`` (``den > 0``, one entry per vertex) in lowest terms."""
         g = math.gcd(den, *nums)
-        return cls._trusted(graph=graph, ints=(den // g, tuple([v // g for v in nums])))
-
-    @cached_property
-    def ints(self) -> tuple[int, tuple[int, ...]]:
-        den, nums = numerators(self.coeffs)  # coprime: den is the lcm
-        return den, tuple(nums)
+        return cls(graph, (den // g, tuple([v // g for v in nums])))
 
     @cached_property
     def coeffs(self) -> QVector:
         den, nums = self.ints
         return _qvector(Fraction(v, den) for v in nums)
-
-    def _values(self) -> tuple:
-        return self.graph, self.ints
 
     def coeff(self, vertex_id: str) -> Fraction:
         return self.coeffs[self.graph.index(vertex_id)]
@@ -316,7 +309,7 @@ class ExcDivisor(Record):
         return ExcDivisor.from_ints(self.graph, den, [-v for v in nums])
 
     def scale(self, factor) -> "ExcDivisor":
-        return ExcDivisor(self.graph, self.coeffs.scale(factor))
+        return self.graph.divisor(self.coeffs.scale(factor))
 
     def leq(self, other: "ExcDivisor") -> bool:
         self._check_same_graph(other)

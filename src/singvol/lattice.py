@@ -31,6 +31,7 @@ or ``"p"`` when the denominator is 1 (:func:`ratio_str`).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
@@ -42,7 +43,8 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
+    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; a
+    string with more digits, or a larger exponent, than int parses is too large."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # bool is an int subclass; reject it
@@ -50,12 +52,17 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text, limit = value.strip(), sys.get_int_max_str_digits()
+        exponent = text.lower().partition("e")[2]  # Fraction would expand 10**exponent
         try:
-            return Fraction(value.strip())
+            if exponent.lstrip("+-")[:1].isdigit() and 0 < limit < abs(int(exponent)):
+                raise DomainError(f"rational {text[:24]}... has an exponent above {limit:,}",
+                                  reason="too-large")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             if str(exc).startswith("Exceeds the limit"):  # int's digit limit, not malformed
                 digits = sum(map(str.isdigit, value))
-                raise DomainError(f"rational {value.strip()[:24]}... has {digits:,} digits, more "
+                raise DomainError(f"rational {text[:24]}... has {digits:,} digits, more "
                                   "than Python's int parses", reason="too-large") from None
             raise MalformedInputError(f"not a rational: {value!r}") from exc
     raise MalformedInputError(f"not a rational: {value!r}")

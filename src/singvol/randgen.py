@@ -12,7 +12,6 @@ from random import Random
 
 from .errors import MalformedInputError
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector
 # blow_up is not called here; it stays bound because perfbench's tracer
 # self-test reads it as randgen.blow_up.
 from .tower import BlowupStep, FreeBlowup, ModelTower, SatelliteBlowup, blow_up  # noqa: F401
@@ -61,7 +60,7 @@ def random_divisor(
     for _ in graph.vertices:
         den = rng.randint(1, 3)
         coeffs.append(Fraction(rng.randint(low * den, high * den), den))
-    return ExcDivisor(graph, QVector(coeffs))
+    return graph.divisor(coeffs)
 
 
 def random_step(rng: Random, graph: ResolutionGraph) -> BlowupStep:

@@ -7,8 +7,8 @@ the trailing ones in ``_defaults`` as for ``namedtuple``. Defining the class
 compiles its ``__init__``: it takes the fields by position or keyword, sets
 them, and then calls ``self.__post_init__()`` if the class has that hook,
 looking it up on each call so that a hook replaced on the class is the one
-that runs. Any later assignment raises. Two records are equal when they are
-of the same class with equal ``_values()``, by default the fields, so
+that runs; no other constructor skips it. Any later assignment raises. Two
+records are equal when they are of the same class with equal fields, so
 records of different classes never compare equal (unlike ``NamedTuple``s).
 """
 
@@ -35,15 +35,6 @@ class Record:
         init.__defaults__ = cls._defaults
         init.__qualname__ = f"{cls.__qualname__}.__init__"
 
-    @classmethod
-    def _trusted(cls, **attrs):
-        """An instance with ``attrs`` set as given and no ``__init__`` or
-        ``__post_init__`` run, for values its caller built valid."""
-        self = object.__new__(cls)
-        for name, value in attrs.items():
-            object.__setattr__(self, name, value)
-        return self
-
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 
@@ -56,7 +47,7 @@ class Record:
         return hash(self._values())
 
     def __reduce__(self):  # pickle and copy rebuild through __init__, from the fields
-        return self.__class__, Record._values(self)
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

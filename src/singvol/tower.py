@@ -23,7 +23,7 @@ The tower document codec lives here too (:func:`tower_from_doc`,
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Sequence
 
 from . import io as sio
 from .envelope import VolumeReport, nef_envelope_trace, volume
@@ -38,6 +38,10 @@ class FreeBlowup(Record):
 
     __slots__ = _fields = ("vertex",)
 
+    @property
+    def center(self) -> tuple[str, ...]:  # the curves through the blown-up point
+        return (self.vertex,)
+
 
 class SatelliteBlowup(Record):
     """Blow up a node of ``i`` and ``j``; ``edge`` picks among parallel
@@ -46,8 +50,13 @@ class SatelliteBlowup(Record):
     __slots__ = _fields = ("i", "j", "edge")
     _defaults = (0,)
 
+    @property
+    def center(self) -> tuple[str, ...]:
+        return (self.i, self.j)
 
-BlowupStep = Union[FreeBlowup, SatelliteBlowup]
+
+# Not ``typing.Union``, whose cache would keep each import's package alive.
+BlowupStep = FreeBlowup | SatelliteBlowup
 
 # The most steps in a tower. Every level is solved and rendered, so the
 # report grows with steps x top-model size: 50 free blowups took 0.3 s over a
@@ -68,40 +77,34 @@ def blow_up(graph: ResolutionGraph, step: BlowupStep) -> ResolutionGraph:
     """Apply one blowup; the new vertex, named by :func:`fresh_vertex_id`,
     is appended last."""
     nid = fresh_vertex_id(graph)
-    if isinstance(step, FreeBlowup):
-        i = graph.index(step.vertex)
-        vertices = tuple(
-            Vertex(v.id, v.self_int - 1, v.genus) if k == i else v
-            for k, v in enumerate(graph.vertices)
-        ) + (Vertex(nid, -1, 0),)
-        edges = graph.edges + (Edge(step.vertex, nid, 1),)
-        return ResolutionGraph(vertices, edges)
+    consumed = -1  # the index of the edge record a satellite blowup uses up
     if isinstance(step, SatelliteBlowup):
         if step.i == step.j:
             raise MalformedInputError("satellite blowup needs two distinct vertices")
         ij_edges = [k for k, e in enumerate(graph.edges) if e.joins(step.i, step.j)]
         if not ij_edges:
-            raise MalformedInputError(
-                f"no edge joins {step.i!r} and {step.j!r}", reason="missing-edge"
-            )
+            raise MalformedInputError(f"no edge joins {step.i!r} and {step.j!r}",
+                                      reason="missing-edge")
         if not 0 <= step.edge < len(ij_edges):
             raise MalformedInputError(
                 f"edge index {step.edge} out of range: {len(ij_edges)} edge(s) "
                 f"join {step.i!r} and {step.j!r}"
             )
         consumed = ij_edges[step.edge]
-        touched = {step.i, step.j}
-        vertices = tuple(
-            Vertex(v.id, v.self_int - 1, v.genus) if v.id in touched else v
-            for v in graph.vertices
-        ) + (Vertex(nid, -1, 0),)
-        edges = tuple(
-            Edge(e.i, e.j, e.mult - 1) if k == consumed else e
-            for k, e in enumerate(graph.edges)
-            if not (k == consumed and e.mult == 1)
-        ) + (Edge(step.i, nid, 1), Edge(step.j, nid, 1))
-        return ResolutionGraph(vertices, edges)
-    raise MalformedInputError(f"unknown blowup step {step!r}")
+    elif not isinstance(step, FreeBlowup):
+        raise MalformedInputError(f"unknown blowup step {step!r}")
+    center = step.center
+    touched = {graph.index(v) for v in center}
+    vertices = tuple(
+        Vertex(v.id, v.self_int - 1, v.genus) if k in touched else v
+        for k, v in enumerate(graph.vertices)
+    ) + (Vertex(nid, -1, 0),)
+    edges = tuple(
+        Edge(e.i, e.j, e.mult - 1) if k == consumed else e
+        for k, e in enumerate(graph.edges)
+        if not (k == consumed and e.mult == 1)
+    ) + tuple(Edge(v, nid, 1) for v in center)
+    return ResolutionGraph(vertices, edges)
 
 
 def pushforward(divisor: ExcDivisor, parent: ResolutionGraph) -> ExcDivisor:
@@ -160,10 +163,7 @@ class ModelTower:
             raise MalformedInputError(f"divisor does not live on level {t} of the tower")
         g, step = self.models[t], self.steps[t]
         den, nums = divisor.ints
-        if isinstance(step, FreeBlowup):
-            new = nums[g.index(step.vertex)]
-        else:
-            new = nums[g.index(step.i)] + nums[g.index(step.j)]
+        new = sum(nums[g.index(v)] for v in step.center)
         return ExcDivisor.from_ints(self.models[t + 1], den, (*nums, new))
 
     @cached_property
@@ -238,10 +238,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         record(t, "canonical-transform", b2.ints == transformed.ints,
                b2.to_doc(), transformed.to_doc())
         (den, nums), (den2, nums2) = b.ints, b2.ints
-        if isinstance(step, FreeBlowup):
-            expected = nums[g.index(step.vertex)] - den
-        else:
-            expected = nums[g.index(step.i)] + nums[g.index(step.j)] - den
+        expected = sum(nums[g.index(v)] for v in step.center) - den
         record(t, "new-vertex-coefficient", nums2[-1] * den == expected * den2,
                ratio_str(nums2[-1], den2), ratio_str(expected, den))
 

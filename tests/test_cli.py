@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,59 @@ def test_catalog_number_beyond_int_parsing_is_too_large(capsys, name: str) -> No
     code, out = run(capsys, "graph", "lc", f"catalog:{name}")
     assert code == 1
     assert out["error"]["reason"] == "too-large"
+
+
+def test_rational_option_with_a_huge_exponent_is_refused_at_once(capsys) -> None:
+    # Fraction would expand 10**1000000 first: 2.2 s before the result was refused
+    start = time.perf_counter()
+    code, out = run(capsys, "cone", "bound", "catalog:paper-ruled-surface", "--a", "1e1000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out["error"]["reason"] == "too-large" and len(out["error"]["message"]) < 100
+
+
+_RULED = "catalog:paper-ruled-surface"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cone", "valuation", _RULED, "--class", "1,0", "--k", "x"),
+    ("cone", "limiting", _RULED, "--m", "1.5"),
+    ("graph", "random-suite", "--count", "ten"),
+    ("graph", "random-suite", "--seed", "0x1"),
+    ("graph", "random-suite", "--max-vertices", ""),
+    ("cone", "dcc-scan", "--g-max", "2", "--a-max", "1/2"),
+    ("cone", "dcc-scan", "--g-max", "two", "--a-max", "2"),
+    ("cone", "bound", _RULED),
+    ("graph", "vol"),
+    ("graph", "no-such-command", "catalog:E8"),
+    ("no-such-group",),
+    ("graph", "vol", "catalog:E8", "--no-such-option"),
+])
+def test_refused_command_line_is_one_json_error(capsys, tmp_path, argv) -> None:
+    # argparse's usage text is replaced by the JSON error; the call still
+    # ends in SystemExit(2), as an argparse error did
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["reason"] == "malformed-input" and error["message"].startswith("singvol")
+    # with --out, the error goes there
+    target = tmp_path / "error.json"
+    with pytest.raises(SystemExit):
+        main([*argv, "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text(encoding="utf-8")) == {"error": error}
+
+
+@pytest.mark.parametrize("option", ["--count", "--seed", "--max-vertices"])
+def test_integer_option_beyond_int_parsing_is_too_large(capsys, option) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "random-suite", option, "9" * 5000])
+    assert exc.value.code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["reason"] == "too-large" and len(error["message"]) < 200
 
 
 def test_rational_option_beyond_int_parsing_is_too_large(capsys) -> None:

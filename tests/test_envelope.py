@@ -110,7 +110,7 @@ def reference_finish(graph: ResolutionGraph, a, n_coeffs: QVector) -> object:
     assert apply(p).is_nonnegative()
     assert p.dot(apply(n_coeffs)) == 0
     active = frozenset(v.id for v, c in zip(graph.vertices, n_coeffs) if c != 0)
-    return ZariskiDecomposition(ExcDivisor(graph, p), ExcDivisor(graph, n_coeffs), active)
+    return ZariskiDecomposition(graph.divisor(p), graph.divisor(n_coeffs), active)
 
 
 def reference_oracle(graph: ResolutionGraph, a) -> object:
@@ -385,7 +385,7 @@ def test_integer_divisors_match_their_fractions_seeded() -> None:
         cases.append((g, den, [rng.randint(-3 * den, 3 * den) for _ in g.vertices]))
     for case, (g, den, nums) in enumerate(cases):
         coeffs = QVector(F(v, den) for v in nums)
-        from_ints, from_fractions = ExcDivisor.from_ints(g, den, nums), ExcDivisor(g, coeffs)
+        from_ints, from_fractions = ExcDivisor.from_ints(g, den, nums), g.divisor(coeffs)
         expected = {v.id: rat_str(x) for v, x in zip(g.vertices, coeffs)}
         assert from_ints.to_doc() == expected == from_fractions.to_doc(), case
         assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions), case

@@ -194,6 +194,16 @@ def test_divisor_beyond_int_printing_is_too_large() -> None:
     assert err.value.reason == "too-large"
 
 
+def test_divisor_from_ints_checks_its_length() -> None:
+    # from_ints goes through the one checked constructor, as graph.divisor does
+    g = two_vertex_example()
+    for nums in ([1], [1, 2, 3]):
+        with pytest.raises(MalformedInputError, match="coefficients for 2 vertices"):
+            ExcDivisor.from_ints(g, 1, nums)
+        with pytest.raises(MalformedInputError, match="coefficients for 2 vertices"):
+            g.divisor(nums)
+
+
 def test_divisor_intersections_use_the_form() -> None:
     g = two_vertex_example()
     d = g.divisor((F(1), F(0)))

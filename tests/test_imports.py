@@ -143,6 +143,30 @@ def test_old_modules_keep_working_after_a_fresh_import_of_the_package() -> None:
         sys.modules.update(old)
 
 
+REIMPORT = """
+import gc, importlib, json, sys, types
+for _ in range(5):  # as the benchmark's set-up does: drop the package, import it again
+    for name in [n for n in sys.modules if n == "singvol" or n.startswith("singvol.")]:
+        del sys.modules[name]
+    importlib.import_module("singvol")
+    for m in ("lattice", "graph", "envelope", "tower", "randgen", "cone", "catalog", "io", "cli"):
+        importlib.import_module("singvol." + m)
+gc.collect()
+print(json.dumps([o.__name__ for o in gc.get_objects() if isinstance(o, types.ModuleType)
+                  and o.__name__.split(".")[0] == "singvol"]))
+"""
+
+
+def test_fresh_imports_leave_no_old_module_alive() -> None:
+    # a typing.Union of the step classes, say, is cached by typing and keeps
+    # each import's classes, and through their methods its modules, alive
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    names = json.loads(proc.stdout)
+    assert "singvol.tower" in names and sorted(names) == sorted(set(names)), names
+
+
 def test_catalog_lists_the_named_cones_cone_resolves() -> None:
     from singvol.catalog import catalog_entries
     from singvol.cone import _CONE_FIXED
@@ -228,6 +252,9 @@ def test_records_declare_their_fields_once() -> None:
         if "object.__setattr__" in text:
             # the generator itself, and ``SymForm``'s cache
             assert path.name in {"record.py", "lattice.py"}, path.name
+        if "object.__new__" in text:
+            # only ``SymForm.sparse``: no record is built around its ``__init__``
+            assert path.name == "lattice.py", path.name
 
 
 def test_only_graph_builds_a_form_from_trusted_rows() -> None:

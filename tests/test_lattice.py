@@ -1,11 +1,13 @@
 """Exact rational vectors and symmetric forms."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from singvol import MalformedInputError, QVector, SingularSystemError, SymForm, rat, rat_str
+from singvol import (DomainError, MalformedInputError, QVector, SingularSystemError, SymForm, rat,
+                     rat_str)
 
 
 def test_rat_accepts_ints_fractions_and_strings() -> None:
@@ -20,6 +22,20 @@ def test_rat_accepts_ints_fractions_and_strings() -> None:
 def test_rat_rejects_non_rationals(bad) -> None:
     with pytest.raises(MalformedInputError):
         rat(bad)
+
+
+def test_rat_refuses_exponents_beyond_the_digit_limit() -> None:
+    # Fraction expands 10**exponent: 1e10000000 did not finish in 9 s
+    assert rat("1e3") == 1000 and rat("2.5e-3") == Fraction(1, 400) and rat(" 1E+2 ") == 100
+    limit = sys.get_int_max_str_digits()
+    assert rat(f"1e-{limit}").denominator == 10 ** limit
+    for text in (f"1e{limit + 1}", "1e1000000", "-3.5E-10000000", "1e+10000000"):
+        with pytest.raises(DomainError) as err:
+            rat(text)
+        assert err.value.reason == "too-large" and len(str(err.value)) < 100, text
+    for text in ("1e", "1e 99999999", "1e--99999999", "1e99999999x"):
+        with pytest.raises(MalformedInputError):
+            rat(text)
 
 
 def test_rat_str_lowest_terms() -> None:
