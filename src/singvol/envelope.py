@@ -17,7 +17,9 @@ Two independent routes are provided and kept separate on purpose:
   every nef divisor is ``<= 0`` (``-M^-1 >= 0`` entrywise on a connected
   negative-definite graph) and so ``P = 0``;
 * :func:`zariski_oracle`, brute force over all ``2^r`` candidate active
-  sets, used as ground truth at small sizes.
+  sets, used as ground truth at small sizes: a depth-first walk pivots once
+  per subset and decides each in integers, the sign tests it can read off
+  its elimination first, stopping at the first wrong sign.
 
 Both end in :func:`_finish`, which certifies ``N >= 0``, ``P`` nef and
 ``P . N = 0`` by integer sign tests over one denominator.
@@ -28,13 +30,13 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import InternalConsistencyError, OracleSizeError, SingularSystemError
+from .errors import (InternalConsistencyError, MalformedInputError, OracleSizeError,
+                     SingularSystemError)
 from .graph import ExcDivisor, ResolutionGraph
-from .lattice import QVector, _eliminate, _substitute, numerators, rat_str
+from .lattice import _eliminate, _substitute, rat_str
 from .record import Record
 
 # The most vertices the exponential oracle accepts (2^12 subsets).
@@ -108,7 +110,7 @@ def nef_envelope_trace(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompos
     and no ``Fraction`` is made; a failure is an internal error, never repaired.
     """
     if a.graph != graph:
-        a = ExcDivisor(graph, a.ints)  # revalidates the length
+        raise MalformedInputError("divisors live on different graphs")
     den, a_num = a.ints
     if min(a_num) >= 0:
         return _finish(graph, den, a_num, a_num)
@@ -148,11 +150,12 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
     the componentwise-maximal ``P``. Existence and uniqueness of the
     maximal element are asserted, not assumed.
 
-    The subsets are walked depth first, each extending its parent by one
-    larger vertex, so each costs one pivot on its parent's elimination
-    (:func:`_subset_walk`). Both feasibility tests are integer sign tests;
-    only feasible candidates become ``Fraction`` vectors. Graphs with more
-    than :data:`ORACLE_MAX_VERTICES` vertices are refused.
+    :func:`_feasible_walk` visits the subsets and decides feasibility in
+    integers. A feasible candidate stays ``(d, y)``, with ``N = y / (d
+    den)``; the largest ``P = A - N`` is the smallest ``N``, found by
+    cross-multiplying over ``|d|``, and only it becomes a divisor, through
+    :func:`_finish`. Graphs with more than :data:`ORACLE_MAX_VERTICES`
+    vertices are refused before any work.
     """
     r = len(graph.vertices)
     if r > ORACLE_MAX_VERTICES:
@@ -160,98 +163,108 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
             f"oracle bound exceeded: {r} vertices > {ORACLE_MAX_VERTICES}"
         )
     if a.graph != graph:
-        a = ExcDivisor(graph, a.ints)
-    sparse = graph.intersection_form._integral[1]
-    # The system scaled by den: M_S (den N)_S = den (A . E)_S.
-    den, c = a.ints[0], graph.intersection_form.apply_int(a.ints[1])
-    feasible: list[QVector] = []
-    visited = 0
-    for d, y in _subset_walk(sparse, c):
-        visited += 1
-        # den * d * (N_i, P . E_j) = (y_i, d c_j - (M y)_j); den > 0
-        if not _same_sign(y.values(), d):
-            continue
-        my = [d * cj for cj in c]
-        for i, v in y.items():
-            for j, x in sparse[i]:
-                my[j] -= x * v
-        if not _same_sign(my, d):
-            continue
-        n_coeffs = [Fraction(0)] * r
-        for i, v in y.items():
-            n_coeffs[i] = Fraction(v, d * den)
-        feasible.append(a.coeffs - QVector(n_coeffs))
-    if visited != 2 ** r:
-        raise InternalConsistencyError(
-            f"oracle visited {visited} vertex subsets, not 2^{r}"
-        )
-    if not feasible:
+        raise MalformedInputError("divisors live on different graphs")
+    den, a_num = a.ints
+    form = graph.intersection_form
+    # (|d|, |d| den N): y has the sign of d on a feasible candidate
+    found = [(d, y) if d > 0 else (-d, [-v for v in y])
+             for d, y in _feasible_walk(form._integral[1], form.apply_int(a_num))]
+    if not found:
         raise InternalConsistencyError("no feasible Zariski candidate found")
-    p_max = QVector(max(vals) for vals in zip(*feasible))
-    if p_max not in feasible:
+    e, n = found[0]
+    for f, m in found:  # a candidate below all the others is kept once met
+        if all(z * e <= x * f for x, z in zip(n, m)):
+            e, n = f, m
+    if not all(x * f <= z * e for f, m in found for x, z in zip(n, m)):
         raise InternalConsistencyError(
             "feasible candidates have no componentwise-maximal element"
         )
-    den, nums = numerators((*a.coeffs, *p_max))
-    return _finish(graph, den, nums[:r], [x - p for x, p in zip(nums, nums[r:])])
+    return _finish(graph, e * den, [e * x for x in a_num], n)
 
 
-def _same_sign(values: Iterable[int], d: int) -> bool:
-    """Every nonzero value has the sign of ``d``: ``v / d >= 0`` for all."""
-    return min(values, default=0) >= 0 if d > 0 else max(values, default=0) <= 0
-
-
-def _subset_walk(
+def _feasible_walk(
     sparse: Sequence[Sequence[tuple[int, int]]], c: Sequence[int]
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Solve ``K_S y = d c_S`` for every subset ``S``, depth first.
+) -> Iterator[tuple[int, list[int]]]:
+    """Solve ``K_S y = d c_S`` for every subset ``S``, depth first, and yield
+    ``(d, y)`` for those where every ``y_i`` and every ``d c_j - (K y)_j``
+    has the sign of ``d`` (zero allowed).
 
     ``sparse`` holds the integer matrix ``K`` (symmetric, every principal
-    minor nonzero) as ``(column, value)`` rows, ``c`` the right-hand side.
-    Yields ``(d, y)`` once per subset, with ``d = det K_S`` (1 for the
-    empty set) and ``y`` the integer solution on ``S`` as ``{vertex: value}``.
+    minor nonzero) as ``(column, value)`` rows, ``c`` the right-hand side;
+    ``d = det K_S`` (1 for the empty set) and ``y`` is the integer solution,
+    zero off ``S``, as a list. For ``K = M`` and ``c = den (A . E)`` these
+    are ``den d N`` and ``den d (P . E_j)``, so the test is feasibility.
 
     A subset's fraction-free (Bareiss) Schur complement holds the rows and
     columns of the vertices above its largest one, with ``c`` as a last
     column. A child adds one such vertex ``v`` and pivots on it: each entry
     becomes ``(p a_ij - a_iv a_vj) / p_prev``, an exact division, with ``p``
-    the child's pivot ``det K_{S+v}`` and ``p_prev = det K_S``. The pivot
-    rows kept along the path give ``y`` by fraction-free back-substitution.
+    the child's pivot ``det K_{S+v}`` and ``p_prev = det K_S``. A node
+    pushes its children before it tests itself, so every subset is reached;
+    the count of visited subsets must be ``2^r``.
+
+    By Sylvester's identity (Bareiss, Math. Comp. 22, 1968) each entry of
+    a complement is a bordered minor: the last column of ``S``'s
+    complement, in the row of a vertex ``j`` above ``v``, is ``det [[K_S,
+    c_S], [K_jS, c_j]] = d c_j - (K y)_j``, and by Cramer's rule the pivot
+    row's last entry is ``y_v``. So the tests run cheapest first and stop
+    at the first wrong sign:
+
+    1. ``y_v`` and ``d c_j - (K y)_j`` above ``v``, read off the pivot row
+       and the complement already computed for the children;
+    2. ``y`` on the older path vertices, by fraction-free back-substitution
+       through the pivot rows kept along the path, newest first;
+    3. ``d c_j - (K y)_j`` for the vertices below ``v`` off ``S``.
     """
     r = len(c)
     first = [[0] * r + [cj] for cj in c]
     for i, row in enumerate(sparse):
         for j, x in row:
             first[i][j] = x
-    yield 1, {}
+    if min(c) >= 0:
+        yield 1, [0] * r
+    visited = 1
     path: list[tuple[int, int, list[int], int]] = []  # (vertex, pivot, row, lo)
     # (depth, lo, rows, prev, q): pivot on rows[q], the vertex lo + q, of the
     # complement over the vertices from lo on, whose own pivot was prev
-    stack = [(0, 0, first, 1, q) for q in reversed(range(r))]
+    stack = [(0, 0, first, 1, q) for q in range(r - 1, -1, -1)]
     while stack:
         depth, lo, rows, prev, q = stack.pop()
+        visited += 1
         top = rows[q]
         d = top[q]
         if not d:
             raise SingularSystemError("principal submatrix is singular")
+        v = lo + q
         del path[depth:]
-        path.append((lo + q, d, top, lo))
-        y: dict[int, int] = {}
-        for v, p, row, base in reversed(path):
-            acc = d * row[-1]
-            for u, yu in y.items():
-                acc -= row[u - base] * yu
-            y[v] = acc // p
-        yield d, y
+        path.append((v, d, top, lo))
+        worst = min if d > 0 else max  # of values that must have d's sign
         if q + 1 < len(rows):
             tail = top[q + 1:]
-            below = [
-                [(d * x - row[q] * t) // prev for x, t in zip(row[q + 1:], tail)]
-                for row in rows[q + 1:]
-            ]
-            stack.extend(
-                (depth + 1, lo + q + 1, below, d, k) for k in reversed(range(len(below)))
-            )
+            below = [[(d * x - row[q] * t) // prev for x, t in zip(row[q + 1:], tail)]
+                     for row in rows[q + 1:]]
+            stack += [(depth + 1, v + 1, below, d, k) for k in range(len(below) - 1, -1, -1)]
+            if d * top[-1] < 0 or d * worst([row[-1] for row in below]) < 0:
+                continue
+        elif d * top[-1] < 0:
+            continue
+        on, ys = [v], [top[-1]]  # the path vertices and their y, newest first
+        for w, p, row, base in reversed(path[:-1]):
+            yw = (d * row[-1] - sum(map(mul, [row[u - base] for u in on], ys))) // p
+            if d * yw < 0:
+                break
+            on.append(w)
+            ys.append(yw)
+        else:
+            y = [0] * r
+            for w, yw in zip(on, ys):
+                y[w] = yw
+            off = [d * c[j] - sum([x * y[i] for i, x in sparse[j]])
+                   for j in range(v) if j not in on]
+            if not off or d * worst(off) >= 0:
+                yield d, y
+    if visited != 2 ** r:
+        raise InternalConsistencyError(f"oracle visited {visited} vertex subsets, not 2^{r}")
 
 
 def volume(graph: ResolutionGraph) -> VolumeReport:

@@ -252,17 +252,28 @@ class ExcDivisor(Record):
 
     Its fields are the graph and ``ints = (den, nums)``, the coefficients
     ``nums / den`` in lowest terms with ``den > 0``: canonical, so equality,
-    hashing, the arithmetic and :meth:`to_doc` use them. ``ints`` given to
-    the one, checked, constructor must already be in lowest terms;
-    :meth:`from_ints` reduces first, :meth:`ResolutionGraph.divisor` takes
-    rationals, and the ``Fraction`` ``coeffs`` are made on first read.
+    hashing, the arithmetic and :meth:`to_doc` use them. The one
+    constructor refuses any other ``ints`` (not a tuple, ``nums`` not a
+    tuple of one integer per vertex, ``den <= 0``, or a common factor) with
+    :class:`~singvol.errors.MalformedInputError`; :meth:`from_ints` reduces
+    first, :meth:`ResolutionGraph.divisor` takes rationals, and the
+    ``Fraction`` ``coeffs`` are made on first read.
     """
 
     _fields = ("graph", "ints")
 
     def __post_init__(self) -> None:
-        if len(self.ints[1]) != len(self.graph.vertices):
-            raise MalformedInputError(f"divisor has {len(self.ints[1])} coefficients for "
+        try:
+            den, nums = self.ints
+            canonical = (type(self.ints) is type(nums) is tuple and den > 0
+                         and math.gcd(den, *nums) == 1)
+        except (TypeError, ValueError):  # not a pair, or an entry that is not an integer
+            canonical = False
+        if not canonical:
+            raise MalformedInputError(f"divisor ints are not a tuple (den > 0, a tuple of "
+                                      f"integers) in lowest terms: {self.ints!r}")
+        if len(nums) != len(self.graph.vertices):
+            raise MalformedInputError(f"divisor has {len(nums)} coefficients for "
                                       f"{len(self.graph.vertices)} vertices")
 
     @classmethod

@@ -30,6 +30,7 @@ from singvol import (
 from singvol.catalog import graph_by_name
 from singvol.cli import main
 from singvol.cone import STATUS_CITED, STATUS_OPEN, ruled_surface_cone
+from singvol.envelope import ORACLE_MAX_VERTICES
 from singvol.lattice import QVector
 from singvol.randgen import random_divisor, random_graph, random_tower
 
@@ -309,3 +310,18 @@ def test_criterion_16_long_non_lc_chain_volume() -> None:
     with criterion(16, "volume of a genus-1 (-1)-curve after 699 (-2)-curves", 1.0):
         rep = volume(graph)
         assert rep.volume == F(488601, 700) and not rep.is_lc
+
+
+def test_criterion_17_oracle_at_its_vertex_bound() -> None:
+    # 2^12 subsets per graph; the walk decides each in integers with its
+    # cheapest tests first: 0.25 s here, 0.5-0.7 s with a back-substitution
+    # and a full mat-vec per subset (2-vCPU machine, Python 3.11)
+    rng = Random(1017)
+    cases = []
+    for _ in range(20):
+        graph = random_graph(rng, ORACLE_MAX_VERTICES, ORACLE_MAX_VERTICES)
+        assert len(graph.vertices) == ORACLE_MAX_VERTICES
+        cases.append((graph, random_divisor(rng, graph)))
+    with criterion(17, "subset oracle equals the envelope on 20 graphs at 12 vertices", 0.8):
+        for graph, a in cases:
+            assert zariski_oracle(graph, a) == nef_envelope_trace(graph, a)

@@ -13,8 +13,8 @@ from singvol import (
     volume,
     zariski_oracle,
 )
-from singvol.envelope import ORACLE_MAX_VERTICES, ZariskiDecomposition, _finish
-from singvol.errors import InternalConsistencyError
+from singvol.envelope import ORACLE_MAX_VERTICES, ZariskiDecomposition, _feasible_walk, _finish
+from singvol.errors import InternalConsistencyError, MalformedInputError
 from singvol.graph import ExcDivisor
 from singvol.lattice import QVector, rat_str
 from singvol.randgen import random_divisor, random_graph
@@ -101,6 +101,18 @@ def test_oracle_size_guard() -> None:
         zariski_oracle(g, g.zero_divisor())
 
 
+def test_envelopes_refuse_a_divisor_from_another_graph() -> None:
+    # a divisor is read only on its own graph (or an equal one), never
+    # reread as coefficients on another graph with as many vertices
+    a2 = chain(-2, -2)
+    other = ResolutionGraph.make((("x", -3, 1), ("y", -5, 0)), (("x", "y"),))
+    a = other.log_discrepancy_divisor()
+    for route in (nef_envelope_trace, zariski_oracle):
+        with pytest.raises(MalformedInputError, match="different graphs"):
+            route(a2, a)
+        assert route(chain(-2, -2), a2.divisor((F(1), F(-1)))) == route(a2, a2.divisor((F(1), F(-1))))
+
+
 def reference_finish(graph: ResolutionGraph, a, n_coeffs: QVector) -> object:
     """``_finish`` as it was before it took integers: ``P = A - N`` in
     ``Fraction``s, and the three certificate checks on ``Fraction`` vectors."""
@@ -113,10 +125,9 @@ def reference_finish(graph: ResolutionGraph, a, n_coeffs: QVector) -> object:
     return ZariskiDecomposition(graph.divisor(p), graph.divisor(n_coeffs), active)
 
 
-def reference_oracle(graph: ResolutionGraph, a) -> object:
-    """The oracle as it was before the depth-first walk: one independent
-    ``SymForm.solve`` per vertex subset, in size order, with ``Fraction``
-    feasibility checks."""
+def reference_feasible(graph: ResolutionGraph, a) -> list[QVector]:
+    """Every feasible ``N``, one per vertex subset in size order: one
+    independent ``SymForm.solve`` per subset, with ``Fraction`` checks."""
     r = len(graph.vertices)
     m_a = a.intersections()
     form = graph.intersection_form
@@ -124,11 +135,15 @@ def reference_oracle(graph: ResolutionGraph, a) -> object:
     for size in range(r + 1):
         for subset in combinations(range(r), size):
             n_coeffs = form.solve(m_a, subset)
-            if not n_coeffs.is_nonnegative():
-                continue
-            p = a.coeffs - n_coeffs
-            if form.apply(p).is_nonnegative():
-                feasible.append(p)
+            if n_coeffs.is_nonnegative() and form.apply(a.coeffs - n_coeffs).is_nonnegative():
+                feasible.append(n_coeffs)
+    return feasible
+
+
+def reference_oracle(graph: ResolutionGraph, a, feasible_n: list[QVector]) -> object:
+    """The oracle as it was before the depth-first walk: the componentwise
+    maximum of ``P = A - N`` over the ``N`` of :func:`reference_feasible`."""
+    feasible = [a.coeffs - n for n in feasible_n]
     if not feasible:
         raise InternalConsistencyError("no feasible Zariski candidate found")
     p_max = QVector(max(vals) for vals in zip(*feasible))
@@ -137,6 +152,14 @@ def reference_oracle(graph: ResolutionGraph, a) -> object:
             "feasible candidates have no componentwise-maximal element"
         )
     return reference_finish(graph, a, a.coeffs - p_max)
+
+
+def walk_feasible(graph: ResolutionGraph, a) -> list[tuple]:
+    """The feasible ``N`` the oracle's walk yields, as ``Fraction`` tuples."""
+    den, nums = a.ints
+    form = graph.intersection_form
+    return [tuple(F(v, d * den) for v in y)
+            for d, y in _feasible_walk(form._integral[1], form.apply_int(nums))]
 
 
 def _differential_divisor(rng: Random, g: ResolutionGraph, kind: int):
@@ -151,22 +174,35 @@ def _differential_divisor(rng: Random, g: ResolutionGraph, kind: int):
 
 
 def test_oracle_matches_per_subset_reference_seeded() -> None:
-    # 1-10 vertices, with extra cycle edges and multiplicity-2 edges
+    # 1-10 vertices, with extra cycle edges and multiplicity-2 edges; the
+    # walk must yield every feasible candidate, not only the maximal one,
+    # since its early exits could drop one and still find the maximum
     rng = Random(520)
-    seen = set()
+    g1, g3 = chain(-2), chain(-2, -3, -2)
+    cases = [(g1, g1.divisor((F(1),)), None), (g3, g3.divisor((F(1), F(1, 2), F(2))), None),
+             (g3, g3.divisor((F(-1), F(-1), F(-1))), None)]
     for case in range(300):
         g = random_graph(rng, 10)
-        a = _differential_divisor(rng, g, case % 3)
+        cases.append((g, _differential_divisor(rng, g, case % 3), case % 3))
+    seen = set()
+    for case, (g, a, kind) in enumerate(cases):
+        feasible = reference_feasible(g, a)
+        walked = walk_feasible(g, a)
+        assert sorted(walked) == sorted(map(tuple, feasible)), case
         dec = zariski_oracle(g, a)
-        assert dec == reference_oracle(g, a), case
-        if case % 3 == 1:
+        assert dec == reference_oracle(g, a, feasible), case
+        if kind == 1:
             assert dec.n.coeffs.is_zero() and dec.p == a
         pairs = [frozenset((e.i, e.j)) for e in g.edges]
         seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
         seen.add(("mult-2", any(e.mult == 2 for e in g.edges)))
         seen.add(("N = 0", dec.n.coeffs.is_zero()))
-    assert all((k, True) in seen for k in ("cycle", "mult-2", "N = 0")), seen
-    assert ("N = 0", False) in seen
+        seen.add(("r = 1", len(g.vertices) == 1))
+        seen.add(("A >= 0", a.coeffs.is_nonnegative()))
+        seen.add(("N > 0 everywhere", len(dec.active) == len(g.vertices)))
+        seen.add(("several feasible", len(walked) > 1))
+    keys = ("cycle", "mult-2", "N = 0", "r = 1", "A >= 0", "N > 0 everywhere", "several feasible")
+    assert all({(k, True), (k, False)} <= seen for k in keys), seen
 
 
 def test_oracle_matches_per_subset_reference_at_the_bound() -> None:
@@ -175,7 +211,7 @@ def test_oracle_matches_per_subset_reference_at_the_bound() -> None:
     a = random_divisor(rng, g)
     assert len(g.vertices) == ORACLE_MAX_VERTICES
     dec = zariski_oracle(g, a)
-    assert dec == reference_oracle(g, a)
+    assert dec == reference_oracle(g, a, reference_feasible(g, a))
     assert dec == nef_envelope_trace(g, a)
     assert dec.active and dec.p.coeffs != a.coeffs
 

@@ -204,6 +204,22 @@ def test_divisor_from_ints_checks_its_length() -> None:
             g.divisor(nums)
 
 
+def test_divisor_refuses_ints_that_are_not_canonical() -> None:
+    # equality, hashing and to_doc read ints as (den, nums) in lowest terms
+    # with den > 0, so the constructor refuses anything else
+    g = two_vertex_example()
+    for ints in [(2, (2, 4)), (-1, (1, 1)), (-2, (1, 1)), (0, (0, 0)), (3, (0, 0)),
+                 (1, [1, 2]), (1, (1.0, 2)), (1.0, (1, 2)), (1, ("1", 2)),
+                 5, (1,), [1, (1, 2)], (1, (1, 2), 3)]:
+        with pytest.raises(MalformedInputError, match="divisor"):
+            ExcDivisor(g, ints)
+    d = ExcDivisor(g, (2, (1, 4)))
+    assert d == ExcDivisor.from_ints(g, 4, [2, 8]) == g.divisor((F(1, 2), F(2)))
+    assert hash(d) == hash(g.divisor((F(1, 2), F(2))))
+    assert d.to_doc() == {"c": "1/2", "t": "2"}
+    assert ExcDivisor(g, (1, (0, 0))) == g.zero_divisor()
+
+
 def test_divisor_intersections_use_the_form() -> None:
     g = two_vertex_example()
     d = g.divisor((F(1), F(0)))
