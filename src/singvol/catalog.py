@@ -6,7 +6,7 @@ self-intersection ``-d``), cusp cycles, and cones over higher-genus
 curves. Parametric names like ``A7``, ``cusp-5``, ``simple-elliptic-3`` or
 ``cone-g2-d1`` resolve on demand. Named cones resolve in ``cone``
 (``cone.cone_by_name``), so graph names never load the cone module;
-:func:`catalog_entries` lists both.
+``names.catalog_entries``, bound here too, lists both.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import re
 
 from .errors import DomainError, MalformedInputError
 from .graph import ResolutionGraph, check_graph_size
+from .names import catalog_entries  # noqa: F401
 
 
 def a_n(n: int) -> ResolutionGraph:
@@ -139,26 +140,3 @@ def graph_by_name(name: str) -> ResolutionGraph:
         if m:
             return build_named(name, build, m)
     raise MalformedInputError(f"unknown catalog graph {name!r}", reason="unknown-catalog-name")
-
-
-def catalog_entries() -> dict:
-    """Everything `catalog list` prints: fixed names plus name patterns."""
-    return {
-        "graphs": {
-            "fixed": sorted(_GRAPH_FIXED),
-            "patterns": [
-                "A<n>            chain of n (-2)-curves",
-                "D<n>            forked chain, n >= 4",
-                "cusp-<L>        cycle of L rational (-3)-curves, L >= 3",
-                "simple-elliptic-<d>  one elliptic (-d)-curve",
-                "cone-g<g>-d<d>  one genus-g curve of self-intersection -d",
-            ],
-        },
-        "cones": {
-            "fixed": ["elliptic-cone", "paper-ruled-surface"],  # cone._CONE_FIXED's keys
-            "patterns": [
-                "cone-g<g>-d<d>  polarized cone over a genus-g degree-d curve",
-                "elliptic-cone-<d>  cone over an elliptic curve of degree d",
-            ],
-        },
-    }

@@ -10,8 +10,9 @@ A command line the parser refuses gets such an error too (``too-large`` for
 an integer option longer than Python's int parses); ``main`` then raises
 ``SystemExit`` with the exit code, as argparse does.
 
-Start-up is most of a command's cost, so each command body imports the
-modules it runs beyond ``io`` and ``lattice``, which every command needs:
+Start-up is most of a command's cost, so this module loads only ``errors``
+and the writer ``render`` up front, and each command body imports the
+modules it runs: ``catalog list`` loads no graph, rational or digest code,
 graph commands never load ``cone``, and only ``blowup`` and
 ``random-suite`` load ``tower``. These and the package's ``__getattr__``
 are the only call-time imports allowed (``io`` states the rule).
@@ -28,13 +29,14 @@ from .errors import (
     MalformedInputError,
     SingvolError,
 )
-from .io import digest, graph_from_doc, load_json, to_json
-from .lattice import QVector, rat, rat_str
+from .render import to_json
 
 
 def _load(args):
     """The graph or cone of ``args.source``, ``catalog:<name>`` or a JSON
     file, with the report's ``inputs`` record, kept as ``args.inputs``."""
+    from .io import digest, graph_from_doc, load_json
+
     if args.group == "graph":
         from .catalog import graph_by_name as by_name
         from_doc = graph_from_doc
@@ -46,16 +48,6 @@ def _load(args):
         obj = from_doc(load_json(args.source))
     args.inputs = {"source": args.source, "digest": digest(obj.to_doc())}
     return obj, args.inputs
-
-
-def _parse_class(cone, text: str) -> QVector:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(cone.basis):
-        raise MalformedInputError(
-            f"--class needs {len(cone.basis)} comma-separated rationals "
-            f"(basis {', '.join(cone.basis)})"
-        )
-    return QVector(rat(p) for p in parts)
 
 
 # (group, command, help, arguments, body) of every command, in help order.
@@ -131,6 +123,7 @@ def _cmd_graph_discrepancies(args) -> tuple[dict, int]:
 @_command("graph", "lc", "log canonicity flag and volume", _GRAPH_SOURCE)
 def _cmd_graph_lc(args) -> tuple[dict, int]:
     from .envelope import volume
+    from .lattice import rat_str
 
     graph, inputs = _load(args)
     report = volume(graph)
@@ -156,6 +149,7 @@ def _cmd_graph_lcmod(args) -> tuple[dict, int]:
 @_command("graph", "blowup", "check all invariants along a blowup tower",
           _arg("source", help="tower JSON file"))
 def _cmd_graph_blowup(args) -> tuple[dict, int]:
+    from .io import digest, load_json
     from .tower import invariance_report, tower_from_doc, tower_to_doc
 
     tower = tower_from_doc(load_json(args.source))
@@ -232,6 +226,7 @@ def _cmd_graph_random_suite(args) -> tuple[dict, int]:
           _CONE_SOURCE, _arg("--a", required=True, help="slope, a rational like 1/2"))
 def _cmd_cone_bound(args) -> tuple[dict, int]:
     from .cone import boundary_class, cone_log_discrepancy, vol_upper_bound
+    from .lattice import rat, rat_str
 
     cone, inputs = _load(args)
     a = rat(args.a)
@@ -256,9 +251,16 @@ def _cmd_cone_bound(args) -> tuple[dict, int]:
           _arg("--k", type=_int, required=True, help="positive multiple"))
 def _cmd_cone_valuation(args) -> tuple[dict, int]:
     from .cone import natural_valuation, valuation_limit
+    from .lattice import QVector, rat, rat_str
 
     cone, inputs = _load(args)
-    cls = _parse_class(cone, args.cls)
+    parts = [p.strip() for p in args.cls.split(",")]
+    if len(parts) != len(cone.basis):
+        raise MalformedInputError(
+            f"--class needs {len(cone.basis)} comma-separated rationals "
+            f"(basis {', '.join(cone.basis)})"
+        )
+    cls = QVector(rat(p) for p in parts)
     if args.k < 1:
         raise DomainError("--k must be a positive integer")
     limit = valuation_limit(cone, cls)
@@ -279,6 +281,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
           _CONE_SOURCE, _arg("--m", type=_int, required=True))
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
     from .cone import STATUS_CITED, limiting_discrepancy
+    from .lattice import rat_str
 
     cone, inputs = _load(args)
     if args.m < 1:
@@ -306,6 +309,8 @@ def _cmd_cone_limiting(args) -> tuple[dict, int]:
           _arg("--a-seq", help="comma-separated decreasing positive slopes"))
 def _cmd_cone_counterexample(args) -> tuple[dict, int]:
     from .cone import limiting_discrepancy, ruled_surface_cone, vol_plus_table
+    from .io import digest
+    from .lattice import rat, rat_str
 
     cone = ruled_surface_cone()
     inputs = args.inputs = {"source": "catalog:paper-ruled-surface",
@@ -340,7 +345,7 @@ def _cmd_cone_dcc_scan(args) -> tuple[dict, int]:
 
 @_command("catalog", "list", "list fixed names and name patterns")
 def _cmd_catalog_list(args) -> tuple[dict, int]:
-    from .catalog import catalog_entries
+    from .names import catalog_entries
 
     return {"result": catalog_entries()}, 0
 

@@ -132,6 +132,7 @@ class PolarizedCone:
                         "rigid representative needs named components with positive "
                         "coefficients"
                     )
+        self._last = None, None  # the class _values saw last, and its values
         self._validate_geometry()
 
     def _check_vec(self, v: QVector, what: str) -> QVector:
@@ -233,12 +234,19 @@ class PolarizedCone:
         """The facet normals as ``int`` rows."""
         return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
 
-    def _values(self, cls: QVector) -> tuple[int, list[int]]:
-        """``(den, [den * phi(cls)])`` over the facets ``phi``, ``den`` the
-        common denominator of ``cls``: the one evaluation of the facet
-        functionals on a class, all in integers."""
-        den, num = numerators(self._check_vec(cls, "class"))
-        return den, [sum(map(mul, row, num)) for row in self._rows]
+    def _values(self, cls: QVector) -> tuple[int, tuple[int, ...]]:
+        """``(den, (den * phi(cls), ...))`` over the facets ``phi``, ``den``
+        the common denominator of ``cls``: the one evaluation of the facet
+        functionals on a class, all in integers. The last class's values are
+        kept: a valuation reads them twice (its slope, then its re-check),
+        and a sweep over ``k`` or ``m`` asks again for the same class."""
+        cls = self._check_vec(cls, "class")
+        last, values = self._last
+        if cls != last:
+            den, num = numerators(cls)
+            values = den, tuple([sum(map(mul, row, num)) for row in self._rows])
+            self._last = cls, values
+        return values
 
     def contains(self, cls: QVector) -> bool:
         """Exact pseudo-effective cone membership: no facet functional is

@@ -1,9 +1,10 @@
-"""JSON documents: the graph format, canonical rendering and digests.
+"""JSON documents: the graph format, digests and reading files.
 
 The document formats are strict: unknown fields are rejected, rationals are
 integers or ``"p/q"`` strings, and re-serializing a parsed document gives
 a canonical form (used for the report input digests). Keeping the schema
-this rigid is what makes reports byte-identical across runs.
+this rigid is what makes reports byte-identical across runs. The canonical
+writer itself is ``render.to_json``, re-exported here as ``to_json``.
 
 The tower and cone formats are parsed in ``tower`` and ``cone`` with the
 field checks below, so reading a graph loads neither; each binds its codec
@@ -16,7 +17,7 @@ loop keeps the old modules), and a call-time import would hand it the new
 import's classes, failing ``isinstance`` against its own. Only ``cli``
 command bodies and the package's ``__getattr__`` import at call time, and
 ``cone.dcc_scan``, which imports ``envelope`` at call time and passes it
-only graphs it builds itself.
+only graphs it builds itself. ``tests/test_imports.py`` checks this rule.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Mapping
 
 from .errors import DomainError, MalformedInputError
 from .graph import MAX_ENTRY_BITS, Edge, ResolutionGraph, Vertex, check_graph_size
+from .render import to_json
 
 
 def require_mapping(doc: Any, what: str) -> Mapping:
@@ -83,74 +85,7 @@ def graph_from_doc(doc: Any) -> ResolutionGraph:
     return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
 
 
-# -- canonical JSON and digests -------------------------------------------------
-
-
-def to_json(doc: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indentation, ASCII only,
-    trailing newline.
-
-    The output is byte-identical to ``json.dumps(doc, indent=2,
-    sort_keys=True, ensure_ascii=True) + "\n"``, which never uses the C
-    encoder with an indent; this writer does less per value, and joins a
-    list of strings or a dict of strings to strings (a divisor) in one go.
-    It renders dicts (str, int, bool or None keys), lists, tuples, str, int,
-    bool and None, and raises ``TypeError`` on anything else, as ``json`` does.
-    Identical documents always produce identical bytes, which is what the
-    reproducibility contract of the reports rests on.
-    """
-    return _render(doc, "\n") + "\n"
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _render(doc: Any, newline: str) -> str:
-    """``doc`` as ``json.dumps`` indents it, ``newline`` the line break plus
-    the indentation of the line it starts on."""
-    if isinstance(doc, str):
-        return _quote(doc)
-    if doc is None:
-        return "null"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
-    if isinstance(doc, int):
-        try:
-            return int.__repr__(doc)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise DomainError("an integer result has too many digits to print",
-                              reason="too-large") from None
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = sorted(doc.items())
-        if all(type(k) is str and type(v) is str for k, v in items):
-            body = sep.join([_quote(k) + ": " + _quote(v) for k, v in items])
-        else:
-            body = sep.join([_key(k) + ": " + _render(v, inner) for k, v in items])
-        return "{" + inner + body + newline + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        if all(type(x) is str for x in doc):
-            body = sep.join(map(_quote, doc))
-        else:
-            body = sep.join([_render(x, inner) for x in doc])
-        return "[" + inner + body + newline + "]"
-    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
-
-
-def _key(key: Any) -> str:
-    """A dict key as ``json`` writes it: strings quoted, the rest as text."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, int):
-        return _quote(_render(key, ""))
-    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+# -- digests and files ---------------------------------------------------------
 
 
 def digest(doc: Any) -> str:

@@ -6,7 +6,7 @@ identical suites; the command line records the seed in its report.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import partial
 from random import Random
 
@@ -56,11 +56,12 @@ def random_divisor(
 ) -> ExcDivisor:
     """Random rational coefficients in ``[low, high]`` with denominators
     up to 3."""
-    coeffs = []
+    draws = []
     for _ in graph.vertices:
         den = rng.randint(1, 3)
-        coeffs.append(Fraction(rng.randint(low * den, high * den), den))
-    return graph.divisor(coeffs)
+        draws.append((den, rng.randint(low * den, high * den)))
+    den = math.lcm(*(d for d, _ in draws))
+    return ExcDivisor.from_ints(graph, den, [num * (den // d) for d, num in draws])
 
 
 def random_step(rng: Random, graph: ResolutionGraph) -> BlowupStep:

@@ -72,9 +72,11 @@ def test_graph_commands_load_no_cone_tower_or_randgen() -> None:
 
 
 def test_catalog_list_loads_no_computation() -> None:
+    # the names and the writer only: no graph, rational or digest code
     loaded = _modules_after("catalog", "list")
     assert not loaded & {"singvol.cone", "singvol.tower", "singvol.randgen",
-                         "singvol.envelope", "dataclasses"}
+                         "singvol.envelope", "singvol.graph", "singvol.lattice",
+                         "singvol.record", "fractions", "decimal", "hashlib", "dataclasses"}
 
 
 def test_graph_blowup_loads_no_cone_or_randgen(tmp_path) -> None:
@@ -168,10 +170,47 @@ def test_fresh_imports_leave_no_old_module_alive() -> None:
 
 
 def test_catalog_lists_the_named_cones_cone_resolves() -> None:
-    from singvol.catalog import catalog_entries
+    # and the fixed graphs catalog resolves: the name table builds neither
+    from singvol.catalog import _GRAPH_FIXED, catalog_entries
     from singvol.cone import _CONE_FIXED
 
+    assert catalog_entries()["graphs"]["fixed"] == sorted(_GRAPH_FIXED)
     assert catalog_entries()["cones"]["fixed"] == sorted(_CONE_FIXED)
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The singvol modules an import statement names, without the package;
+    ``"?"`` for a call of ``importlib.import_module`` or ``__import__``."""
+    if isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) in ("import_module", "__import__"):
+        return ["?"]
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level:  # from . or from .x
+        names = [f"singvol.{node.module or a.name}" for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{a.name}" if node.module == "singvol" else node.module
+                 for a in node.names]
+    else:
+        return []
+    return [n.split(".")[1] for n in names if n.startswith("singvol.")]
+
+
+def test_only_cli_and_the_package_import_singvol_modules_at_call_time() -> None:
+    # the import rule in io's docstring: a library function that imports a
+    # singvol module when called would hand an old module the new import's classes
+    found = set()
+    for path in sorted((SRC / "singvol").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, fn.name, module) for node in ast.walk(fn)
+                          for module in _imported_modules(node)}
+    # the package's lazy names, and dcc_scan, which passes envelope only
+    # graphs it builds itself
+    assert found <= {("__init__.py", "__getattr__", "?"),
+                     ("cone.py", "dcc_scan", "envelope")}, found
 
 
 def test_records_are_immutable_values_of_their_own_class() -> None:
