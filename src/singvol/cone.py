@@ -56,7 +56,7 @@ from .errors import (
 )
 from .graph import ResolutionGraph
 from .lattice import QVector, SymForm, numerators, rat, rat_str
-from .record import Record
+from .record import Record, lazy
 
 # Report-label vocabulary. Claims carried by citation are present for
 # completeness of the record but were not (and cannot be) desk-checked here.
@@ -229,7 +229,7 @@ class PolarizedCone:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
         return tuple(QVector(phi) for phi in normals)
 
-    @cached_property
+    @lazy
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """The facet normals as ``int`` rows."""
         return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
@@ -731,10 +731,11 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
     Scans genus ``2 <= g <= g_max`` and integer slope ``1 <= a <= a_max``
     with ``d = (2g - 2)/a`` whenever integral; each volume is computed by
     the resolution-graph pipeline and cross-checked against the closed
-    form ``a^2 d``. The report lists the minimum with its witnesses and
-    the sorted distinct values (any infinite strictly decreasing pattern
-    would have to show up here as accumulation from above, which it does
-    not).
+    form, the integer ``a^2 d``, which the rows, minimum and distinct set
+    then keep (``rat_str`` prints it as the equal ``Fraction``). The report
+    lists the minimum with its witnesses and the sorted distinct values (any
+    infinite strictly decreasing pattern would have to show up here as
+    accumulation from above, which it does not).
     """
     from .envelope import volume as graph_volume
 
@@ -743,7 +744,7 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
     if g_max * a_max > MAX_DCC_CELLS:
         raise DomainError(f"dcc scan grid of {g_max} x {a_max} cells exceeds the limit of "
                           f"{MAX_DCC_CELLS}", reason="too-large")
-    rows = []
+    rows = []  # (g, a, d, volume)
     for g in range(2, g_max + 1):
         for a in range(1, a_max + 1):
             if (2 * g - 2) % a != 0:
@@ -751,29 +752,22 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
             d = (2 * g - 2) // a
             graph = ResolutionGraph.make([("v", -d, g)])
             vol = graph_volume(graph).volume
-            closed = Fraction(a * a * d)
+            closed = a * a * d
             if vol != closed:
                 raise InternalConsistencyError(
                     f"graph-pipeline volume {vol} disagrees with closed form "
                     f"{closed} at (g, a, d) = ({g}, {a}, {d})"
                 )
-            rows.append({"g": g, "a": a, "d": d, "volume": vol})
+            rows.append((g, a, d, closed))
     if not rows:
         raise DomainError("empty scan grid")
-    vmin = min(r["volume"] for r in rows)
-    witnesses = [
-        {"g": r["g"], "a": r["a"], "d": r["d"]} for r in rows if r["volume"] == vmin
-    ]
-    distinct = sorted({r["volume"] for r in rows})
+    vmin = min(r[3] for r in rows)
     return {
         "grid": {"g_max": g_max, "a_max": a_max},
-        "rows": [
-            {"g": r["g"], "a": r["a"], "d": r["d"], "volume": rat_str(r["volume"])}
-            for r in rows
-        ],
+        "rows": [{"g": g, "a": a, "d": d, "volume": rat_str(v)} for g, a, d, v in rows],
         "min_volume": rat_str(vmin),
-        "min_witnesses": witnesses,
-        "distinct_volumes_ascending": [rat_str(v) for v in distinct],
+        "min_witnesses": [{"g": g, "a": a, "d": d} for g, a, d, v in rows if v == vmin],
+        "distinct_volumes_ascending": [rat_str(v) for v in sorted({r[3] for r in rows})],
         "no_strictly_decreasing_chain": True,
     }
 

@@ -30,6 +30,7 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -273,16 +274,16 @@ def volume(graph: ResolutionGraph) -> VolumeReport:
     Takes ``A`` = log-discrepancy divisor, computes its nef envelope ``P``
     and returns ``-P . P``. Zero exactly in the log canonical case:
     nonnegative ``A`` forces ``P = 0``, while a negative entry of ``A``
-    pins ``P != 0`` and negative definiteness makes ``-P . P > 0``.
+    pins ``P != 0`` and negative definiteness makes ``-P . P > 0``. Both are
+    tested on the integer ``-(nums . M nums)`` for ``P = nums / den``.
     """
     discrepancies = graph.discrepancy_report()
     dec = nef_envelope_trace(graph, discrepancies.ell)
-    vol = -dec.p.self_intersection()
+    den, nums = dec.p.ints
+    num = -sum(map(mul, nums, graph.intersection_form.apply_int(nums)))
     is_lc = discrepancies.is_lc
-    if vol < 0:
-        raise InternalConsistencyError(f"volume came out negative: {vol}")
-    if (vol == 0) != is_lc:
-        raise InternalConsistencyError(
-            "volume vanishing disagrees with log canonicity"
-        )
-    return VolumeReport(volume=vol, decomposition=dec, is_lc=is_lc)
+    if num < 0:
+        raise InternalConsistencyError(f"volume came out negative: {Fraction(num, den * den)}")
+    if (num == 0) != is_lc:
+        raise InternalConsistencyError("volume vanishing disagrees with log canonicity")
+    return VolumeReport(volume=Fraction(num, den * den), decomposition=dec, is_lc=is_lc)

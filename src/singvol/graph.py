@@ -20,25 +20,24 @@ adjunction. Log discrepancies are ``ell = 1 - b``; the singularity is log
 canonical when every ``ell_j >= 0``, and the vertices with ``ell_j < 0``
 are exactly the centers a log-canonical modification must keep.
 
-All of these come from one cached ``DiscrepancyReport`` per graph, built
-on the one cached integer solve ``(q, y = q b)`` behind
-``mumford_pullback_canonical``: ``ell_j = (q - y_j) / q``, negative exactly
-when ``y_j > q``. That solve substitutes through the factor the definiteness
-pass left, so a graph is eliminated once, and it is checked against ``M b =
--k`` before it is kept. ``B`` and ``ell`` keep the solve's integers as
-``ExcDivisor.ints``; ``Fraction``s are made only when a caller reads ``coeffs``.
+All of these come from one cached attribute, the ``DiscrepancyReport`` of
+one integer solve ``(q, y = q b)``: ``ell_j = (q - y_j) / q``, negative
+exactly when ``y_j > q``. The solve substitutes through the factor the
+definiteness pass left, so a graph is eliminated once, and it is checked
+against ``M b = -k`` before the report is kept. ``B`` and ``ell`` keep its
+integers as ``ExcDivisor.ints``; ``Fraction``s are made only when a caller
+reads ``coeffs``. Cached attributes are :class:`~singvol.record.lazy`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
 from .lattice import QVector, SymForm, _qvector, numerators, ratio_str
-from .record import Record
+from .record import Record, lazy
 
 # The most vertices of a graph read from a document or a catalog name, set
 # by 50-step towers, whose report runs one trace per level: 2-2.8 s over a
@@ -145,11 +144,11 @@ class ResolutionGraph(Record):
         es = tuple(Edge(e[0], e[1], e[2] if len(e) > 2 else 1) for e in edges)
         return cls(vs, es)
 
-    @cached_property
+    @lazy
     def ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @cached_property
+    @lazy
     def _index(self) -> dict[str, int]:
         return {v.id: k for k, v in enumerate(self.vertices)}
 
@@ -162,7 +161,7 @@ class ResolutionGraph(Record):
     def vertex(self, vertex_id: str) -> Vertex:
         return self.vertices[self.index(vertex_id)]
 
-    @cached_property
+    @lazy
     def intersection_form(self) -> SymForm:
         """Gram matrix: self-intersections on the diagonal, summed edge
         multiplicities off it, handed over as sparse integer rows."""
@@ -192,47 +191,39 @@ class ResolutionGraph(Record):
 
     def mumford_pullback_canonical(self) -> "ExcDivisor":
         """The exceptional part ``B`` of the canonical pullback."""
-        return self._canonical_pullback
+        return self._discrepancies.b
 
     def log_discrepancy_divisor(self) -> "ExcDivisor":
         """Coefficient vector ``ell = 1 - b``, one entry per vertex."""
-        return self._discrepancies.ell
+        return self.discrepancy_report().ell
 
     def discrepancy_report(self) -> "DiscrepancyReport":
+        """The cached report. Its first read goes through :meth:`mumford_pullback_canonical`,
+        so the solve runs inside the call perfbench traces as ``graph.canonical``."""
+        if "_discrepancies" not in self.__dict__:
+            self.mumford_pullback_canonical()
         return self._discrepancies
 
-    @cached_property
-    def _canonical_pullback(self) -> "ExcDivisor":
-        return ExcDivisor.from_ints(self, *self._canonical_solve)
-
-    @cached_property
-    def _canonical_solve(self) -> tuple[int, list[int]]:
+    @lazy
+    def _discrepancies(self) -> "DiscrepancyReport":
         """The one integer solve ``(q, y = q b)`` of ``M b = -k``, certified in
         the same call by one integer mat-vec: ``M y = -q k``. On a
         relatively minimal model (all ``k_j >= 0``) a negative entry of ``b``
         would be a solver bug and raises; models carrying (-1)-vertices may
-        legitimately have them."""
+        legitimately have them. ``ell = 1 - b = (q - y) / q`` and the lc data
+        are read off the same integers: ``ell_j < 0`` exactly when ``y_j > q``."""
         k = self._canonical_ints()
         form = self.intersection_form
         q, y = form.solve_int([-x for x in k])
+        b = ExcDivisor.from_ints(self, q, y)
         if form.apply_int(y) != [-q * x for x in k]:
-            problem = "fails M b = -k"
-        elif min(k) >= 0 and min(y) < 0:
-            problem = "has a negative coefficient on a relatively minimal model"
-        else:
-            return q, y
-        b = ExcDivisor.from_ints(self, q, y).coeffs
-        raise InternalConsistencyError(f"canonical pullback {problem}: b = {b!r}")
-
-    @cached_property
-    def _discrepancies(self) -> "DiscrepancyReport":
-        """``B`` with ``ell = 1 - b = (q - y) / q`` and the lc data read off the
-        solve's integers: ``ell_j < 0`` exactly when ``y_j > q``."""
-        b = self.mumford_pullback_canonical()
-        q, y = self._canonical_solve
+            raise InternalConsistencyError(f"canonical pullback fails M b = -k: b = {b.coeffs!r}")
+        if min(k) >= 0 and min(y) < 0:
+            raise InternalConsistencyError("canonical pullback has a negative coefficient on a "
+                                           f"relatively minimal model: b = {b.coeffs!r}")
         ell = ExcDivisor.from_ints(self, q, [q - v for v in y])
         is_lc = max(y) <= q
-        support = frozenset(v.id for v, x in zip(self.vertices, y) if x > q)
+        support = frozenset([v.id for v, x in zip(self.vertices, y) if x > q])
         if is_lc != (not support):
             raise InternalConsistencyError("lc flag disagrees with its support")
         return DiscrepancyReport(b, ell, is_lc, support)
@@ -282,7 +273,7 @@ class ExcDivisor(Record):
         g = math.gcd(den, *nums)
         return cls(graph, (den // g, tuple([v // g for v in nums])))
 
-    @cached_property
+    @lazy
     def coeffs(self) -> QVector:
         den, nums = self.ints
         return _qvector(Fraction(v, den) for v in nums)

@@ -22,7 +22,6 @@ The tower document codec lives here too (:func:`tower_from_doc`,
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from . import io as sio
@@ -30,7 +29,7 @@ from .envelope import VolumeReport, nef_envelope_trace, volume
 from .errors import DomainError, MalformedInputError
 from .graph import MAX_GRAPH_VERTICES, Edge, ExcDivisor, ResolutionGraph, Vertex
 from .lattice import rat_str, ratio_str
-from .record import Record
+from .record import Record, lazy
 
 
 class FreeBlowup(Record):
@@ -166,7 +165,7 @@ class ModelTower:
         new = sum(nums[g.index(v)] for v in step.center)
         return ExcDivisor.from_ints(self.models[t + 1], den, (*nums, new))
 
-    @cached_property
+    @lazy
     def volumes(self) -> tuple[VolumeReport, ...]:
         """``volume(models[t])`` for every level, computed once."""
         return tuple(volume(g) for g in self.models)
@@ -271,9 +270,7 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
     """One-off check that the envelope of a given ``A`` pulls back exactly
     along the whole tower (used by the randomized suites)."""
-    current = a
-    dec = nef_envelope_trace(tower.models[0], current)
-    p = dec.p
+    current, p = a, nef_envelope_trace(tower.models[0], a).p
     for t in range(len(tower.steps)):
         current = tower.pullback(t, current)
         p = tower.pullback(t, p)

@@ -477,6 +477,22 @@ def test_dcc_scan_small_grid_rows() -> None:
     assert out["no_strictly_decreasing_chain"] is True
 
 
+def test_dcc_scan_cross_checks_each_volume_against_the_closed_form(monkeypatch) -> None:
+    # the scan certifies the graph pipeline: a volume off by one is refused
+    from singvol import envelope
+
+    pipeline = envelope.volume
+
+    def off_by_one(graph):
+        report = pipeline(graph)
+        return type(report)(report.volume + 1, report.decomposition, report.is_lc)
+
+    monkeypatch.setattr(envelope, "volume", off_by_one)
+    with pytest.raises(InternalConsistencyError, match=r"graph-pipeline volume 3 disagrees "
+                       r"with closed form 2 at \(g, a, d\) = \(2, 1, 2\)"):
+        dcc_scan(3, 2)
+
+
 def test_dcc_scan_rejects_bad_bounds() -> None:
     with pytest.raises(DomainError):
         dcc_scan(1, 5)

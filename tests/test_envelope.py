@@ -513,3 +513,59 @@ def test_trace_eliminates_each_working_vertex_once(monkeypatch, center, arms) ->
     assert sum(rows) == len(dec.active)
     monkeypatch.undo()
     assert dec == zariski_oracle(g, ell)
+
+
+def test_trace_borders_no_rim_vertex_the_candidate_meets_with_zero(monkeypatch) -> None:
+    # A meets only v3 negatively; the first candidate then meets its rim
+    # vertex v2 with exactly 0, so no second round borders v2 (a rim test
+    # that also took the zeros would, and would reach the same envelope)
+    from singvol import envelope, lattice
+
+    g = ResolutionGraph.make([("v1", -4, 0), ("v2", -2, 2), ("v3", -4, 0)],
+                             [("v1", "v2", 1), ("v2", "v3", 2)])
+    a = g.divisor((F(-3), F(-3), F(2)))
+    rows: list[int] = []
+    eliminate = lattice._eliminate
+
+    def counting(block, n, *args, **options):
+        rows.append(n)
+        return eliminate(block, n, *args, **options)
+
+    monkeypatch.setattr(envelope, "_eliminate", counting)
+    dec = nef_envelope_trace(g, a)
+    assert rows == [1] and dec.active == frozenset({"v3"})
+    assert sum(rows) == len(dec.active)
+    assert dec.p.intersect("v2") == 0
+    monkeypatch.undo()
+    assert dec == zariski_oracle(g, a)
+
+
+def test_volume_refuses_a_vanishing_envelope_on_a_non_lc_graph(monkeypatch) -> None:
+    # the volume vanishes exactly in the lc case, checked in the same call
+    from singvol import envelope
+
+    g = ResolutionGraph.make([("e", -2, 2)])  # ell = -1: not lc
+    assert not g.discrepancy_report().is_lc
+
+    def vanishing(graph, a):
+        return ZariskiDecomposition(graph.zero_divisor(), a, frozenset(graph.ids))
+
+    monkeypatch.setattr(envelope, "nef_envelope_trace", vanishing)
+    with pytest.raises(InternalConsistencyError,
+                       match="volume vanishing disagrees with log canonicity"):
+        volume(g)
+
+
+def test_volume_refuses_a_negative_volume(monkeypatch) -> None:
+    # -P.P >= 0 on a negative-definite form, checked in the same call: a
+    # negated mat-vec, inside volume only, turns it negative
+    from singvol import envelope
+    from singvol.lattice import SymForm
+
+    g = ResolutionGraph.make([("e", -3, 2)])  # P = -2/3, volume 4/3
+    dec = nef_envelope_trace(g, g.log_discrepancy_divisor())  # caches the solve first
+    apply_int = SymForm.apply_int
+    monkeypatch.setattr(envelope, "nef_envelope_trace", lambda graph, a: dec)
+    monkeypatch.setattr(SymForm, "apply_int", lambda form, v: [-x for x in apply_int(form, v)])
+    with pytest.raises(InternalConsistencyError, match="volume came out negative: -4/3"):
+        volume(g)

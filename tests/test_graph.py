@@ -208,7 +208,7 @@ def test_divisor_refuses_ints_that_are_not_canonical() -> None:
     # equality, hashing and to_doc read ints as (den, nums) in lowest terms
     # with den > 0, so the constructor refuses anything else
     g = two_vertex_example()
-    for ints in [(2, (2, 4)), (-1, (1, 1)), (-2, (1, 1)), (0, (0, 0)), (3, (0, 0)),
+    for ints in [(2, (2, 4)), (-1, (1, 1)), (-2, (1, 1)), (0, (0, 0)), (0, (1, 1)), (3, (0, 0)),
                  (1, [1, 2]), (1, (1.0, 2)), (1.0, (1, 2)), (1, ("1", 2)),
                  5, (1,), [1, (1, 2)], (1, (1, 2), 3)]:
         with pytest.raises(MalformedInputError, match="divisor"):

@@ -306,3 +306,20 @@ def test_only_graph_builds_a_form_from_trusted_rows() -> None:
                for node in ast.walk(tree)):
             callers.add(path.name)
     assert callers == {"graph.py"}
+
+
+def test_cached_property_only_on_the_traced_facet_normals() -> None:
+    # functools.cached_property takes a lock on every first read on Python
+    # 3.11, record.lazy does not; perfbench re-wraps facet_normals by its
+    # type, so that attribute alone keeps it
+    decorated, uses = set(), 0
+    for path in sorted((SRC / "singvol").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += sum(getattr(node, "id", getattr(node, "attr", None)) == "cached_property"
+                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            decorated |= {(path.name, cls.name, fn.name) for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) for d in fn.decorator_list
+                          if getattr(d, "id", getattr(d, "attr", None)) == "cached_property"}
+    assert decorated == {("cone.py", "PolarizedCone", "facet_normals")}
+    assert uses == len(decorated)
