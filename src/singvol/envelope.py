@@ -30,7 +30,6 @@ divisor; it is nonnegative and vanishes exactly in the log canonical case.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -275,15 +274,14 @@ def volume(graph: ResolutionGraph) -> VolumeReport:
     and returns ``-P . P``. Zero exactly in the log canonical case:
     nonnegative ``A`` forces ``P = 0``, while a negative entry of ``A``
     pins ``P != 0`` and negative definiteness makes ``-P . P > 0``. Both are
-    tested on the integer ``-(nums . M nums)`` for ``P = nums / den``.
+    tested on the integer numerator of ``P . P``.
     """
     discrepancies = graph.discrepancy_report()
     dec = nef_envelope_trace(graph, discrepancies.ell)
-    den, nums = dec.p.ints
-    num = -sum(map(mul, nums, graph.intersection_form.apply_int(nums)))
+    sq = dec.p.self_intersection()
     is_lc = discrepancies.is_lc
-    if num < 0:
-        raise InternalConsistencyError(f"volume came out negative: {Fraction(num, den * den)}")
-    if (num == 0) != is_lc:
+    if sq.numerator > 0:
+        raise InternalConsistencyError(f"volume came out negative: {-sq}")
+    if (sq.numerator == 0) != is_lc:
         raise InternalConsistencyError("volume vanishing disagrees with log canonicity")
-    return VolumeReport(volume=Fraction(num, den * den), decomposition=dec, is_lc=is_lc)
+    return VolumeReport(volume=-sq, decomposition=dec, is_lc=is_lc)

@@ -198,8 +198,8 @@ class ResolutionGraph(Record):
         return self.discrepancy_report().ell
 
     def discrepancy_report(self) -> "DiscrepancyReport":
-        """The cached report. Its first read goes through :meth:`mumford_pullback_canonical`,
-        so the solve runs inside the call perfbench traces as ``graph.canonical``."""
+        """The cached report; its first read (no ``_discrepancies`` in ``__dict__``) runs the
+        solve inside :meth:`mumford_pullback_canonical`, traced as ``graph.canonical``."""
         if "_discrepancies" not in self.__dict__:
             self.mumford_pullback_canonical()
         return self._discrepancies

@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (DomainError, InternalConsistencyError, MalformedInputError,
                      SingularSystemError)
-from .record import lazy
 
 RationalLike = Union[Fraction, int, str]
 
@@ -182,7 +181,7 @@ class SymForm:
     cached.
     """
 
-    __slots__ = ("_integral", "__dict__")
+    __slots__ = ("_integral", "_pass")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
         mat = tuple(QVector(row) for row in rows)
@@ -199,6 +198,7 @@ class SymForm:
             tuple((j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x)
             for row in mat
         )))
+        object.__setattr__(self, "_pass", None)
 
     @classmethod
     def sparse(cls, rows: Sequence[Mapping[int, int]]) -> "SymForm":
@@ -209,6 +209,7 @@ class SymForm:
         rows[j][i]`` for columns in range."""
         form = object.__new__(cls)
         object.__setattr__(form, "_integral", (1, tuple(tuple(sorted(row.items())) for row in rows)))
+        object.__setattr__(form, "_pass", None)
         return form
 
     def __setattr__(self, name: str, value) -> None:
@@ -280,7 +281,7 @@ class SymForm:
         self._check_len(rhs, "rhs")
         y = [0] * n
         if support is None:
-            order, factor = range(n - 1, -1, -1), self._whole_pass
+            order, factor = range(n - 1, -1, -1), self._whole_pass()
         else:
             order = list(reversed(support))
             if any(not 0 <= i < n for i in order):
@@ -300,13 +301,14 @@ class SymForm:
         """The :func:`_eliminate` factor of the principal block on ``order``."""
         return _eliminate(self._block(order), len(order))
 
-    @lazy
     def _whole_pass(self) -> tuple:
         """The factor of the whole form, run on first use and cached. Graphs
         mostly list a vertex before the ones hanging off it (blowups append
         theirs), so reverse order eliminates leaves first and a tree gets no
         fill-in."""
-        return self._factor(range(self.dim - 1, -1, -1))
+        if self._pass is None:
+            object.__setattr__(self, "_pass", self._factor(range(self.dim - 1, -1, -1)))
+        return self._pass
 
     def _minor(self, factor: tuple) -> Fraction:
         """The determinant of a factor's block: ``(-1)^swaps`` times the last
@@ -315,7 +317,7 @@ class SymForm:
         return Fraction((-1) ** swaps * pivots[-1], self._integral[0] ** len(rows))
 
     def det(self) -> Fraction:
-        return self._minor(self._whole_pass)
+        return self._minor(self._whole_pass())
 
     def leading_principal_minors(self) -> tuple[Fraction, ...]:
         """Determinants of the leading k x k blocks, k = 1..dim, all exact:
@@ -328,7 +330,7 @@ class SymForm:
         leaf-first pass: without a swap the pivots are those minors, a swap
         means one of them was zero, and a pass that stops early ends at a
         zero pivot."""
-        pivots, swaps, _, _ = self._whole_pass
+        pivots, swaps, _, _ = self._whole_pass()
         return not swaps and all(p and (p < 0) == (i % 2 == 0) for i, p in enumerate(pivots))
 
     def __eq__(self, other: object) -> bool:

@@ -67,7 +67,7 @@ class Record:
 
 class lazy:
     """A lock-free cached attribute: ``func(obj)`` on first read, stored in
-    ``obj.__dict__`` under the function's name."""
+    ``obj.__dict__[func.__name__]``, which ``discrepancy_report`` relies on."""
 
     def __init__(self, func) -> None:
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
