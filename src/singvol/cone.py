@@ -13,6 +13,12 @@ test is an integer dot product), and the only non-numerical input is the
 optional rigidity annotation saying that some class has a unique effective
 representative.
 
+Each invariant is computed once, in integers: a class's facet values, slope
+and H-step ``[den * phi(H)]`` are one entry, kept for the last class, so a
+sweep over ``k`` or ``m`` scans the facets once; ``H^(dim-1)`` is computed on
+first use; ``H . g > 0`` (or ``deg g > 0``) is tested as the sign of the
+integer dot product of the generator's ray with one integer mat-vec.
+
 The key quantities:
 
 * ``boundary_class(a)``: the class ``-K_V + a H`` that a boundary divisor
@@ -132,7 +138,7 @@ class PolarizedCone:
                         "rigid representative needs named components with positive "
                         "coefficients"
                     )
-        self._last = None, None  # the class _values saw last, and its values
+        self._last = None, None  # the class _values saw last, and its entry
         self._validate_geometry()
 
     def _check_vec(self, v: QVector, what: str) -> QVector:
@@ -180,7 +186,7 @@ class PolarizedCone:
                 f"limit of {MAX_FACET_SUBSETS}",
                 reason="too-large",
             )
-        rays = [numerators(g)[1] for g in self.pseff_gens]
+        rays = self._rays
         start: list[int] = []
         for j, ray in enumerate(rays):
             if len(_echelon([rays[i] for i in start] + [ray], n)[0]) > len(start):
@@ -230,23 +236,28 @@ class PolarizedCone:
         return tuple(QVector(phi) for phi in normals)
 
     @lazy
+    def _rays(self) -> list[list[int]]:
+        """Each generator's integer numerators: a positive multiple, the same ray."""
+        return [numerators(g)[1] for g in self.pseff_gens]
+
+    @lazy
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         """The facet normals as ``int`` rows."""
         return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
 
-    def _values(self, cls: QVector) -> tuple[int, tuple[int, ...]]:
-        """``(den, (den * phi(cls), ...))`` over the facets ``phi``, ``den``
-        the common denominator of ``cls``: the one evaluation of the facet
-        functionals on a class, all in integers. The last class's values are
-        kept: a valuation reads them twice (its slope, then its re-check),
-        and a sweep over ``k`` or ``m`` asks again for the same class."""
+    def _values(self, cls: QVector) -> list:
+        """The entry ``[den, (den * phi(cls), ...), slope, h_step]`` over the
+        facets ``phi``, ``den`` the common denominator of ``cls``: the one
+        evaluation of the facet functionals on a class, in integers. The last
+        class's entry is kept; :meth:`_slope` and :func:`natural_valuation`
+        fill in its slope and H-step ``[den * phi(H), ...]`` on first use."""
         cls = self._check_vec(cls, "class")
-        last, values = self._last
+        last, entry = self._last
         if cls != last:
             den, num = numerators(cls)
-            values = den, tuple([sum(map(mul, row, num)) for row in self._rows])
-            self._last = cls, values
-        return values
+            entry = [den, tuple([sum(map(mul, row, num)) for row in self._rows]), None, None]
+            self._last = cls, entry
+        return entry
 
     def contains(self, cls: QVector) -> bool:
         """Exact pseudo-effective cone membership: no facet functional is
@@ -260,38 +271,39 @@ class PolarizedCone:
         """The largest ``phi(cls) / phi(H)`` over the facets, unclamped, as
         ``(p, q)`` with ``q > 0``: ``t H - cls`` is pseudo-effective exactly
         when ``t >= p / q``. Ratios are compared by cross-multiplying, every
-        ``phi(H)`` being positive."""
-        den, values = self._values(cls)
-        best, best_h = values[0], self._phi_h[0]
-        for v, phi_h in zip(values, self._phi_h):
-            if v * best_h > best * phi_h:
-                best, best_h = v, phi_h
-        return best * self._h_den, best_h * den
+        ``phi(H)`` being positive; the class's entry keeps the result."""
+        entry = self._values(cls)
+        if entry[2] is None:
+            den, values = entry[:2]
+            best, best_h = values[0], self._phi_h[0]
+            for v, phi_h in zip(values, self._phi_h):
+                if v * best_h > best * phi_h:
+                    best, best_h = v, phi_h
+            entry[2] = best * self._h_den, best_h * den
+        return entry[2]
 
     def _validate_geometry(self) -> None:
         # phi(H) per facet as integers over h_den, the common denominator of H
-        self._h_den, self._phi_h = self._values(self.h_class)
+        self._h_den, self._phi_h = self._values(self.h_class)[:2]
         if min(self._phi_h) <= 0:
             raise MalformedInputError(
                 "H is not interior to the pseudo-effective cone (not ample)",
                 reason="h-not-ample",
             )
-        for g in self.pseff_gens:
-            if g.is_zero():
+        # the sign of H . g (dim_X = 3) or deg g (the form's first row): an integer dot
+        h_num = numerators(self.h_class)[1]
+        probe = self.form.apply_int(h_num if self.dim_x == 3 else
+                                    [int(i == 0) for i in range(len(h_num))])
+        for ray in self._rays:
+            if not any(ray):
                 raise MalformedInputError("zero vector among pseff generators")
-            if self.dim_x == 3:
-                if self.form.pair(self.h_class, g) <= 0:
-                    raise MalformedInputError(
-                        "H fails strict positivity against a pseff generator",
-                        reason="h-not-ample",
-                    )
-            else:
-                if self.degree(g) <= 0:
-                    raise MalformedInputError(
-                        "H-degree of a pseff generator is not positive",
-                        reason="h-not-ample",
-                    )
-        if self.dim_x == 2 and self.degree(self.h_class) <= 0:
+            if sum(map(mul, probe, ray)) <= 0:
+                raise MalformedInputError(
+                    "H fails strict positivity against a pseff generator" if self.dim_x == 3
+                    else "H-degree of a pseff generator is not positive",
+                    reason="h-not-ample",
+                )
+        if self.dim_x == 2 and sum(map(mul, probe, h_num)) <= 0:
             raise MalformedInputError("H must have positive degree", reason="h-not-ample")
         for v in self.nef_gens:
             if not self.contains(v):
@@ -311,10 +323,13 @@ class PolarizedCone:
 
     def h_power(self) -> Fraction:
         """``H^(dim_X - 1)``: self-intersection for a surface, degree for a
-        curve."""
-        if self.dim_x == 3:
-            return self.form.pair(self.h_class, self.h_class)
-        return self.degree(self.h_class)
+        curve, computed once."""
+        return self._h_power
+
+    @lazy
+    def _h_power(self) -> Fraction:
+        h = self.h_class
+        return self.form.pair(h, h) if self.dim_x == 3 else self.degree(h)
 
     def rigid_decomposition(
         self, cls: QVector
@@ -332,7 +347,7 @@ class PolarizedCone:
         return None
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "dim_X": self.dim_x,
             "num_basis": list(self.basis),
             "form": self.form.to_doc(),
@@ -348,7 +363,6 @@ class PolarizedCone:
                 for r in self.rigid
             ],
         }
-        return doc
 
 
 def _echelon(
@@ -482,20 +496,21 @@ def natural_valuation(cone: PolarizedCone, cls: QVector, k: int,
                       limit: Fraction | None = None) -> int:
     """Least ``j >= 0`` such that ``j H - k cls`` is pseudo-effective.
 
-    The value is ``ceil(k * valuation_limit(cls))``, from one evaluation of
-    the exact slope (none when the caller passes that ``limit``), re-verified
-    by membership on both sides of the step. By linearity,
-    ``phi(j H - k cls)`` has the sign of ``j phi(H) den - k phi(cls) h_den``
-    over the facet values, so the re-checks are integer sign tests.
+    The value is ``ceil(k * valuation_limit(cls))`` from the class's slope
+    (the caller's ``limit`` instead, when given), re-verified by membership
+    on both sides of the step. By linearity, ``phi(j H - k cls)`` has the sign
+    of ``j phi(H) den - k phi(cls) h_den``; with the H-step ``phi(H) den``
+    kept in the class's entry, the re-checks are integer sign tests.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
-    if limit is None:
-        limit = valuation_limit(cone, cls)
-    j = -(-k * limit.numerator // limit.denominator)  # ceil(k * limit)
-    den, values = cone._values(cls)
-    h_step = [phi_h * den for phi_h in cone._phi_h]
-    slack = [j * h - k * cone._h_den * v for h, v in zip(h_step, values)]
+    p, q = cone._slope(cls) if limit is None else (limit.numerator, limit.denominator)
+    j = -(-k * max(p, 0) // q)  # ceil(k * limit), the slope clamped at 0
+    den, values, _, h_step = entry = cone._values(cls)
+    if h_step is None:
+        h_step = entry[3] = [phi_h * den for phi_h in cone._phi_h]
+    kh = k * cone._h_den
+    slack = [j * h - kh * v for h, v in zip(h_step, values)]
     if min(slack) < 0:
         raise InternalConsistencyError("valuation optimum fails membership")
     if j > 0 and all(s >= h for s, h in zip(slack, h_step)):

@@ -211,7 +211,9 @@ class ResolutionGraph(Record):
         relatively minimal model (all ``k_j >= 0``) a negative entry of ``b``
         would be a solver bug and raises; models carrying (-1)-vertices may
         legitimately have them. ``ell = 1 - b = (q - y) / q`` and the lc data
-        are read off the same integers: ``ell_j < 0`` exactly when ``y_j > q``."""
+        are read off two routes, the lc flag off ``y`` (``ell_j < 0`` exactly
+        when ``y_j > q``) and the support off the signs of ``ell``'s reduced
+        numerators, which must agree."""
         k = self._canonical_ints()
         form = self.intersection_form
         q, y = form.solve_int([-x for x in k])
@@ -223,7 +225,7 @@ class ResolutionGraph(Record):
                                            f"relatively minimal model: b = {b.coeffs!r}")
         ell = ExcDivisor.from_ints(self, q, [q - v for v in y])
         is_lc = max(y) <= q
-        support = frozenset([v.id for v, x in zip(self.vertices, y) if x > q])
+        support = frozenset([v.id for v, x in zip(self.vertices, ell.ints[1]) if x < 0])
         if is_lc != (not support):
             raise InternalConsistencyError("lc flag disagrees with its support")
         return DiscrepancyReport(b, ell, is_lc, support)

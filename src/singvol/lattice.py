@@ -215,6 +215,9 @@ class SymForm:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("SymForm is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through the checked dense constructor
+        return SymForm, (self.to_doc(),)
+
     @property
     def dim(self) -> int:
         return len(self._integral[1])

@@ -21,6 +21,7 @@ from singvol import (
     lc_boundary_exists,
     limiting_discrepancy,
     natural_valuation,
+    rat_str,
     valuation_limit,
     vol_plus_table,
     vol_upper_bound,
@@ -285,6 +286,62 @@ def test_natural_valuation_rechecks_build_no_vector(monkeypatch) -> None:
     assert natural_valuation(c, vec(F(1, 2), F(5, 2)), 2) == 5
     assert natural_valuation(c, vec(-2, 0), 7) == 0
     assert limiting_discrepancy(c, 3) == 0
+
+
+class _Scanned(tuple):
+    """A tuple that counts the loops over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_valuation_sweep_scans_the_facets_once_for_values_and_once_for_the_slope() -> None:
+    c = ruled_surface_cone()
+    c.__dict__["_rows"] = rows = _Scanned(c._rows)  # the facet rows behind _values
+    c._phi_h = phi_h = _Scanned(c._phi_h)  # phi(H) per facet: the slope and the H-step
+    cls = vec(F(1, 2), F(5, 2))
+    assert [natural_valuation(c, cls, k) for k in range(1, 11)] == [
+        -(-5 * k // 2) for k in range(1, 11)]
+    assert (rows.scans, phi_h.scans) == (1, 2)  # values; slope, H-step
+    assert [limiting_discrepancy(c, m) for m in (1, 2, 3)] == [0, 0, 0]
+    assert (rows.scans, phi_h.scans) == (2, 4)  # the same for K_V
+
+
+def test_cone_pairs_h_once_for_the_bound_table(monkeypatch) -> None:
+    pairs = []
+    pair = SymForm.pair
+
+    def counted(self, a, b):
+        pairs.append((a, b))
+        return pair(self, a, b)
+
+    monkeypatch.setattr(SymForm, "pair", counted)
+    c = ruled_surface_cone()
+    assert pairs == []  # construction tests H . g in integers
+    table = vol_plus_table(c, [F(1, 2**i) for i in range(6)])
+    assert [row["upper_bound"] for row in table["rows"]] == [
+        rat_str(2 * F(1, 2**i) ** 3) for i in range(6)]
+    assert pairs == [(c.h_class, c.h_class)] and c.h_power() == 2 and len(pairs) == 1
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_copied_cone_matches_the_original(warm) -> None:
+    import copy
+    import pickle
+
+    c = ruled_surface_cone()
+    classes = [vec(1, 0), vec(F(1, 2), F(5, 2)), vec(-3, 1)]
+    values = [[natural_valuation(c, cls, k) for k in range(1, 6)] for cls in classes]
+    if not warm:
+        c = ruled_surface_cone()
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin.to_doc() == c.to_doc() and twin.form == c.form
+        assert [[natural_valuation(twin, cls, k) for k in range(1, 6)]
+                for cls in classes] == values
+        assert lc_boundary_exists(twin) == lc_boundary_exists(c)
 
 
 SAMPLE_CLASSES = [
@@ -768,3 +825,95 @@ def test_integer_facet_kernel_matches_fraction_reference() -> None:
             assert verdict.exists is None
             assert verdict.forced_a == (F(0) if a_min == 0 else None)
     assert accepted >= 250 and rejected >= 100, (accepted, rejected)
+
+
+# -- boundary values of the refusals and re-checks -----------------------------------
+# Each test below pins one comparison at its boundary value: the same test fails
+# when that one operator is swapped (< with <=, > with >=), as
+# tests/mutation_probe.py does.
+
+
+def _two_ray_cone(dim_x: int, form) -> PolarizedCone:
+    return PolarizedCone(
+        dim_x=dim_x, basis=("a", "b"), form=SymForm(form), nef_gens=(vec(1, 1),),
+        pseff_gens=(vec(1, 0), vec(0, 1)), k_class=vec(-1, -1), h_class=vec(1, 1),
+    )
+
+
+def test_h_pairing_to_zero_with_a_generator_is_not_ample() -> None:
+    # H = (1, 1) is interior, but H . (0, 1) = 0 under diag(1, 0)
+    assert _two_ray_cone(3, ((1, 0), (0, 1))).h_power() == 2
+    with pytest.raises(MalformedInputError, match="H fails strict positivity") as exc:
+        _two_ray_cone(3, ((1, 0), (0, 0)))
+    assert exc.value.reason == "h-not-ample"
+
+
+def test_generator_of_degree_zero_is_not_ample() -> None:
+    # the form's first row (1, 0) is the degree: deg (0, 1) = 0
+    assert _two_ray_cone(2, ((1, 1), (1, 0))).h_power() == 2
+    with pytest.raises(MalformedInputError, match="H-degree of a pseff generator") as exc:
+        _two_ray_cone(2, ((1, 0), (0, 0)))
+    assert exc.value.reason == "h-not-ample"
+
+
+def test_rigid_representative_with_a_zero_coefficient_is_refused() -> None:
+    def cone(coeff):
+        return PolarizedCone(
+            dim_x=3, basis=("C0", "F"), form=SymForm(((0, 1), (1, 0))),
+            nef_gens=(vec(1, 0), vec(0, 1)), pseff_gens=(vec(1, 0), vec(0, 1)),
+            k_class=vec(-2, 0), h_class=vec(1, 1),
+            rigid=(RigidClass(vec(1, 0), (("C0", coeff),)),),
+        )
+
+    assert cone(F(1, 3)).rigid_decomposition(vec(3, 0)) == (("C0", F(1)),)
+    with pytest.raises(MalformedInputError, match="positive coefficients"):
+        cone(F(0))
+
+
+def test_cone_at_exactly_the_facet_subset_limit_is_enumerated(monkeypatch) -> None:
+    from singvol import cone as cone_module
+
+    def moment_cone(points: int) -> PolarizedCone:
+        gens = [vec(1, t, t * t) for t in range(points)]
+        h = vec(*(sum(col) for col in zip(*gens)))  # H . g > 0 under the identity
+        return PolarizedCone(dim_x=3, basis=("e0", "e1", "e2"),
+                             form=SymForm(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                             nef_gens=(h,), pseff_gens=gens, k_class=-h, h_class=h)
+
+    monkeypatch.setattr(cone_module, "MAX_FACET_SUBSETS", math.comb(4, 2))
+    assert len(moment_cone(4).facet_normals) == 4
+    with pytest.raises(DomainError) as exc:
+        moment_cone(5)
+    assert exc.value.reason == "too-large"
+
+
+def test_rigid_annotation_does_not_answer_for_the_zero_class() -> None:
+    # 0 = 0 * C0 is proportional to the annotated ray with factor 0, not > 0
+    assert ruled_surface_cone().rigid_decomposition(vec(0, 0)) is None
+
+
+def test_natural_valuation_minimality_recheck_at_one_step(monkeypatch) -> None:
+    # the limit of (1, 0) is 1; a slope of 2 gives j = 2 at k = 1, and j - 1 = 1
+    # lies on the facet x >= 0 of 1*H - (1, 0): slack equal to the H-step there
+    c = ruled_surface_cone()
+    slope = PolarizedCone._slope
+
+    def one_too_many(self, cls):
+        p, q = slope(self, cls)
+        return p + q, q
+
+    assert natural_valuation(c, vec(1, 0), 1) == 1
+    monkeypatch.setattr(PolarizedCone, "_slope", one_too_many)
+    with pytest.raises(InternalConsistencyError, match="not minimal"):
+        natural_valuation(c, vec(1, 0), 1)
+
+
+def test_vol_plus_table_refuses_a_zero_slope_itself() -> None:
+    # vol_upper_bound would refuse a = 0 too, with the same reason but its own message
+    with pytest.raises(DomainError, match="a_seq must be positive") as exc:
+        vol_plus_table(ruled_surface_cone(), [1, 0])
+    assert exc.value.reason == "nonpositive-slope"
+
+
+def test_dcc_scan_smallest_grid() -> None:
+    assert dcc_scan(2, 1)["rows"] == [{"g": 2, "a": 1, "d": 2, "volume": "2"}]

@@ -290,3 +290,19 @@ def test_canonical_solve_is_certified_by_a_mat_vec(monkeypatch, vertices) -> Non
     monkeypatch.setattr(lattice, "_substitute", wrong)
     with pytest.raises(InternalConsistencyError, match="M b = -k"):
         graph.mumford_pullback_canonical()
+
+
+@pytest.mark.parametrize("graph", [two_vertex_example, lambda: ResolutionGraph.make(
+    (("a", -2, 0), ("b", -2, 0)), (("a", "b"),))], ids=["not-lc", "lc"])
+def test_lc_flag_is_checked_against_the_log_discrepancy_numerators(monkeypatch, graph) -> None:
+    # the lc flag comes from y <= q, the support from ell's reduced numerators:
+    # an ell with its signs flipped must make the two disagree
+    g = graph()
+    from_ints = ExcDivisor.from_ints.__func__
+
+    def flipped(cls, graph, den, nums):
+        return from_ints(cls, graph, den, [-x for x in nums])
+
+    monkeypatch.setattr(ExcDivisor, "from_ints", classmethod(flipped))
+    with pytest.raises(InternalConsistencyError, match="lc flag disagrees with its support"):
+        g.discrepancy_report()

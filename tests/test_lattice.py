@@ -598,3 +598,24 @@ def test_self_pairing_takes_numerators_once(monkeypatch) -> None:
     assert len(calls) == 1
     assert form.pair(x, QVector(x)) == Fraction(-19, 2)  # equal, not the same object
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("rows", [
+    [[-2, 1], [1, -2]],
+    [[Fraction(1, 2), Fraction(-1, 3), 0], [Fraction(-1, 3), 4, 1], [0, 1, Fraction(-5, 6)]],
+    "graph",
+], ids=["integral", "rational-scaled", "graph"])
+def test_symform_pickles_and_copies_through_the_dense_constructor(rows) -> None:
+    import copy
+    import pickle
+
+    from singvol.catalog import graph_by_name
+
+    form = graph_by_name("A4").intersection_form if rows == "graph" else SymForm(rows)
+    det = form.det()
+    for twin in (pickle.loads(pickle.dumps(form)), copy.copy(form), copy.deepcopy(form)):
+        assert type(twin) is SymForm and twin is not form
+        assert twin == form and hash(twin) == hash(form)
+        assert twin.to_doc() == form.to_doc() and twin.det() == det
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.x = 1
