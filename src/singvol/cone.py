@@ -13,9 +13,9 @@ test is an integer dot product), and the only non-numerical input is the
 optional rigidity annotation saying that some class has a unique effective
 representative.
 
-Each invariant is computed once, in integers: a class's facet values, slope
-and H-step ``[den * phi(H)]`` are one entry, kept for the last class, so a
-sweep over ``k`` or ``m`` scans the facets once; ``H^(dim-1)`` is computed on
+Each invariant is computed once, in integers: a class's facet values and
+slope are one entry, kept for the last class, so a sweep over ``k`` or ``m``
+scans the facets once; ``H^(dim-1)`` is computed on
 first use; ``H . g > 0`` (or ``deg g > 0``) is tested as the sign of the
 integer dot product of the generator's ray with one integer mat-vec.
 
@@ -246,16 +246,16 @@ class PolarizedCone:
         return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
 
     def _values(self, cls: QVector) -> list:
-        """The entry ``[den, (den * phi(cls), ...), slope, h_step]`` over the
-        facets ``phi``, ``den`` the common denominator of ``cls``: the one
-        evaluation of the facet functionals on a class, in integers. The last
-        class's entry is kept; :meth:`_slope` and :func:`natural_valuation`
-        fill in its slope and H-step ``[den * phi(H), ...]`` on first use."""
+        """The entry ``[den, (den * phi(cls), ...), slope]`` over the facets
+        ``phi``, ``den`` the common denominator of ``cls``: the one evaluation
+        of the facet functionals on a class, in integers. The last class's
+        entry is kept; :meth:`_slope` fills in its slope on first use, and
+        only it reads that slot."""
         cls = self._check_vec(cls, "class")
         last, entry = self._last
         if cls != last:
             den, num = numerators(cls)
-            entry = [den, tuple([sum(map(mul, row, num)) for row in self._rows]), None, None]
+            entry = [den, tuple([sum(map(mul, row, num)) for row in self._rows]), None]
             self._last = cls, entry
         return entry
 
@@ -499,16 +499,15 @@ def natural_valuation(cone: PolarizedCone, cls: QVector, k: int,
     The value is ``ceil(k * valuation_limit(cls))`` from the class's slope
     (the caller's ``limit`` instead, when given), re-verified by membership
     on both sides of the step. By linearity, ``phi(j H - k cls)`` has the sign
-    of ``j phi(H) den - k phi(cls) h_den``; with the H-step ``phi(H) den``
-    kept in the class's entry, the re-checks are integer sign tests.
+    of ``j phi(H) den - k phi(cls) h_den`` over the class's facet values, so
+    the re-checks are integer sign tests.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
     p, q = cone._slope(cls) if limit is None else (limit.numerator, limit.denominator)
     j = -(-k * max(p, 0) // q)  # ceil(k * limit), the slope clamped at 0
-    den, values, _, h_step = entry = cone._values(cls)
-    if h_step is None:
-        h_step = entry[3] = [phi_h * den for phi_h in cone._phi_h]
+    den, values = cone._values(cls)[:2]
+    h_step = [phi_h * den for phi_h in cone._phi_h]
     kh = k * cone._h_den
     slack = [j * h - kh * v for h, v in zip(h_step, values)]
     if min(slack) < 0:

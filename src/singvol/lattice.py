@@ -215,8 +215,15 @@ class SymForm:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("SymForm is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through the checked dense constructor
-        return SymForm, (self.to_doc(),)
+    def __reduce__(self):
+        """Pickle and copy rebuild through the checked dense constructor,
+        from ``Fraction`` rows: O(dim^2) even for a graph's sparse form."""
+        scale, sparse = self._integral
+        rows = [[0] * len(sparse) for _ in sparse]
+        for row, line in zip(sparse, rows):
+            for j, x in row:
+                line[j] = Fraction(x, scale)
+        return SymForm, (rows,)
 
     @property
     def dim(self) -> int:

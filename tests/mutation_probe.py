@@ -6,7 +6,6 @@ Run from the root of a checkout (standard library only)::
 
     python3 tests/mutation_probe.py cone              # every mutant of cone.py
     python3 tests/mutation_probe.py cone --jobs 2     # two copies in parallel
-    python3 tests/mutation_probe.py cone --only valuation --list
 
 pytest does not collect this file: its name does not start with ``test_``.
 The checkout (without ``.git``) is copied to a temporary directory, one copy
@@ -25,8 +24,8 @@ number, so the names survive edits elsewhere in the module. A mutant the
 tests pass on survives; a survivor listed in ``EQUIVALENT`` (no input tells
 it apart from the original) is reported as equivalent, and any other
 survivor makes the exit status 1, as does a listed mutant that is killed
-or no longer found. A mutant whose tests run past ``--timeout`` counts as
-killed.
+or no longer found. A mutant whose tests run past ``TIMEOUT`` seconds
+counts as killed.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWAPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
 OPERATOR = re.compile(rb"<=|>=|==|!=|<|>")
+TIMEOUT = 600.0  # seconds for one mutant's tests
 
 # Mutants that no input tells apart from the original, by name, with the reason.
 EQUIVALENT = {
@@ -107,7 +107,7 @@ def copy_tree(dest: str) -> str:
     return dest
 
 
-def run_tests(copy: str, module: str, timeout: float) -> tuple[str, str]:
+def run_tests(copy: str, module: str) -> tuple[str, str]:
     """``passed``, ``failed`` or ``timeout`` for the tests run in ``copy``,
     with the first failing test's id."""
     first = os.path.join("tests", f"test_{module}.py")
@@ -117,7 +117,7 @@ def run_tests(copy: str, module: str, timeout: float) -> tuple[str, str]:
     if os.path.exists(os.path.join(copy, first)):
         runs = [[first], ["tests", f"--ignore={first}"]]
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + TIMEOUT
     for paths in runs:
         try:
             proc = subprocess.run(
@@ -132,20 +132,14 @@ def run_tests(copy: str, module: str, timeout: float) -> tuple[str, str]:
     return "passed", ""
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module of src/singvol, e.g. cone")
-    parser.add_argument("--only", default="", help="probe only mutants whose name contains this")
     parser.add_argument("--jobs", type=int, default=1, help="copies tested in parallel (1-4)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="list the mutants and stop")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if not 1 <= args.jobs <= 4:
         parser.error("--jobs must be 1 to 4")
-    todo = [m for m in mutants(args.module) if args.only in m[0]]
-    if args.list:
-        print("\n".join(name for name, _, _ in todo))
-        return 0
+    todo = mutants(args.module)
     path = os.path.join("src", "singvol", f"{args.module}.py")
     with open(os.path.join(ROOT, path), "rb") as fh:
         original = fh.read()
@@ -153,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         copies: queue.Queue[str] = queue.Queue()
         for j in range(args.jobs):
             copies.put(copy_tree(os.path.join(tmp, f"copy{j}")))
-        baseline, failed = run_tests(os.path.join(tmp, "copy0"), args.module, args.timeout)
+        baseline, failed = run_tests(os.path.join(tmp, "copy0"), args.module)
         if baseline != "passed":
             print(f"the unmutated tests {baseline} {failed}; nothing to probe", file=sys.stderr)
             return 2
@@ -166,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 target = os.path.join(copy, path)
                 with open(target, "wb") as fh:
                     fh.write(original[:offset] + new + original[offset + old_len:])
-                outcome, failed = run_tests(copy, args.module, args.timeout)
+                outcome, failed = run_tests(copy, args.module)
                 with open(target, "wb") as fh:
                     fh.write(original)
             finally:
@@ -185,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{verdict:16} {name}" + (f"  [{failed}]" if failed else ""), flush=True)
     names = {name for name, _, _ in todo}
     for name in EQUIVALENT:
-        if name.startswith(f"{args.module}: ") and args.only in name and name not in names:
+        if name.startswith(f"{args.module}: ") and name not in names:
             wrong += 1
             print(f"{'NOT FOUND':16} {name} (listed as equivalent)")
     summary = ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))

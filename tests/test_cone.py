@@ -301,13 +301,13 @@ class _Scanned(tuple):
 def test_valuation_sweep_scans_the_facets_once_for_values_and_once_for_the_slope() -> None:
     c = ruled_surface_cone()
     c.__dict__["_rows"] = rows = _Scanned(c._rows)  # the facet rows behind _values
-    c._phi_h = phi_h = _Scanned(c._phi_h)  # phi(H) per facet: the slope and the H-step
+    c._phi_h = phi_h = _Scanned(c._phi_h)  # phi(H) per facet: the slope and each H-step
     cls = vec(F(1, 2), F(5, 2))
     assert [natural_valuation(c, cls, k) for k in range(1, 11)] == [
         -(-5 * k // 2) for k in range(1, 11)]
-    assert (rows.scans, phi_h.scans) == (1, 2)  # values; slope, H-step
+    assert (rows.scans, phi_h.scans) == (1, 1 + 10)  # values; the slope once, an H-step per k
     assert [limiting_discrepancy(c, m) for m in (1, 2, 3)] == [0, 0, 0]
-    assert (rows.scans, phi_h.scans) == (2, 4)  # the same for K_V
+    assert (rows.scans, phi_h.scans) == (2, 11 + 1 + 3)  # the same for K_V
 
 
 def test_cone_pairs_h_once_for_the_bound_table(monkeypatch) -> None:
