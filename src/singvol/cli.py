@@ -264,7 +264,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
     if args.k < 1:
         raise DomainError("--k must be a positive integer")
     limit = valuation_limit(cone, cls)
-    value = natural_valuation(cone, cls, args.k, limit)
+    value = natural_valuation(cone, cls, args.k)
     return {
         "inputs": inputs,
         "result": {

@@ -11,7 +11,9 @@ found from the generators by the double description method in integers,
 one generator at a time, and kept as one integer matrix, so every facet
 test is an integer dot product), and the only non-numerical input is the
 optional rigidity annotation saying that some class has a unique effective
-representative.
+representative. The start simplex and the salience test factor integer Gram
+matrices with :func:`~singvol.lattice._eliminate`, the same exact
+elimination that graphs use; this module has no row reduction of its own.
 
 Each invariant is computed once, in integers: a class's facet values and
 slope are one entry, kept for the last class, so a sweep over ``k`` or ``m``
@@ -61,7 +63,7 @@ from .errors import (
     MalformedInputError,
 )
 from .graph import ResolutionGraph
-from .lattice import QVector, SymForm, numerators, rat, rat_str
+from .lattice import QVector, SymForm, _eliminate, _substitute, numerators, rat, rat_str
 from .record import Record, lazy
 
 # Report-label vocabulary. Claims carried by citation are present for
@@ -164,19 +166,24 @@ class PolarizedCone:
         The normals are the extreme rays of the dual cone, found in integers
         by the double description method (Motzkin, Raiffa, Thompson and
         Thrall, 1953). ``n`` independent rays, picked greedily, span a
-        simplicial cone. Its normals, the columns of ``S^-1`` for ``S`` with
-        those rays as rows, come from one :func:`_echelon` of ``(S | I)`` to
-        ``(D | X)``, ``D`` diagonal: ``phi_i[k] = X[k][i] L / D[k]`` for ``L =
-        lcm(D)``, so ``phi_i(s_i) = L > 0``. Each other ray ``g`` is added in
-        turn: normals with ``phi(g) >= 0`` stay, the others go, and each
-        adjacent ``(+, -)`` pair gives the new normal
+        simplicial cone: a ray joins when the Gram matrix of the chosen rays
+        and it is nonsingular (:func:`_gram_factor`). Its normals are the
+        columns of ``S^-1`` for ``S`` with those rays as rows: ``S^-1 = S^T
+        (S S^T)^-1``, so ``phi_i = S^T y`` with ``(d, y)`` the integer solve
+        of ``S S^T y = d e_i``, ``d > 0``. That is ``d`` times column ``i``,
+        so over its gcd it is the primitive normal with ``phi_i(s_i) > 0``,
+        whatever positive multiple a route finds. Each other ray ``g`` is
+        added in turn: normals with ``phi(g) >= 0`` stay, the others go, and
+        each adjacent ``(+, -)`` pair gives the new normal
         ``phi+(g) phi- - phi-(g) phi+`` over its gcd. Two normals are
         adjacent when their zero sets (the added rays they vanish on) meet
         in at least ``n - 2`` rays and no third normal's zero set contains
         that meet (Fukuda and Prodon, "Double description method revisited",
         1996). So the work follows the facet count, not the subset count;
         a cone with more than ``MAX_FACET_SUBSETS`` generator subsets is
-        still refused first (``reason="too-large"``).
+        still refused first (``reason="too-large"``). The normals span, so
+        the cone is salient, when the ``n x n`` Gram matrix of their
+        columns is nonsingular.
         """
         n = len(self.basis)
         subsets = math.comb(len(self.pseff_gens), n - 1)
@@ -189,22 +196,22 @@ class PolarizedCone:
         rays = self._rays
         start: list[int] = []
         for j, ray in enumerate(rays):
-            if len(_echelon([rays[i] for i in start] + [ray], n)[0]) > len(start):
+            factor = _gram_factor([rays[i] for i in start] + [ray])
+            if factor[0][-1]:
                 start.append(j)
                 if len(start) == n:
-                    break
+                    break  # factor is the whole simplex's
         else:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
                 reason="cone-not-full-dimensional",
             )
+        simplex = [rays[j] for j in start]
         # each normal's zero set: a bit mask of the added rays it vanishes on
-        _, reduced = _echelon([rays[j] + [int(k == i) for k in range(n)]
-                               for i, j in enumerate(start)], n)
-        scale = math.lcm(*(row[k] for k, row in enumerate(reduced)))
         normals, zeros = [], []
         for i, j in enumerate(start):
-            normal = [row[n + i] * scale // row[k] for k, row in enumerate(reduced)]
+            y = _substitute(factor, [int(k == i) for k in range(n)])[1]
+            normal = [sum(map(mul, y, column)) for column in zip(*simplex)]
             g = math.gcd(*normal)
             normals.append(tuple(x // g for x in normal))
             zeros.append(sum(1 << k for k in start if k != j))
@@ -231,7 +238,7 @@ class PolarizedCone:
                     kept_zeros.append(meet | bit)
             normals, zeros = kept, kept_zeros
         normals.sort()
-        if len(_echelon(normals, n)[0]) != n:
+        if not normals or not _gram_factor(list(zip(*normals)))[0][-1]:
             raise MalformedInputError("cone is not salient", reason="cone-not-salient")
         return tuple(QVector(phi) for phi in normals)
 
@@ -303,8 +310,6 @@ class PolarizedCone:
                     else "H-degree of a pseff generator is not positive",
                     reason="h-not-ample",
                 )
-        if self.dim_x == 2 and sum(map(mul, probe, h_num)) <= 0:
-            raise MalformedInputError("H must have positive degree", reason="h-not-ample")
         for v in self.nef_gens:
             if not self.contains(v):
                 raise MalformedInputError(
@@ -365,36 +370,13 @@ class PolarizedCone:
         }
 
 
-def _echelon(
-    vectors: Sequence[Sequence[int]], n: int
-) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free Gauss-Jordan reduction of the integer rows ``vectors``
-    (``n`` columns each).
-
-    Returns the pivot columns and the nonzero reduced rows, row ``k``
-    nonzero in the ``k``-th pivot column and 0 in every other one; the rank
-    is the number of pivots. Eliminating with pivot row ``top`` replaces a
-    row by ``top[col] * row - row[col] * top`` divided by its gcd, which
-    keeps the entries small.
-    """
-    rows = [list(v) for v in vectors]
-    pivots: list[int] = []
-    for col in range(n):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        pv = top[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != rank:
-                row = [pv * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*row)
-                rows[r] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    return pivots, rows[: len(pivots)]
+def _gram_factor(vectors: Sequence[Sequence[int]]) -> tuple:
+    """The :func:`~singvol.lattice._eliminate` factor of the Gram matrix
+    ``(u . v)`` of integer vectors: its last pivot is nonzero exactly when
+    the vectors are independent."""
+    rows = [{j: g for j, v in enumerate(vectors) if (g := sum(map(mul, u, v)))}
+            for u in vectors]
+    return _eliminate(rows, len(rows))
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:
@@ -492,19 +474,17 @@ def valuation_limit(cone: PolarizedCone, cls: QVector) -> Fraction:
     return Fraction(max(p, 0), q)
 
 
-def natural_valuation(cone: PolarizedCone, cls: QVector, k: int,
-                      limit: Fraction | None = None) -> int:
+def natural_valuation(cone: PolarizedCone, cls: QVector, k: int) -> int:
     """Least ``j >= 0`` such that ``j H - k cls`` is pseudo-effective.
 
-    The value is ``ceil(k * valuation_limit(cls))`` from the class's slope
-    (the caller's ``limit`` instead, when given), re-verified by membership
-    on both sides of the step. By linearity, ``phi(j H - k cls)`` has the sign
-    of ``j phi(H) den - k phi(cls) h_den`` over the class's facet values, so
-    the re-checks are integer sign tests.
+    The value is ``ceil(k * valuation_limit(cls))`` from the class's slope,
+    re-verified by membership on both sides of the step. By linearity,
+    ``phi(j H - k cls)`` has the sign of ``j phi(H) den - k phi(cls) h_den``
+    over the class's facet values, so the re-checks are integer sign tests.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
-    p, q = cone._slope(cls) if limit is None else (limit.numerator, limit.denominator)
+    p, q = cone._slope(cls)
     j = -(-k * max(p, 0) // q)  # ceil(k * limit), the slope clamped at 0
     den, values = cone._values(cls)[:2]
     h_step = [phi_h * den for phi_h in cone._phi_h]

@@ -13,9 +13,11 @@ build, and no dense matrix is ever kept. There is one elimination:
 fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) on Python
 ints over the nonzero entries, with row swaps, in leaf-first order, where a
-tree gets no fill-in. One cached pass over the whole form gives both the
-determinant and the definiteness test (Sylvester's criterion holds for the
-leading minors of any symmetric reordering). The pass keeps its factor:
+tree gets no fill-in. The nef envelope's trace and the cone's facet
+enumeration (on Gram matrices of integer vectors) call it too. One cached
+pass over the whole form gives both the determinant and the definiteness
+test (Sylvester's criterion holds for the leading minors of any symmetric
+reordering). The pass keeps its factor:
 pivots, row swaps, multipliers and upper rows, and a swap-free factor can
 be bordered by more rows without eliminating it again. A solve carries its
 integer right-hand side through a factor and back-substitutes: the
@@ -371,10 +373,13 @@ def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) 
     at the rational leaves (the only ``2 g - 2 + deg < 0``) and grows inward:
     no fill on chains, stars and 351 random graphs. A divisor negative at
     inner vertices fills (954 entries against 63 leaf-first on 381 random
-    ones), still cheaper than a fresh pass per round. Step k turns every
-    row ``i > k`` into ``(p_k row_i - a_ik row_k) / p_(k-1)``, with ``p_k``
-    the k-th pivot; each entry is then a minor of the input, so the division
-    is exact and row k ends as row k of an upper-triangular system.
+    ones), still cheaper than a fresh pass per round. The cone's
+    :func:`~singvol.cone._gram_factor` passes the dense Gram matrix ``(u .
+    v)`` of integer vectors in their given order: its last pivot is nonzero
+    exactly when they are independent. Step k turns every row ``i > k``
+    into ``(p_k row_i - a_ik row_k) / p_(k-1)``, with ``p_k`` the k-th
+    pivot; each entry is then a minor of the input, so the division is exact
+    and row k ends as row k of an upper-triangular system.
 
     Returns the factor ``(pivots, swaps, steps, rows)``. A zero pivot is
     first replaced by the next row with a nonzero entry in its column, and

@@ -756,6 +756,12 @@ def _rare_shapes():
     yield "ray-1", 1, [vec(2), vec(F(1, 3)), vec(0)]
     yield "line-1", 1, [vec(2), vec(-1)]
     yield "half-plane-2", 2, [vec(1, 0), vec(0, 1), vec(-1, 0)]
+    # the third generator lies in the span of the first two, so the start skips it
+    gens = _cyclic(4, 8, rng)
+    yield "dependent-lead-4", 4, [gens[0], gens[1], gens[0] + gens[1]] + gens[2:]
+    # 300-digit entries: their Gram entries have about 600 digits
+    yield "large-entries-4", 4, [QVector(rng.randrange(10 ** 299, 10 ** 300) for _ in range(4))
+                                 for _ in range(7)]
 
 
 _RARE_SHAPES = list(_rare_shapes())

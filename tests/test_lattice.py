@@ -38,6 +38,16 @@ def test_rat_refuses_exponents_beyond_the_digit_limit() -> None:
             rat(text)
 
 
+def test_rat_expands_exponents_when_the_digit_limit_is_off() -> None:
+    # a limit of 0 switches int's digit limit off, and the exponent guard with it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rat("1e5") == 100000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_rat_str_lowest_terms() -> None:
     assert rat_str(Fraction(8, 3)) == "8/3"
     assert rat_str(Fraction(4, 1)) == "4"
@@ -66,6 +76,12 @@ def test_qvector_dimension_mismatch() -> None:
         QVector.zero(2) + QVector.zero(3)
     with pytest.raises(MalformedInputError):
         QVector.zero(2).dot(QVector.zero(3))
+
+
+def test_unit_index_at_the_length_is_refused() -> None:
+    assert QVector.unit(3, 2) == (0, 0, 1)
+    with pytest.raises(MalformedInputError):
+        QVector.unit(3, 3)
 
 
 def test_form_requires_square_symmetric() -> None:
@@ -112,6 +128,13 @@ def test_solve_singular_raises() -> None:
     m = SymForm(((-1, 1), (1, -1)))
     with pytest.raises(SingularSystemError):
         m.solve(QVector((Fraction(1), Fraction(0))))
+
+
+def test_solve_support_index_at_the_dimension_is_refused() -> None:
+    m = SymForm(((-2, 1), (1, -2)))
+    assert m.solve((2, 4), [1]) == (0, -2)
+    with pytest.raises(MalformedInputError):
+        m.solve((2, 4), [2])
 
 
 def _random_neg_definite(rng: Random, n: int) -> SymForm:
