@@ -6,16 +6,16 @@ self-intersection ``-d``), cusp cycles, and cones over higher-genus
 curves. Parametric names like ``A7``, ``cusp-5``, ``simple-elliptic-3`` or
 ``cone-g2-d1`` resolve on demand. Named cones resolve in ``cone``
 (``cone.cone_by_name``), so graph names never load the cone module;
-``names.catalog_entries``, bound here too, lists both.
+``names`` lists both and holds the name parsers both use, bound here too.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import DomainError, MalformedInputError
+from .errors import MalformedInputError
 from .graph import ResolutionGraph, check_graph_size
-from .names import catalog_entries  # noqa: F401
+from .names import build_named, catalog_entries, name_number  # noqa: F401
 
 
 def a_n(n: int) -> ResolutionGraph:
@@ -79,21 +79,7 @@ def cone_over_curve(genus: int, degree: int) -> ResolutionGraph:
     return ResolutionGraph.make([("c", -degree, genus)])
 
 
-_GRAPH_FIXED = {
-    "E6": e6,
-    "E7": e7,
-    "E8": e8,
-}
-
-
-def name_number(digits: str) -> int:
-    """A name's decimal parameter; one longer than the 4,300 digits ``int``
-    parses is too large."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise DomainError(f"catalog number of {len(digits)} digits is too large",
-                          reason="too-large") from None
+_GRAPH_FIXED = {"E6": e6, "E7": e7, "E8": e8}
 
 
 def _vertex_count(match) -> int:
@@ -116,20 +102,6 @@ _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
         lambda m: cone_over_curve(name_number(m.group(1)), name_number(m.group(2))),
     ),
 )
-
-
-def build_named(name: str, build, match) -> object:
-    """``build(match)`` for the catalog name ``name``. A name that matches a
-    pattern but carries out-of-range parameters is still a bad name, not a
-    bad computation."""
-    try:
-        return build(match)
-    except DomainError as exc:
-        if exc.reason == "too-large":  # a valid name, beyond the size limit
-            raise
-        raise MalformedInputError(
-            f"catalog name {name!r} has invalid parameters: {exc}"
-        ) from exc
 
 
 def graph_by_name(name: str) -> ResolutionGraph:

@@ -13,9 +13,10 @@ an integer option longer than Python's int parses); ``main`` then raises
 Start-up is most of a command's cost, so this module loads only ``errors``
 and the writer ``render`` up front, and each command body imports the
 modules it runs: ``catalog list`` loads no graph, rational or digest code,
-graph commands never load ``cone``, and only ``blowup`` and
-``random-suite`` load ``tower``. These and the package's ``__getattr__``
-are the only call-time imports allowed (``io`` states the rule).
+graph commands never load ``cone``, cone commands but ``dcc-scan`` never
+load ``graph``, and only ``blowup`` and ``random-suite`` load ``tower``.
+These and the package's ``__getattr__`` are the only call-time imports
+allowed (``io`` states the rule). Only the named command gets a parser.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .render import to_json
 def _load(args):
     """The graph or cone of ``args.source``, ``catalog:<name>`` or a JSON
     file, with the report's ``inputs`` record, kept as ``args.inputs``."""
-    from .io import digest, graph_from_doc, load_json
+    from .io import digest, load_json
 
     if args.group == "graph":
         from .catalog import graph_by_name as by_name
-        from_doc = graph_from_doc
+        from .graph import graph_from_doc as from_doc
     else:
         from .cone import cone_by_name as by_name, cone_from_doc as from_doc
     if args.source.startswith("catalog:"):
@@ -370,7 +371,10 @@ def _out_of(argv: list[str] | None) -> str | None:
         return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``: only the command its first two words name, the
+    only one it can reach, or every command (help, a bare group, a typo)."""
+    named = [c for c in _COMMANDS if argv and c[:2] == tuple(argv[:2])]
     parser = _Parser(
         prog="singvol",
         description=(
@@ -381,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="group", required=True)
     groups = {
         group: sub.add_parser(group, help=blurb).add_subparsers(dest="command", required=True)
-        for group, blurb in _GROUPS.items()
+        for group, blurb in _GROUPS.items() if not named or group == named[0][0]
     }
-    for group, name, blurb, arguments, fn in _COMMANDS:
+    for group, name, blurb, arguments, fn in named or _COMMANDS:
         p = groups[group].add_parser(name, help=blurb)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -398,8 +402,9 @@ _EXIT_CODES = ((MalformedInputError, 2), (InternalConsistencyError, 3), (Singvol
 
 def main(argv: list[str] | None = None) -> int:
     args = None
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report, code = args.fn(args)
         report["command"] = f"{args.group} {args.command}"
         _emit(report, args.out)

@@ -43,7 +43,8 @@ The key quantities:
 
 The cone document codec (:func:`cone_from_doc`) and the named cones
 (:func:`cone_by_name`) live here too, so graph commands never load this
-module.
+module, and this module loads no graph code until ``dcc_scan`` runs: it
+takes ``ResolutionGraph`` with ``envelope`` when called.
 """
 
 from __future__ import annotations
@@ -56,14 +57,13 @@ from operator import mul
 from typing import Any, Sequence
 
 from . import io as sio
-from .catalog import build_named, name_number
 from .errors import (
     DomainError,
     InternalConsistencyError,
     MalformedInputError,
 )
-from .graph import ResolutionGraph
 from .lattice import QVector, SymForm, _eliminate, _substitute, numerators, rat, rat_str
+from .names import build_named, name_number
 from .record import Record, lazy
 
 # Report-label vocabulary. Claims carried by citation are present for
@@ -731,7 +731,7 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
     infinite strictly decreasing pattern would have to show up here as
     accumulation from above, which it does not).
     """
-    from .envelope import volume as graph_volume
+    from .envelope import ResolutionGraph, volume as graph_volume
 
     if g_max < 2 or a_max < 1:
         raise DomainError("need g_max >= 2 and a_max >= 1")

@@ -11,7 +11,7 @@ form's one leaf-first elimination pass, cached with the determinant it
 gives, so building a tree costs O(vertices + edges) steps before
 big-integer growth. Graphs read from a document or a catalog
 name are refused above :data:`MAX_GRAPH_VERTICES` vertices, and graph
-documents above :data:`MAX_CYCLE_RANK` independent cycles.
+documents (:func:`graph_from_doc`) above :data:`MAX_CYCLE_RANK` cycles.
 
 The numerical pullback of the canonical class is the unique exceptional
 divisor ``B`` with ``(K_Y + B) . E_j = 0`` for every vertex, i.e. the
@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
+from typing import Any
 
+from . import io as sio
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
 from .lattice import QVector, SymForm, _qvector, numerators, ratio_str
 from .record import Record, lazy
@@ -337,3 +339,33 @@ class DiscrepancyReport(Record):
             "is_lc": self.is_lc,
             "lc_mod_support": sorted(self.lc_mod_support),
         }
+
+
+def graph_from_doc(doc: Any) -> ResolutionGraph:
+    doc = sio.take(sio.require_mapping(doc, "graph"), "graph", ("vertices", "edges"))
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        raise MalformedInputError("graph vertices and edges must be lists")
+    check_graph_size(len(doc["vertices"]), len(doc["edges"]))
+    vertices = []
+    for v in doc["vertices"]:
+        v = sio.take(sio.require_mapping(v, "vertex"), "vertex", ("id", "self_int", "genus"))
+        if not isinstance(v["id"], str):
+            raise MalformedInputError("vertex id must be a string")
+        vertices.append((v["id"], sio.require_int(v["self_int"], "self_int"),
+                         sio.require_int(v["genus"], "genus")))
+    edges = []
+    for e in doc["edges"]:
+        e = sio.take(sio.require_mapping(e, "edge"), "edge", ("i", "j"), ("mult",))
+        if not isinstance(e["i"], str) or not isinstance(e["j"], str):
+            raise MalformedInputError("edge endpoints must be vertex id strings")
+        edges.append((e["i"], e["j"], sio.require_int(e.get("mult", 1), "mult")))
+    bits = (sum(s.bit_length() + g.bit_length() for _, s, g in vertices)
+            + sum(m.bit_length() for _, _, m in edges))
+    if bits > MAX_ENTRY_BITS:
+        raise DomainError(f"graph entries have {bits} bits in all, above the limit of "
+                          f"{MAX_ENTRY_BITS}", reason="too-large")
+    return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
+
+
+# The codec's name in ``io``, its home before, bound by this module's import.
+sio.graph_from_doc = graph_from_doc

@@ -1,4 +1,4 @@
-"""JSON documents: the graph format, digests and reading files.
+"""JSON documents: field checks, digests and reading files.
 
 The document formats are strict: unknown fields are rejected, rationals are
 integers or ``"p/q"`` strings, and re-serializing a parsed document gives
@@ -6,10 +6,11 @@ a canonical form (used for the report input digests). Keeping the schema
 this rigid is what makes reports byte-identical across runs. The canonical
 writer itself is ``render.to_json``, re-exported here as ``to_json``.
 
-The tower and cone formats are parsed in ``tower`` and ``cone`` with the
-field checks below, so reading a graph loads neither; each binds its codec
-here as well when imported (``tower_from_doc``, ``tower_to_doc``,
-``cone_from_doc``).
+This module is a leaf (it imports ``errors`` and ``render``): ``graph``,
+``tower`` and ``cone`` parse their formats with the field checks below, and
+each binds its codec here too when imported (``graph_from_doc``,
+``tower_from_doc``, ``tower_to_doc``, ``cone_from_doc``). ``digest`` takes
+SHA-256 from the built-in ``_sha256``, as ``hashlib`` does without OpenSSL.
 
 Import rule: library modules import at module level only. A module object
 may outlive a fresh import of the package (perfbench re-imports it while its
@@ -22,12 +23,15 @@ only graphs it builds itself. ``tests/test_imports.py`` checks this rule.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Mapping
 
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later name it _sha2
+    from hashlib import sha256
+
 from .errors import DomainError, MalformedInputError
-from .graph import MAX_ENTRY_BITS, Edge, ResolutionGraph, Vertex, check_graph_size
 from .render import to_json
 
 
@@ -56,41 +60,12 @@ def require_int(value: Any, what: str) -> int:
     return value
 
 
-# -- graphs -------------------------------------------------------------------
-
-
-def graph_from_doc(doc: Any) -> ResolutionGraph:
-    doc = take(require_mapping(doc, "graph"), "graph", ("vertices", "edges"))
-    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
-        raise MalformedInputError("graph vertices and edges must be lists")
-    check_graph_size(len(doc["vertices"]), len(doc["edges"]))
-    vertices = []
-    for v in doc["vertices"]:
-        v = take(require_mapping(v, "vertex"), "vertex", ("id", "self_int", "genus"))
-        if not isinstance(v["id"], str):
-            raise MalformedInputError("vertex id must be a string")
-        vertices.append((v["id"], require_int(v["self_int"], "self_int"),
-                         require_int(v["genus"], "genus")))
-    edges = []
-    for e in doc["edges"]:
-        e = take(require_mapping(e, "edge"), "edge", ("i", "j"), ("mult",))
-        if not isinstance(e["i"], str) or not isinstance(e["j"], str):
-            raise MalformedInputError("edge endpoints must be vertex id strings")
-        edges.append((e["i"], e["j"], require_int(e.get("mult", 1), "mult")))
-    bits = (sum(s.bit_length() + g.bit_length() for _, s, g in vertices)
-            + sum(m.bit_length() for _, _, m in edges))
-    if bits > MAX_ENTRY_BITS:
-        raise DomainError(f"graph entries have {bits} bits in all, above the limit of "
-                          f"{MAX_ENTRY_BITS}", reason="too-large")
-    return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
-
-
 # -- digests and files ---------------------------------------------------------
 
 
 def digest(doc: Any) -> str:
     """Short content digest of a document's canonical form."""
-    return hashlib.sha256(to_json(doc).encode("ascii")).hexdigest()[:16]
+    return sha256(to_json(doc).encode("ascii")).hexdigest()[:16]
 
 
 def load_json(path: str) -> Any:

@@ -1,8 +1,10 @@
-"""The catalog's name table: what ``catalog list`` prints.
+"""The catalog's names: what ``catalog list`` prints, and how names are read.
 
-It names graphs and cones without building any, so listing them loads
-neither ``catalog`` nor ``graph``; ``catalog`` binds it as well.
+Nothing here builds a graph, so listing the names, or resolving a named
+cone, loads neither ``catalog`` nor ``graph``; ``catalog`` binds all three.
 """
+
+from .errors import DomainError, MalformedInputError
 
 
 def catalog_entries() -> dict:
@@ -26,3 +28,27 @@ def catalog_entries() -> dict:
             ],
         },
     }
+
+
+def name_number(digits: str) -> int:
+    """A name's decimal parameter; one longer than the 4,300 digits ``int``
+    parses is too large."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"catalog number of {len(digits)} digits is too large",
+                          reason="too-large") from None
+
+
+def build_named(name: str, build, match) -> object:
+    """``build(match)`` for the catalog name ``name``. A name that matches a
+    pattern but carries out-of-range parameters is still a bad name, not a
+    bad computation."""
+    try:
+        return build(match)
+    except DomainError as exc:
+        if exc.reason == "too-large":  # a valid name, beyond the size limit
+            raise
+        raise MalformedInputError(
+            f"catalog name {name!r} has invalid parameters: {exc}"
+        ) from exc

@@ -57,6 +57,10 @@ BUDGETED = ("tests/test_acceptance.py::",
 EQUIVALENT = {
     "cone: PolarizedCone._slope: v * best_h > best * phi_h: > -> >=":
         "a tie moves to another facet of the same ratio: the slope (p, q) is the same rational",
+    "graph: ResolutionGraph._discrepancies: min(k) >= 0: >= -> >":
+        "the check cannot fire: q <= 0 makes from_ints refuse b first, and for q > 0 the "
+        "certified M y = -q k gives y = q (-M)^-1 k >= 0 when k >= 0 (-M is a Stieltjes "
+        "matrix, so (-M)^-1 >= 0)",
     "lattice: SymForm.is_negative_definite: p < 0: < -> <=":
         "under `p and` the pivot p is nonzero, so p <= 0 is p < 0",
     "lattice: _eliminate: j < m: < -> <=":

@@ -91,6 +91,7 @@ def test_graph_name_patterns() -> None:
     assert graph_by_name("cusp-4").ids == cusp_cycle(4).ids
     assert graph_by_name("simple-elliptic-2").vertices == simple_elliptic(2).vertices
     assert graph_by_name("cone-g2-d1").vertices == cone_over_curve(2, 1).vertices
+    assert graph_by_name("cone-g0-d1").vertices[0].genus == 0  # the least genus a cone takes
 
 
 @pytest.mark.parametrize("name", ["Q5", "A0", "cusp-2", "cone-g1-d0", "E9", ""])

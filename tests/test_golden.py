@@ -7,6 +7,7 @@ review the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -114,6 +115,37 @@ def test_report_bytes_match_golden(case: str, tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert _run(CASES[case]) == expected
+
+
+def _input_doc(group: str, source: str):
+    """The document a report with this ``source`` digests."""
+    from singvol.catalog import graph_by_name
+    from singvol.cone import cone_by_name, cone_from_doc
+    from singvol.tower import tower_from_doc, tower_to_doc
+
+    if source == "tower.json":
+        return tower_to_doc(tower_from_doc(TOWER_DOC))
+    if source == "cone.json":
+        return cone_from_doc(CONE_DOC).to_doc()
+    name = source.removeprefix("catalog:")
+    return (graph_by_name if group == "graph" else cone_by_name)(name).to_doc()
+
+
+def test_digest_is_the_sha256_prefix_of_each_golden_input() -> None:
+    # the digest's SHA-256 may come from any implementation: pin it to hashlib's
+    from singvol.io import digest, to_json
+
+    checked = 0
+    for case, argv in CASES.items():
+        report = json.loads(json.loads((GOLDEN / f"{case}.json").read_text("utf-8"))["stdout"])
+        inputs = report.get("inputs", {})
+        if "source" not in inputs:
+            continue
+        doc = _input_doc(argv[0], inputs["source"])
+        expected = hashlib.sha256(to_json(doc).encode("ascii")).hexdigest()[:16]
+        assert digest(doc) == expected == inputs["digest"], case
+        checked += 1
+    assert checked == 34
 
 
 if __name__ == "__main__":

@@ -98,6 +98,41 @@ def test_cone_commands_load_no_tower_or_randgen(argv) -> None:
     assert not loaded & {"singvol.tower", "singvol.randgen", "dataclasses"}
 
 
+# What a cone command other than dcc-scan runs: no graph, catalog or envelope.
+CONE_MODULES = {"singvol", "singvol.cli", "singvol.errors", "singvol.render", "singvol.cone",
+                "singvol.io", "singvol.lattice", "singvol.names", "singvol.record"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("cone", "bound", "catalog:paper-ruled-surface", "--a", "1/2"),
+    ("cone", "valuation", "catalog:paper-ruled-surface", "--class", "1,0", "--k", "3"),
+    ("cone", "counterexample"),
+])
+def test_cone_commands_load_no_graph_stack(argv) -> None:
+    loaded = _modules_after(*argv)
+    assert not loaded & {"singvol.graph", "singvol.catalog", "singvol.envelope"}
+    assert {m for m in loaded if m.split(".")[0] == "singvol"} == CONE_MODULES
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "vol", "catalog:E8"),
+    ("cone", "bound", "catalog:paper-ruled-surface", "--a", "1/2"),
+])
+def test_digests_load_no_openssl(argv) -> None:
+    # hashlib loads OpenSSL's _hashlib; the built-in _sha256 is what hashlib
+    # falls back to without it (Python 3.12 renamed the module)
+    pytest.importorskip("_sha256")
+    loaded = _modules_after(*argv)
+    assert not loaded & {"hashlib", "_hashlib"}
+
+
+def test_io_imports_only_errors_and_render() -> None:
+    # io is a leaf: the graph, tower and cone codecs live with their types
+    tree = ast.parse((SRC / "singvol" / "io.py").read_text(encoding="utf-8"))
+    imported = {m for node in ast.walk(tree) for m in _imported_modules(node)}
+    assert imported == {"errors", "render"}, imported
+
+
 def test_package_names_are_the_same_and_resolve_to_their_modules() -> None:
     assert singvol.__all__ == PUBLIC_NAMES
     assert singvol.volume is importlib.import_module("singvol.envelope").volume

@@ -7,7 +7,8 @@ import pytest
 from singvol import FreeBlowup, MalformedInputError, ModelTower, SatelliteBlowup
 from singvol.catalog import graph_by_name
 from singvol.cone import cone_from_doc, ruled_surface_cone
-from singvol.io import digest, graph_from_doc, load_json, to_json
+from singvol.graph import graph_from_doc
+from singvol.io import digest, load_json, to_json
 from singvol.tower import tower_from_doc, tower_to_doc
 
 GRAPH_DOC = {
@@ -237,7 +238,7 @@ def test_oversized_graph_doc_is_refused_before_any_vertex() -> None:
 
 
 def test_graph_doc_over_the_entry_bit_budget_is_refused_before_any_vertex(monkeypatch) -> None:
-    import singvol.io as sio
+    import singvol.graph
     from singvol import DomainError
     from singvol.graph import MAX_ENTRY_BITS
 
@@ -250,7 +251,7 @@ def test_graph_doc_over_the_entry_bit_budget_is_refused_before_any_vertex(monkey
     def no_vertex(*args):
         raise AssertionError("a Vertex was built")
 
-    monkeypatch.setattr(sio, "Vertex", no_vertex)
+    monkeypatch.setattr(singvol.graph, "Vertex", no_vertex)
     with pytest.raises(DomainError) as exc:
         graph_from_doc(doc)
     assert exc.value.reason == "too-large"
