@@ -39,11 +39,12 @@ def _load(args):
     from .io import digest, load_json
 
     if args.group == "graph":
-        from .catalog import graph_by_name as by_name
         from .graph import graph_from_doc as from_doc
     else:
         from .cone import cone_by_name as by_name, cone_from_doc as from_doc
     if args.source.startswith("catalog:"):
+        if args.group == "graph":  # catalog and names load only for a catalog name
+            from .catalog import graph_by_name as by_name
         obj = by_name(args.source[len("catalog:"):])
     else:
         obj = from_doc(load_json(args.source))
@@ -261,7 +262,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
             f"--class needs {len(cone.basis)} comma-separated rationals "
             f"(basis {', '.join(cone.basis)})"
         )
-    cls = QVector(rat(p) for p in parts)
+    cls = QVector(parts)
     if args.k < 1:
         raise DomainError("--k must be a positive integer")
     limit = valuation_limit(cone, cls)
@@ -427,8 +428,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def __getattr__(name: str):
-    """The package's public names, such as ``cli.volume``, which this module
-    once imported for every command; now each is imported on first use."""
+    """The package's public names, such as ``cli.volume``, imported on first
+    use: perfbench's self-test reads ``cli.volume``."""
     package = sys.modules[__package__]
     if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -160,9 +160,6 @@ class ResolutionGraph(Record):
         except KeyError:
             raise MalformedInputError(f"unknown vertex id {vertex_id!r}") from None
 
-    def vertex(self, vertex_id: str) -> Vertex:
-        return self.vertices[self.index(vertex_id)]
-
     @lazy
     def intersection_form(self) -> SymForm:
         """Gram matrix: self-intersections on the diagonal, summed edge
@@ -181,14 +178,8 @@ class ResolutionGraph(Record):
         i = self.index(vertex_id)
         return ExcDivisor.from_ints(self, 1, [int(k == i) for k in range(len(self.vertices))])
 
-    def zero_divisor(self) -> "ExcDivisor":
-        return ExcDivisor.from_ints(self, 1, [0] * len(self.vertices))
-
-    def canonical_intersections(self) -> QVector:
-        """``k_j = K . E_j = 2 genus_j - 2 - self_int_j`` (adjunction)."""
-        return QVector(self._canonical_ints())
-
     def _canonical_ints(self) -> list[int]:
+        """``k_j = K . E_j = 2 genus_j - 2 - self_int_j`` (adjunction)."""
         return [2 * v.genus - 2 - v.self_int for v in self.vertices]
 
     def mumford_pullback_canonical(self) -> "ExcDivisor":
@@ -282,9 +273,6 @@ class ExcDivisor(Record):
         den, nums = self.ints
         return _qvector(Fraction(v, den) for v in nums)
 
-    def coeff(self, vertex_id: str) -> Fraction:
-        return self.coeffs[self.graph.index(vertex_id)]
-
     def intersections(self) -> QVector:
         """All products ``D . E_j`` at once, i.e. ``M . coeffs``."""
         return self.graph.intersection_form.apply(self.coeffs)
@@ -313,9 +301,6 @@ class ExcDivisor(Record):
     def __neg__(self) -> "ExcDivisor":
         den, nums = self.ints
         return ExcDivisor.from_ints(self.graph, den, [-v for v in nums])
-
-    def scale(self, factor) -> "ExcDivisor":
-        return self.graph.divisor(self.coeffs.scale(factor))
 
     def leq(self, other: "ExcDivisor") -> bool:
         self._check_same_graph(other)
@@ -367,5 +352,6 @@ def graph_from_doc(doc: Any) -> ResolutionGraph:
     return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
 
 
-# The codec's name in ``io``, its home before, bound by this module's import.
+# Bound into ``io`` when this module loads, so ``io.graph_from_doc`` resolves
+# for perfbench's tracer, which wraps the ``io.*_from_doc`` codecs.
 sio.graph_from_doc = graph_from_doc

@@ -20,11 +20,10 @@ test (Sylvester's criterion holds for the leading minors of any symmetric
 reordering). The pass keeps its factor:
 pivots, row swaps, multipliers and upper rows, and a swap-free factor can
 be bordered by more rows without eliminating it again. A solve carries its
-integer right-hand side through a factor and back-substitutes: the
-whole-form solve through the cached pass, a solve on a support through one
-pass on that block. Solves return integers ``(d, d x)``, the mat-vec and
-the pairing are sums over the one integer mat-vec ``(L M) v``, and a graph's
-divisors keep their integers, so a ``Fraction`` is made only when read.
+integer right-hand side through the cached pass and back-substitutes.
+Solves return integers ``(d, d x)``, the mat-vec and the pairing are sums
+over the one integer mat-vec ``(L M) v``, and a graph's divisors keep their
+integers, so a ``Fraction`` is made only when read.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1 (:func:`ratio_str`).
@@ -92,23 +91,13 @@ def rat_str(value: Fraction) -> str:
 class QVector(tuple):
     """Immutable vector of exact rationals.
 
-    Supports componentwise addition, subtraction, negation, scalar
-    multiplication and componentwise order comparisons. Length is fixed at
-    construction; mixing lengths raises.
+    Supports componentwise addition, subtraction and negation, and
+    :meth:`scale` by a rational. Length is fixed at construction; mixing
+    lengths raises.
     """
 
     def __new__(cls, entries: Iterable[RationalLike]) -> "QVector":
         return super().__new__(cls, (rat(e) for e in entries))
-
-    @classmethod
-    def zero(cls, n: int) -> "QVector":
-        return cls([0] * n)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "QVector":
-        if not 0 <= i < n:
-            raise MalformedInputError(f"unit index {i} out of range for length {n}")
-        return cls([1 if k == i else 0 for k in range(n)])
 
     def _check_len(self, other: Sequence) -> None:
         if len(self) != len(other):
@@ -131,25 +120,8 @@ class QVector(tuple):
         f = rat(factor)
         return _qvector(f * a for a in self)
 
-    __mul__ = scale
-
-    def __rmul__(self, factor: RationalLike) -> "QVector":
-        return self.scale(factor)
-
-    def dot(self, other: "QVector") -> Fraction:
-        self._check_len(other)
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
-
-    def leq(self, other: "QVector") -> bool:
-        """Componentwise ``self <= other``."""
-        self._check_len(other)
-        return all(a <= b for a, b in zip(self, other))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self)
-
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self)
 
     def to_doc(self) -> list[str]:
         return [rat_str(a) for a in self]
@@ -179,8 +151,7 @@ class SymForm:
     denominators and the nonzero entries of ``L * M`` as ``(column, int)``
     pairs sorted by column. That is canonical, so equality and hashing use
     it. The factor of the one leaf-first pass behind :meth:`det`,
-    :meth:`is_negative_definite` and the whole-form :meth:`solve_int` is
-    cached.
+    :meth:`is_negative_definite` and :meth:`solve_int` is cached.
     """
 
     __slots__ = ("_integral", "_pass")
@@ -231,10 +202,6 @@ class SymForm:
     def dim(self) -> int:
         return len(self._integral[1])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        scale, sparse = self._integral
-        return Fraction(dict(sparse[i]).get(j, 0), scale)
-
     def _check_len(self, v: Sequence, what: str = "vector") -> None:
         if len(v) != self.dim:
             raise MalformedInputError(
@@ -270,44 +237,25 @@ class SymForm:
         db, nb = (da, na) if b is a else numerators(b)
         return Fraction(sum(map(mul, na, self.apply_int(nb))), self._integral[0] * da * db)
 
-    def solve(self, rhs: Sequence[RationalLike], support: Sequence[int] | None = None) -> QVector:
+    def solve(self, rhs: Sequence[RationalLike]) -> QVector:
         """Solve ``M x = rhs`` (ints or Fractions) exactly: :meth:`solve_int`
         on the numerators of ``rhs``, divided by ``d`` and their common
         denominator."""
         den, num = numerators(rhs)
-        d, y = self.solve_int(num, support)
+        d, y = self.solve_int(num)
         return _qvector(Fraction(v, d * den) for v in y)
 
-    def solve_int(self, rhs: Sequence[int], support: Sequence[int] | None = None
-                  ) -> tuple[int, list[int]]:
+    def solve_int(self, rhs: Sequence[int]) -> tuple[int, list[int]]:
         """Solve ``M x = rhs`` for an integer ``rhs``: ``(d, y)`` with ``d > 0``
-        and ``y = d x`` integers; raises SingularSystemError if singular.
-
-        With ``support``, solve the principal subsystem on those indices
-        instead: ``y`` vanishes off ``support`` and ``(M x)_i = rhs_i`` for
-        every ``i`` in it; entries of ``rhs`` off the support are ignored.
-        The whole form substitutes through the cached pass, a support
-        through one pass on its block, both in leaf-first order.
-        """
-        n = self.dim
+        and ``y = d x`` integers, substituted through the cached leaf-first
+        pass; raises SingularSystemError if singular."""
         self._check_len(rhs, "rhs")
-        y = [0] * n
-        if support is None:
-            order, factor = range(n - 1, -1, -1), self._whole_pass()
-        else:
-            order = list(reversed(support))
-            if any(not 0 <= i < n for i in order):
-                raise MalformedInputError(f"support index out of range for dimension {n}")
-            if not order:
-                return 1, y
-            factor = self._factor(order)
+        factor = self._whole_pass()
         if not factor[0][-1]:
             raise SingularSystemError("form matrix is singular")
         scale = self._integral[0]
-        d, z = _substitute(factor, [scale * rhs[i] for i in order])
-        for i, v in zip(order, z):
-            y[i] = v
-        return d, y
+        d, z = _substitute(factor, [scale * v for v in reversed(rhs)])
+        return d, z[::-1]
 
     def _factor(self, order: Sequence[int]) -> tuple:
         """The :func:`_eliminate` factor of the principal block on ``order``."""

@@ -317,5 +317,6 @@ def tower_to_doc(tower: ModelTower) -> dict:
     return {"base": tower.base.to_doc(), "steps": steps}
 
 
-# The codec's names in ``io``, its home before, bound by this module's import.
+# Bound into ``io`` when this module loads: perfbench's tracer wraps
+# ``io.tower_from_doc``, and its workloads call ``io.tower_to_doc``.
 sio.tower_from_doc, sio.tower_to_doc = tower_from_doc, tower_to_doc

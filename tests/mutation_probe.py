@@ -57,6 +57,14 @@ BUDGETED = ("tests/test_acceptance.py::",
 EQUIVALENT = {
     "cone: PolarizedCone._slope: v * best_h > best * phi_h: > -> >=":
         "a tie moves to another facet of the same ratio: the slope (p, q) is the same rational",
+    "envelope: zariski_oracle: d > 0: > -> >=":
+        "d is the walk's nonzero pivot (or 1 for the empty subset): the walk raises on 0",
+    "envelope: zariski_oracle: z * e <= x * f: <= -> <":
+        "every feasible candidate solves the complementarity problem of the P-matrix -M, "
+        "which has one solution, so all candidates are the same N and a tie cannot change "
+        "the result",
+    "envelope: _feasible_walk: d > 0: > -> >=":
+        "d is a nonzero pivot: the walk raises on 0 before this test",
     "graph: ResolutionGraph._discrepancies: min(k) >= 0: >= -> >":
         "the check cannot fire: q <= 0 makes from_ints refuse b first, and for q > 0 the "
         "certified M y = -q k gives y = q (-M)^-1 k >= 0 when k >= 0 (-M is a Stieltjes "

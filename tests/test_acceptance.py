@@ -290,7 +290,7 @@ def test_criterion_15_large_cone_facets() -> None:
     with criterion(15, "facets of the 316-generator moment-curve cone at basis 3", 0.5):
         cone = PolarizedCone(dim_x=3, basis=("e0", "e1", "e2"),
                              form=SymForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                             nef_gens=(h,), pseff_gens=gens, k_class=QVector.zero(3),
+                             nef_gens=(h,), pseff_gens=gens, k_class=QVector([0] * 3),
                              h_class=h)
         normals = cone.facet_normals
     # the cyclic polygon: one facet through each pair of neighbours on the curve

@@ -71,6 +71,15 @@ def test_graph_commands_load_no_cone_tower_or_randgen() -> None:
     assert not loaded & {"singvol.cone", "singvol.tower", "singvol.randgen", "dataclasses"}
 
 
+def test_graph_commands_on_a_file_load_no_catalog(tmp_path) -> None:
+    # the catalog and its name table load only for a catalog: source
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(TOWER_DOC["base"]), encoding="utf-8")
+    loaded = _modules_after("graph", "vol", str(path))
+    assert "singvol.envelope" in loaded
+    assert not loaded & {"singvol.catalog", "singvol.names"}
+
+
 def test_catalog_list_loads_no_computation() -> None:
     # the names and the writer only: no graph, rational or digest code
     loaded = _modules_after("catalog", "list")

@@ -39,9 +39,9 @@ def a_chain(n: int) -> ResolutionGraph:
 def test_free_blowup_adds_minus_one_leaf() -> None:
     g = blow_up(a_chain(1), FreeBlowup("v1"))
     assert g.ids == ("v1", "b1")
-    assert g.vertex("v1").self_int == -3
-    assert g.vertex("b1").self_int == -1
-    assert g.vertex("b1").genus == 0
+    assert g.vertices[g.index("v1")].self_int == -3
+    assert g.vertices[g.index("b1")].self_int == -1
+    assert g.vertices[g.index("b1")].genus == 0
     assert len(g.edges) == 1 and g.edges[0].joins("v1", "b1")
 
 
@@ -49,16 +49,16 @@ def test_repeated_free_blowups_pick_fresh_ids() -> None:
     g = blow_up(a_chain(1), FreeBlowup("v1"))
     g = blow_up(g, FreeBlowup("v1"))
     assert g.ids == ("v1", "b1", "b2")
-    assert g.vertex("v1").self_int == -4
+    assert g.vertices[g.index("v1")].self_int == -4
     assert fresh_vertex_id(g) == "b3"
 
 
 def test_satellite_blowup_splits_an_edge() -> None:
     g = blow_up(a_chain(2), SatelliteBlowup("v1", "v2"))
     assert g.ids == ("v1", "v2", "b1")
-    assert g.vertex("v1").self_int == -3
-    assert g.vertex("v2").self_int == -3
-    assert g.vertex("b1").self_int == -1
+    assert g.vertices[g.index("v1")].self_int == -3
+    assert g.vertices[g.index("v2")].self_int == -3
+    assert g.vertices[g.index("b1")].self_int == -1
     pairs = sorted(tuple(sorted((e.i, e.j))) for e in g.edges)
     assert pairs == [("b1", "v1"), ("b1", "v2")]
 
@@ -68,8 +68,8 @@ def test_satellite_blowup_decrements_multiple_edge() -> None:
     g = blow_up(base, SatelliteBlowup("a", "b"))
     by_pair = {tuple(sorted((e.i, e.j))): e.mult for e in g.edges}
     assert by_pair == {("a", "b"): 1, ("a", "b1"): 1, ("b", "b1"): 1}
-    assert g.vertex("a").self_int == -4
-    assert g.vertex("b").self_int == -4
+    assert g.vertices[g.index("a")].self_int == -4
+    assert g.vertices[g.index("b")].self_int == -4
 
 
 def test_blowup_rejects_bad_steps() -> None:
@@ -127,6 +127,19 @@ def test_pushforward_inverts_pullback() -> None:
         assert pushforward(ModelTower(base, (step,)).pullback(0, d), base) == d
 
 
+def test_pushforward_onto_the_same_vertex_ids() -> None:
+    # onto its own graph a divisor is unchanged; onto the same ids in
+    # another order it is refused, never read off by position
+    base = a_chain(2)
+    d = base.divisor((F(1, 2), F(-5, 3)))
+    assert pushforward(d, base) == d
+    swapped = ResolutionGraph.make((("v2", -2, 0), ("v1", -2, 0)), (("v1", "v2"),))
+    with pytest.raises(MalformedInputError, match="disagree on order"):
+        pushforward(d, swapped)
+    with pytest.raises(MalformedInputError, match="vertices the child lacks"):
+        pushforward(d, a_chain(3))
+
+
 def test_pullback_rejects_a_divisor_off_its_level() -> None:
     base = a_chain(2)
     tower = ModelTower(base, (FreeBlowup("v1"), FreeBlowup("v2")))
@@ -137,7 +150,10 @@ def test_pullback_rejects_a_divisor_off_its_level() -> None:
         tower.pullback(2, d)  # no step 2
     with pytest.raises(MalformedInputError):
         tower.pullback(-1, d)
-    assert tower.pullback(1, tower.pullback(0, d)).coeffs == (F(1), F(2), F(1), F(2))
+    top = tower.pullback(1, tower.pullback(0, d))
+    assert top.coeffs == (F(1), F(2), F(1), F(2))
+    with pytest.raises(MalformedInputError):
+        tower.pullback(2, top)  # on the top model, but there is no step 2
 
 
 def test_blown_up_canonical_coefficient_drops_by_one() -> None:
@@ -147,7 +163,7 @@ def test_blown_up_canonical_coefficient_drops_by_one() -> None:
     assert b.coeffs == (F(3),)
     top = blow_up(base, FreeBlowup("v"))
     b2 = top.mumford_pullback_canonical()
-    assert b2.coeff("b1") == b.coeff("v") - 1
+    assert b2.coeffs[top.index("b1")] == b.coeffs[base.index("v")] - 1
 
 
 def test_new_canonical_coefficient_may_be_negative() -> None:

@@ -92,7 +92,7 @@ def test_oracle_runs_no_production_solve() -> None:
 
     def run(modules):
         graph = catalog.graph_by_name("E8")
-        a = graph.log_discrepancy_divisor() - graph.basis_divisor("v4").scale(3)
+        a = graph.log_discrepancy_divisor() - graph.divisor(graph.basis_divisor("v4").coeffs.scale(3))
         trace = modules.envelope.nef_envelope_trace(graph, a)
         return trace, modules.envelope.zariski_oracle(graph, a)
 
