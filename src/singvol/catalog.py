@@ -4,9 +4,9 @@ Graph entries cover the standard zoo: the ADE (rational double point)
 graphs, simple elliptic singularities (one elliptic curve of
 self-intersection ``-d``), cusp cycles, and cones over higher-genus
 curves. Parametric names like ``A7``, ``cusp-5``, ``simple-elliptic-3`` or
-``cone-g2-d1`` resolve on demand. Named cones resolve in ``cone``
-(``cone.cone_by_name``), so graph names never load the cone module;
-``names`` lists both and holds the name parsers both use, bound here too.
+``cone-g2-d1`` resolve on demand, through the catalog lookup ``io.by_name``
+that named cones (``cone.cone_by_name``) use too, so graph names never load
+the cone module. ``catalog list`` prints both lists (``cli.catalog_entries``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 
 from .errors import MalformedInputError
 from .graph import ResolutionGraph, check_graph_size
-from .names import build_named, catalog_entries, name_number  # noqa: F401
+from .io import by_name, name_number
 
 
 def a_n(n: int) -> ResolutionGraph:
@@ -105,10 +105,4 @@ _GRAPH_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
 
 
 def graph_by_name(name: str) -> ResolutionGraph:
-    if name in _GRAPH_FIXED:
-        return _GRAPH_FIXED[name]()
-    for pattern, build in _GRAPH_PATTERNS:
-        m = pattern.match(name)
-        if m:
-            return build_named(name, build, m)
-    raise MalformedInputError(f"unknown catalog graph {name!r}", reason="unknown-catalog-name")
+    return by_name(name, _GRAPH_FIXED, _GRAPH_PATTERNS, "graph")

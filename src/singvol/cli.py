@@ -2,8 +2,8 @@
 
 Every command emits one JSON report to stdout (or ``--out``), canonically
 rendered so identical inputs and seeds give byte-identical bytes. Exit
-codes: 0 success, 1 domain error, 2 malformed input, 3 internal
-consistency failure. Errors are reported as a JSON object with a
+codes: 0 success, else the error class's ``exit_code``: 1 domain error,
+2 malformed input, 3 internal consistency failure. Errors are reported as a JSON object with a
 machine-readable ``reason`` slug; an internal consistency failure after a
 command has read its input carries that input's ``source`` and ``digest``.
 A command line the parser refuses gets such an error too (``too-large`` for
@@ -12,7 +12,7 @@ an integer option longer than Python's int parses); ``main`` then raises
 
 Start-up is most of a command's cost, so this module loads only ``errors``
 and the writer ``render`` up front, and each command body imports the
-modules it runs: ``catalog list`` loads no graph, rational or digest code,
+modules it runs: ``catalog list`` loads none, as its names are listed here,
 graph commands never load ``cone``, cone commands but ``dcc-scan`` never
 load ``graph``, and only ``blowup`` and ``random-suite`` load ``tower``.
 These and the package's ``__getattr__`` are the only call-time imports
@@ -43,7 +43,7 @@ def _load(args):
     else:
         from .cone import cone_by_name as by_name, cone_from_doc as from_doc
     if args.source.startswith("catalog:"):
-        if args.group == "graph":  # catalog and names load only for a catalog name
+        if args.group == "graph":  # catalog loads only for a catalog name
             from .catalog import graph_by_name as by_name
         obj = by_name(args.source[len("catalog:"):])
     else:
@@ -282,7 +282,7 @@ def _cmd_cone_valuation(args) -> tuple[dict, int]:
 @_command("cone", "limiting", "m-truncated log-discrepancy coefficient",
           _CONE_SOURCE, _arg("--m", type=_int, required=True))
 def _cmd_cone_limiting(args) -> tuple[dict, int]:
-    from .cone import STATUS_CITED, limiting_discrepancy
+    from .cone import STATUS_CITED, claim, limiting_discrepancy
     from .lattice import rat_str
 
     cone, inputs = _load(args)
@@ -294,14 +294,9 @@ def _cmd_cone_limiting(args) -> tuple[dict, int]:
         "result": {
             "m": args.m,
             "limiting_discrepancy": rat_str(value),
-            "caveat": {
-                "claim": "truncated-volume-positivity",
-                "status": STATUS_CITED,
-                "detail": (
-                    "this coefficient traces one divisor; whether the "
-                    "m-truncated volume is positive is not decided by it"
-                ),
-            },
+            "caveat": claim("truncated-volume-positivity", STATUS_CITED,
+                            "this coefficient traces one divisor; whether the "
+                            "m-truncated volume is positive is not decided by it"),
         },
     }, 0
 
@@ -345,10 +340,31 @@ def _cmd_cone_dcc_scan(args) -> tuple[dict, int]:
     return {"inputs": {"g_max": args.g_max, "a_max": args.a_max}, "result": report}, 0
 
 
+def catalog_entries() -> dict:
+    """Everything `catalog list` prints: fixed names plus name patterns."""
+    return {
+        "graphs": {
+            "fixed": ["E6", "E7", "E8"],  # catalog._GRAPH_FIXED's keys
+            "patterns": [
+                "A<n>            chain of n (-2)-curves",
+                "D<n>            forked chain, n >= 4",
+                "cusp-<L>        cycle of L rational (-3)-curves, L >= 3",
+                "simple-elliptic-<d>  one elliptic (-d)-curve",
+                "cone-g<g>-d<d>  one genus-g curve of self-intersection -d",
+            ],
+        },
+        "cones": {
+            "fixed": ["elliptic-cone", "paper-ruled-surface"],  # cone._CONE_FIXED's keys
+            "patterns": [
+                "cone-g<g>-d<d>  polarized cone over a genus-g degree-d curve",
+                "elliptic-cone-<d>  cone over an elliptic curve of degree d",
+            ],
+        },
+    }
+
+
 @_command("catalog", "list", "list fixed names and name patterns")
 def _cmd_catalog_list(args) -> tuple[dict, int]:
-    from .names import catalog_entries
-
     return {"result": catalog_entries()}, 0
 
 
@@ -397,10 +413,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code per error class; the first matching entry wins.
-_EXIT_CODES = ((MalformedInputError, 2), (InternalConsistencyError, 3), (SingvolError, 1))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = None
     argv = sys.argv[1:] if argv is None else argv
@@ -416,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         error = {"error": {"reason": exc.reason, "message": str(exc)}}
         if exc.context is not None:
             error["error"]["context"] = exc.context
-        code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
+        code = exc.exit_code
     out = _out_of(argv) if args is None else args.out
     try:
         _emit(error, out)

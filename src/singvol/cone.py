@@ -63,7 +63,6 @@ from .errors import (
     MalformedInputError,
 )
 from .lattice import QVector, SymForm, _eliminate, _substitute, numerators, rat, rat_str
-from .names import build_named, name_number
 from .record import Record, lazy
 
 # Report-label vocabulary. Claims carried by citation are present for
@@ -71,6 +70,12 @@ from .record import Record, lazy
 STATUS_COMPUTED = "computed-exact"
 STATUS_CITED = "cited-not-computed"
 STATUS_OPEN = "open-not-computed"
+
+
+def claim(name: str, status: str, detail: str) -> dict:
+    """A report's labeled statement: what is claimed, how it is known, and why."""
+    return {"claim": name, "status": status, "detail": detail}
+
 
 # A cone with more (n-1)-subsets of its m pseudo-effective generators than
 # this is refused as too large. Each facet of every intermediate cone of the
@@ -377,7 +382,7 @@ def _gram_factor(vectors: Sequence[Sequence[int]]) -> tuple:
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:
-    """``t`` with ``a = t b``, or None."""
+    """``t`` with ``a = t b``, or None (always when ``b = 0``)."""
     t: Fraction | None = None
     for x, y in zip(a, b):
         if y == 0:
@@ -389,8 +394,6 @@ def _proportionality(a: QVector, b: QVector) -> Fraction | None:
             t = ratio
         elif t != ratio:
             return None
-    if t is None:  # b = 0: proportional only if a = 0
-        return Fraction(0) if a.is_zero() else None
     return t
 
 
@@ -628,70 +631,33 @@ def vol_plus_table(cone: PolarizedCone, a_seq: Sequence) -> dict:
         )
     verdict_lc = lc_boundary_exists(cone)
     verdicts = [
-        {
-            "claim": "augmented-volume-zero",
-            "status": STATUS_CITED,
-            "detail": (
-                "each row bounds every truncated volume by a^dim * H^(dim-1), "
-                "which shrinks to 0 along slopes a -> 0; the identification of "
-                "the infimum with the augmented volume is carried by citation"
-            ),
-        },
-        {
-            "claim": "local-volume-zero",
-            "status": STATUS_CITED,
-            "detail": (
-                "the local volume is dominated by every truncated volume, hence "
-                "by the vanishing infimum above"
-            ),
-        },
+        claim("augmented-volume-zero", STATUS_CITED,
+              "each row bounds every truncated volume by a^dim * H^(dim-1), "
+              "which shrinks to 0 along slopes a -> 0; the identification of "
+              "the infimum with the augmented volume is carried by citation"),
+        claim("local-volume-zero", STATUS_CITED,
+              "the local volume is dominated by every truncated volume, hence "
+              "by the vanishing infimum above"),
     ]
     if verdict_lc.exists is True:
-        verdicts.append(
-            {
-                "claim": "all-truncated-volumes-zero",
-                "status": STATUS_COMPUTED,
-                "detail": (
-                    "an lc boundary exists, so every truncated volume vanishes; "
-                    "witness recorded in the lc certificate"
-                ),
-            }
-        )
+        verdicts.append(claim(
+            "all-truncated-volumes-zero", STATUS_COMPUTED,
+            "an lc boundary exists, so every truncated volume vanishes; "
+            "witness recorded in the lc certificate"))
     if verdict_lc.exists is False:
-        verdicts.append(
-            {
-                "claim": "no-lc-boundary",
-                "status": STATUS_COMPUTED,
-                "detail": "; ".join(verdict_lc.certificate),
-            }
-        )
-        verdicts.append(
-            {
-                "claim": "zero-local-volume-without-lc-boundary",
-                "status": STATUS_COMPUTED,
-                "detail": (
-                    "the limiting log-discrepancy traces stay nonnegative (local "
-                    "volume 0) although no boundary makes the pair log canonical"
-                ),
-            }
-        )
+        verdicts.append(claim("no-lc-boundary", STATUS_COMPUTED,
+                              "; ".join(verdict_lc.certificate)))
+        verdicts.append(claim(
+            "zero-local-volume-without-lc-boundary", STATUS_COMPUTED,
+            "the limiting log-discrepancy traces stay nonnegative (local "
+            "volume 0) although no boundary makes the pair log canonical"))
     not_desk_verifiable = [
-        {
-            "claim": "every-truncated-volume-positive",
-            "status": STATUS_CITED,
-            "detail": (
-                "positivity of each m-truncated volume is a statement about all "
-                "birational models, not decidable from this one-divisor trace"
-            ),
-        },
-        {
-            "claim": "augmented-volume-equals-local-volume",
-            "status": STATUS_OPEN,
-            "detail": (
-                "whether the two invariants agree in general is open; this "
-                "report only ever computes the common upper bounds"
-            ),
-        },
+        claim("every-truncated-volume-positive", STATUS_CITED,
+              "positivity of each m-truncated volume is a statement about all "
+              "birational models, not decidable from this one-divisor trace"),
+        claim("augmented-volume-equals-local-volume", STATUS_OPEN,
+              "whether the two invariants agree in general is open; this "
+              "report only ever computes the common upper bounds"),
     ]
     return {
         "rows": rows,
@@ -790,7 +756,7 @@ def ruled_surface_cone() -> PolarizedCone:
     )
 
 
-# ``catalog.catalog_entries`` lists these names and patterns.
+# ``cli.catalog_entries`` lists these names and patterns.
 _CONE_FIXED = {
     "paper-ruled-surface": ruled_surface_cone,
     "elliptic-cone": lambda: curve_cone(1, 1),
@@ -799,23 +765,17 @@ _CONE_FIXED = {
 _CONE_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     (
         re.compile(r"^cone-g(\d+)-d(\d+)$"),
-        lambda m: curve_cone(name_number(m.group(1)), name_number(m.group(2))),
+        lambda m: curve_cone(sio.name_number(m.group(1)), sio.name_number(m.group(2))),
     ),
     (
         re.compile(r"^elliptic-cone-(\d+)$"),
-        lambda m: curve_cone(1, name_number(m.group(1))),
+        lambda m: curve_cone(1, sio.name_number(m.group(1))),
     ),
 )
 
 
 def cone_by_name(name: str) -> PolarizedCone:
-    if name in _CONE_FIXED:
-        return _CONE_FIXED[name]()
-    for pattern, build in _CONE_PATTERNS:
-        m = pattern.match(name)
-        if m:
-            return build_named(name, build, m)
-    raise MalformedInputError(f"unknown catalog cone {name!r}", reason="unknown-catalog-name")
+    return sio.by_name(name, _CONE_FIXED, _CONE_PATTERNS, "cone")
 
 
 def _qvector(value: Any, what: str) -> QVector:

@@ -145,17 +145,19 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
     """Exponential ground-truth envelope: try every candidate active set.
 
     For each subset ``S`` of vertices solve the complementarity system
-    (``N`` supported on ``S`` with ``N . E_j = A . E_j`` there), keep the
-    candidates with ``N >= 0`` and ``P . E_j >= 0`` everywhere, and return
-    the componentwise-maximal ``P``. Existence and uniqueness of the
-    maximal element are asserted, not assumed.
+    (``N`` supported on ``S`` with ``N . E_j = A . E_j`` there) and keep the
+    candidates with ``N >= 0`` and ``P . E_j >= 0`` everywhere. ``-M`` is a
+    P-matrix, so the complementarity problem has exactly one solution
+    (Samelson, Thrall and Wesler, Proc. AMS 9, 1958): every feasible
+    candidate is the same ``N``, and its ``P`` is the componentwise-maximal
+    one. That a candidate exists and all agree is asserted, not assumed.
 
     :func:`_feasible_walk` visits the subsets and decides feasibility in
     integers. A feasible candidate stays ``(d, y)``, with ``N = y / (d
-    den)``; the largest ``P = A - N`` is the smallest ``N``, found by
-    cross-multiplying over ``|d|``, and only it becomes a divisor, through
-    :func:`_finish`. Graphs with more than :data:`ORACLE_MAX_VERTICES`
-    vertices are refused before any work.
+    den)``; candidates are compared by cross-multiplying over ``|d|``, and
+    only the first becomes a divisor, through :func:`_finish`. Graphs with
+    more than :data:`ORACLE_MAX_VERTICES` vertices are refused before any
+    work.
     """
     r = len(graph.vertices)
     if r > ORACLE_MAX_VERTICES:
@@ -172,13 +174,8 @@ def zariski_oracle(graph: ResolutionGraph, a: ExcDivisor) -> ZariskiDecompositio
     if not found:
         raise InternalConsistencyError("no feasible Zariski candidate found")
     e, n = found[0]
-    for f, m in found:  # a candidate below all the others is kept once met
-        if all(z * e <= x * f for x, z in zip(n, m)):
-            e, n = f, m
-    if not all(x * f <= z * e for f, m in found for x, z in zip(n, m)):
-        raise InternalConsistencyError(
-            "feasible candidates have no componentwise-maximal element"
-        )
+    if any(x * f != z * e for f, m in found for x, z in zip(n, m)):
+        raise InternalConsistencyError("feasible Zariski candidates differ")
     return _finish(graph, e * den, [e * x for x in a_num], n)
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by every module.
 
-The command line maps these onto exit codes: :class:`DomainError` -> 1,
-:class:`MalformedInputError` -> 2, :class:`InternalConsistencyError` -> 3.
+Each class carries the exit code the command line ends with, as
+``exit_code``, and subclasses inherit it: 1 for :class:`SingvolError` and
+:class:`DomainError`, 2 for :class:`MalformedInputError` and 3 for
+:class:`InternalConsistencyError`.
 Each error carries a machine-readable ``reason`` slug next to the human
 message so reports stay diffable, and optionally a ``context`` mapping that
 says where it happened (for instance the seed and case of a random suite).
@@ -14,6 +16,7 @@ class SingvolError(Exception):
     """Base class for all errors raised by this package."""
 
     reason: str = "error"
+    exit_code: int = 1
 
     def __init__(self, message: str, *, reason: str | None = None,
                  context: dict | None = None) -> None:
@@ -27,6 +30,7 @@ class MalformedInputError(SingvolError):
     """Input violates the documented schema or structural preconditions."""
 
     reason = "malformed-input"
+    exit_code = 2
 
 
 class DomainError(SingvolError):
@@ -55,3 +59,4 @@ class InternalConsistencyError(SingvolError):
     """
 
     reason = "internal-consistency"
+    exit_code = 3

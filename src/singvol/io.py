@@ -9,8 +9,10 @@ writer itself is ``render.to_json``, re-exported here as ``to_json``.
 This module is a leaf (it imports ``errors`` and ``render``): ``graph``,
 ``tower`` and ``cone`` parse their formats with the field checks below, and
 each binds its codec here too when imported (``graph_from_doc``,
-``tower_from_doc``, ``tower_to_doc``, ``cone_from_doc``). ``digest`` takes
-SHA-256 from the built-in ``_sha256``, as ``hashlib`` does without OpenSSL.
+``tower_from_doc``, ``tower_to_doc``, ``cone_from_doc``). ``catalog`` and
+``cone`` resolve their catalog names with :func:`by_name`. ``digest`` takes
+SHA-256 from the built-in ``_sha256`` (``_sha2`` from Python 3.12), as
+``hashlib`` does without OpenSSL.
 
 Import rule: library modules import at module level only. A module object
 may outlive a fresh import of the package (perfbench re-imports it while its
@@ -28,8 +30,11 @@ from typing import Any, Mapping
 
 try:
     from _sha256 import sha256
-except ImportError:  # Python 3.12 and later name it _sha2
-    from hashlib import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256  # its name from Python 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import DomainError, MalformedInputError
 from .render import to_json
@@ -58,6 +63,39 @@ def require_int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedInputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+# -- catalog names -------------------------------------------------------------
+
+
+def name_number(digits: str) -> int:
+    """A catalog name's decimal parameter; one longer than the 4,300 digits
+    ``int`` parses is too large."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"catalog number of {len(digits)} digits is too large",
+                          reason="too-large") from None
+
+
+def by_name(name: str, fixed: Mapping, patterns: tuple, kind: str) -> Any:
+    """The catalog ``kind`` (graph or cone) called ``name``: ``fixed[name]()``,
+    or ``build(match)`` of the first ``(pattern, build)`` that matches. A name
+    that matches a pattern but carries out-of-range parameters is still a bad
+    name, not a bad computation."""
+    if name in fixed:
+        return fixed[name]()
+    for pattern, build in patterns:
+        if match := pattern.match(name):
+            try:
+                return build(match)
+            except DomainError as exc:
+                if exc.reason == "too-large":  # a valid name, beyond the size limit
+                    raise
+                raise MalformedInputError(
+                    f"catalog name {name!r} has invalid parameters: {exc}"
+                ) from exc
+    raise MalformedInputError(f"unknown catalog {kind} {name!r}", reason="unknown-catalog-name")
 
 
 # -- digests and files ---------------------------------------------------------

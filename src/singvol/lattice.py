@@ -96,6 +96,8 @@ class QVector(tuple):
     lengths raises.
     """
 
+    __mul__ = __rmul__ = None  # TypeError, not the tuple's repetition
+
     def __new__(cls, entries: Iterable[RationalLike]) -> "QVector":
         return super().__new__(cls, (rat(e) for e in entries))
 
@@ -119,9 +121,6 @@ class QVector(tuple):
     def scale(self, factor: RationalLike) -> "QVector":
         f = rat(factor)
         return _qvector(f * a for a in self)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
 
     def to_doc(self) -> list[str]:
         return [rat_str(a) for a in self]

@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 from . import io as sio
 from .envelope import VolumeReport, nef_envelope_trace, volume
 from .errors import DomainError, MalformedInputError
-from .graph import MAX_GRAPH_VERTICES, Edge, ExcDivisor, ResolutionGraph, Vertex
+from .graph import MAX_GRAPH_VERTICES, Edge, ExcDivisor, ResolutionGraph, Vertex, graph_from_doc
 from .lattice import rat_str, ratio_str
 from .record import Record, lazy
 
@@ -285,7 +285,7 @@ def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
 
 def tower_from_doc(doc: Any) -> ModelTower:
     doc = sio.take(sio.require_mapping(doc, "tower"), "tower", ("base", "steps"))
-    base = sio.graph_from_doc(doc["base"])
+    base = graph_from_doc(doc["base"])
     if not isinstance(doc["steps"], list):
         raise MalformedInputError("tower steps must be a list")
     steps = []

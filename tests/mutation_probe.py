@@ -59,10 +59,6 @@ EQUIVALENT = {
         "a tie moves to another facet of the same ratio: the slope (p, q) is the same rational",
     "envelope: zariski_oracle: d > 0: > -> >=":
         "d is the walk's nonzero pivot (or 1 for the empty subset): the walk raises on 0",
-    "envelope: zariski_oracle: z * e <= x * f: <= -> <":
-        "every feasible candidate solves the complementarity problem of the P-matrix -M, "
-        "which has one solution, so all candidates are the same N and a tie cannot change "
-        "the result",
     "envelope: _feasible_walk: d > 0: > -> >=":
         "d is a nonzero pivot: the walk raises on 0 before this test",
     "graph: ResolutionGraph._discrepancies: min(k) >= 0: >= -> >":

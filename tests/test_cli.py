@@ -175,6 +175,54 @@ def test_unknown_catalog_name_exits_2(capsys) -> None:
     assert doc["error"]["reason"] == "unknown-catalog-name"
 
 
+BIG = "9" * 5000  # past the 4,300 digits int parses
+RULED = ("catalog:paper-ruled-surface",)
+
+
+@pytest.mark.parametrize("argv, code, reason, message", [
+    # catalog names: unknown, invalid parameters, too large, for graphs and cones
+    (("graph", "vol", "catalog:nosuch"), 2, "unknown-catalog-name",
+     "unknown catalog graph 'nosuch'"),
+    (("cone", "bound", "catalog:nosuch", "--a", "1/2"), 2, "unknown-catalog-name",
+     "unknown catalog cone 'nosuch'"),
+    (("graph", "vol", "catalog:cone-g1-d0"), 2, "malformed-input",
+     "cone graph needs genus >= 0 and degree >= 1"),
+    (("cone", "bound", "catalog:cone-g1-d0", "--a", "1/2"), 2, "malformed-input",
+     "catalog name 'cone-g1-d0' has invalid parameters: need genus >= 0 and degree >= 1"),
+    (("graph", "vol", f"catalog:A{BIG}"), 1, "too-large",
+     "catalog number of 5000 digits is too large"),
+    (("graph", "vol", "catalog:A100000"), 1, "too-large",
+     "graph has 100000 vertices, above the limit of 700"),
+    (("cone", "bound", f"catalog:elliptic-cone-{BIG}", "--a", "1/2"), 1, "too-large",
+     "catalog number of 5000 digits is too large"),
+    # parameter checks of the catalog builders and the commands
+    (("graph", "vol", "catalog:D3"), 2, "malformed-input", "D_n needs n >= 4"),
+    (("graph", "vol", "catalog:simple-elliptic-0"), 2, "malformed-input",
+     "simple elliptic graph needs d >= 1"),
+    (("graph", "random-suite", "--count", "0"), 1, "domain-error",
+     "need --count >= 1 and --max-vertices >= 1"),
+    (("cone", "valuation", *RULED, "--class", "1", "--k", "3"), 2, "malformed-input",
+     "--class needs 2 comma-separated rationals (basis C0, F)"),
+    (("cone", "valuation", *RULED, "--class", "1,0", "--k", "0"), 1, "domain-error",
+     "--k must be a positive integer"),
+    (("cone", "limiting", *RULED, "--m", "0"), 1, "domain-error",
+     "--m must be a positive integer"),
+])
+def test_refusal_reason_message_and_exit_code(capsys, argv, code, reason, message) -> None:
+    assert run(capsys, *argv) == (code, {"error": {"reason": reason, "message": message}})
+
+
+def test_exit_codes_belong_to_the_error_classes() -> None:
+    from singvol import errors
+
+    assert errors.SingvolError("x").exit_code == 1
+    assert errors.DomainError("x").exit_code == 1
+    assert errors.SingularSystemError("x").exit_code == 1
+    assert errors.OracleSizeError("x").exit_code == 1
+    assert errors.MalformedInputError("x").exit_code == 2
+    assert errors.InternalConsistencyError("x").exit_code == 3
+
+
 def test_not_negative_definite_graph_exits_2(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -658,7 +658,7 @@ def _ref_cone(form, nef, gens, k_class, h):
     if any(_dot(phi, h) <= 0 for phi in facets):
         raise MalformedInputError("", reason="h-not-ample")
     for g in gens:
-        if g.is_zero():
+        if not any(g):
             raise MalformedInputError("")
         if form.pair(h, g) <= 0:
             raise MalformedInputError("", reason="h-not-ample")

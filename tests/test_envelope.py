@@ -50,7 +50,7 @@ def test_already_nef_divisor_is_its_own_envelope() -> None:
     a = g.divisor((F(-1),))
     dec = nef_envelope_trace(g, a)
     assert dec.p == a
-    assert dec.n.coeffs.is_zero()
+    assert not any(dec.n.coeffs)
     assert dec.active == frozenset()
 
 
@@ -210,11 +210,11 @@ def test_oracle_matches_per_subset_reference_seeded() -> None:
         dec = zariski_oracle(g, a)
         assert dec == reference_oracle(g, a, feasible), case
         if kind == 1:
-            assert dec.n.coeffs.is_zero() and dec.p == a
+            assert not any(dec.n.coeffs) and dec.p == a
         pairs = [frozenset((e.i, e.j)) for e in g.edges]
         seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
         seen.add(("mult-2", any(e.mult == 2 for e in g.edges)))
-        seen.add(("N = 0", dec.n.coeffs.is_zero()))
+        seen.add(("N = 0", not any(dec.n.coeffs)))
         seen.add(("r = 1", len(g.vertices) == 1))
         seen.add(("A >= 0", min(a.coeffs) >= 0))
         seen.add(("N > 0 everywhere", len(dec.active) == len(g.vertices)))
@@ -271,7 +271,7 @@ def test_nonnegative_input_gives_zero_positive_part_seeded() -> None:
         a = random_divisor(rng, g)
         if min(a.coeffs) < 0:
             a = g.divisor(tuple(abs(c) for c in a.coeffs))
-        assert nef_envelope_trace(g, a).p.coeffs.is_zero()
+        assert not any(nef_envelope_trace(g, a).p.coeffs)
 
 
 def test_envelope_is_maximal_seeded() -> None:
@@ -374,14 +374,14 @@ def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
         assert dec == expected, case
         if min(a.coeffs) >= 0:
             assert not rows, case  # the A >= 0 shortcut runs no round
-            assert dec.n == a and dec.p.coeffs.is_zero()
+            assert dec.n == a and not any(dec.p.coeffs)
         pairs = [frozenset((e.i, e.j)) for e in g.edges]
         seen.add(("cycle", len(set(pairs)) >= len(g.vertices)))
         seen.add(("mult-2", any(e.mult == 2 for e in g.edges)))
         seen.add(("genus", any(v.genus for v in g.vertices)))
         seen.add(("rational", any(c.denominator > 1 for c in a.coeffs)))
-        seen.add(("N = 0", dec.n.coeffs.is_zero()))
-        seen.add(("P = 0", dec.p.coeffs.is_zero()))
+        seen.add(("N = 0", not any(dec.n.coeffs)))
+        seen.add(("P = 0", not any(dec.p.coeffs)))
     for key in ("cycle", "mult-2", "genus", "rational", "N = 0", "P = 0"):
         assert {(key, True), (key, False)} <= seen, seen
 

@@ -64,8 +64,17 @@ def test_qvector_arithmetic() -> None:
     assert (-u) == (Fraction(-1), Fraction(2), Fraction(-1, 2))
     assert u.scale(2) == (Fraction(2), Fraction(-4), Fraction(1))
     assert u.scale("1/2") == (Fraction(1, 2), Fraction(-1), Fraction(1, 4))
-    assert QVector([0] * 3).is_zero()
-    assert not u.is_zero()
+    assert not any(QVector([0] * 3))
+    assert any(u)
+
+
+@pytest.mark.parametrize("product", [
+    lambda v: v * 2, lambda v: 2 * v, lambda v: v * v, lambda v: Fraction(1, 2) * v,
+])
+def test_qvector_refuses_star_instead_of_repeating_the_tuple(product) -> None:
+    # a tuple subclass would repeat itself: QVector((1, 2)) * 2 gave (1, 2, 1, 2)
+    with pytest.raises(TypeError):
+        product(QVector((1, 2)))
 
 
 def test_qvector_dimension_mismatch() -> None:
@@ -163,7 +172,7 @@ def test_negative_definite_matches_sampled_values() -> None:
         points = [QVector(tuple(Fraction(c) for c in combo))
                   for combo in _grid(n, (-2, -1, 0, 1, 2))]
         for x in points:
-            if not x.is_zero():
+            if any(x):
                 assert m.pair(x, x) < 0
 
 
@@ -368,7 +377,7 @@ def test_graph_form_is_eliminated_once(monkeypatch) -> None:
     assert calls == [40]
     assert chain.intersection_form.det() != 0
     report = chain.discrepancy_report()
-    assert report.is_lc and not report.b.coeffs.is_zero()
+    assert report.is_lc and any(report.b.coeffs)
     assert volume(chain).volume == 0
     assert calls == [40]
 

@@ -97,7 +97,7 @@ def test_oracle_runs_no_production_solve() -> None:
         return trace, modules.envelope.zariski_oracle(graph, a)
 
     (trace, oracle), tr = _traced(run)
-    assert trace == oracle and oracle.active and not oracle.p.coeffs.is_zero()
+    assert trace == oracle and oracle.active and any(oracle.p.coeffs)
     summary = tr.summary()
     assert summary["by_name"]["envelope.oracle"]["calls"] == 1
     assert ("envelope.trace", "lattice.solve") not in summary["inside"]
