@@ -17,9 +17,13 @@ elimination that graphs use; this module has no row reduction of its own.
 
 Each invariant is computed once, in integers: a class's facet values and
 slope are one entry, kept for the last class, so a sweep over ``k`` or ``m``
-scans the facets once; ``H^(dim-1)`` is computed on
-first use; ``H . g > 0`` (or ``deg g > 0``) is tested as the sign of the
-integer dot product of the generator's ray with one integer mat-vec.
+scans the facets once; ``H^(dim-1)`` is computed on first use; ``H . g > 0``
+(or ``deg g > 0``) is tested as the sign of the integer dot product of the
+generator's ray with one integer mat-vec. Whether a boundary class ``-K_V +
+a H`` is effective, or on the boundary of the pseudo-effective cone, is the
+sign of an integer combination of the facet values of ``K_V`` (its kept
+entry) and of ``H``, so no class is built to decide it, and the lc verdict
+is decided once per cone and kept.
 
 The key quantities:
 
@@ -338,6 +342,10 @@ class PolarizedCone:
         h = self.h_class
         return self.form.pair(h, h) if self.dim_x == 3 else self.degree(h)
 
+    @lazy
+    def _lc_verdict(self) -> LcVerdict:
+        return _decide_lc(self)
+
     def rigid_decomposition(
         self, cls: QVector
     ) -> tuple[tuple[str, Fraction], ...] | None:
@@ -417,11 +425,30 @@ class BoundaryClass(Record):
         }
 
 
+def _boundary_low(cone: PolarizedCone, a: Fraction) -> int:
+    """The least facet value of ``-K_V + a H`` times a positive integer.
+
+    For ``a = p / q`` each facet ``phi`` gives ``p phi(H) den - q h_den
+    phi(K_V)`` from ``K_V``'s entry ``(den, den * phi(K_V))`` and ``phi(H)``
+    over ``h_den``: ``q h_den den`` times ``phi(-K_V + a H)``. So the class is
+    effective exactly when the result is ``>= 0``, and on the boundary of
+    the pseudo-effective cone when it is ``0``; no class is built.
+    """
+    den, values = cone._values(cone.k_class)[:2]
+    p, q = a.numerator * den, a.denominator * cone._h_den
+    return min([p * h - q * v for h, v in zip(cone._phi_h, values)])
+
+
 def boundary_class(cone: PolarizedCone, a) -> BoundaryClass:
-    """Numerical boundary class at slope ``a``, with exact effectivity."""
+    """Numerical boundary class at slope ``a``, with exact effectivity.
+
+    ``effective`` and ``on_pseff_boundary`` are read from the integer test
+    :func:`_boundary_low`; the class itself and its rigid decomposition are
+    built only for the returned record.
+    """
     a = rat(a)
+    low = _boundary_low(cone, a)
     cls = -cone.k_class + cone.h_class.scale(a)
-    low = min(cone._values(cls)[1])
     return BoundaryClass(
         a=a,
         cls=cls,
@@ -433,25 +460,28 @@ def boundary_class(cone: PolarizedCone, a) -> BoundaryClass:
 
 def cone_log_discrepancy(cone: PolarizedCone, a) -> Fraction:
     """Log discrepancy ``-a`` of the exceptional divisor for a pair whose
-    boundary represents ``-K_V + a H``; requires that class effective."""
-    bc = boundary_class(cone, a)
-    if not bc.effective:
+    boundary represents ``-K_V + a H``; requires that class effective, which
+    the integer test :func:`_boundary_low` decides. The class is built only
+    to name it in the refusal."""
+    a = rat(a)
+    if _boundary_low(cone, a) < 0:
+        cls = -cone.k_class + cone.h_class.scale(a)
         raise DomainError(
-            f"no effective boundary at a = {rat_str(bc.a)}: class "
-            f"{bc.cls.to_doc()} is outside the pseudo-effective cone",
+            f"no effective boundary at a = {rat_str(a)}: class "
+            f"{cls.to_doc()} is outside the pseudo-effective cone",
             reason="boundary-not-effective",
         )
-    return -bc.a
+    return -a
 
 
 def vol_upper_bound(cone: PolarizedCone, a) -> Fraction:
     """``a^dim_X * H^(dim_X - 1)``: the bound an effective boundary at
-    positive slope ``a`` imposes on every truncated volume."""
+    positive slope ``a`` imposes on every truncated volume. Effectivity is
+    the integer test :func:`_boundary_low`, so no boundary class is built."""
     a = rat(a)
     if a <= 0:
         raise DomainError("vol_upper_bound needs a > 0", reason="nonpositive-slope")
-    bc = boundary_class(cone, a)
-    if not bc.effective:
+    if _boundary_low(cone, a) < 0:
         raise DomainError(
             f"no effective boundary at a = {rat_str(a)}",
             reason="boundary-not-effective",
@@ -531,7 +561,7 @@ def _terms(pairs) -> str:
 
 def lc_boundary_exists(cone: PolarizedCone) -> LcVerdict:
     """Decide from the numerical data whether any boundary makes the cone
-    pair log canonical.
+    pair log canonical; the verdict is decided once per cone and kept.
 
     A boundary at slope ``a`` needs its class ``-K_V + a H`` effective,
     which forces ``a >= a_min`` (exact LP), while log canonicity of the
@@ -542,6 +572,11 @@ def lc_boundary_exists(cone: PolarizedCone) -> LcVerdict:
     proportional to ``H`` with ratio <= 0 gives the empty boundary as a
     witness. Anything else is honestly unknown.
     """
+    return cone._lc_verdict
+
+
+def _decide_lc(cone: PolarizedCone) -> LcVerdict:
+    """The verdict of :func:`lc_boundary_exists`, computed."""
     a_min = Fraction(*cone._slope(cone.k_class))
     exists = None
     certificate = [

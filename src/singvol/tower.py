@@ -224,10 +224,9 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
 
         p_up = tower.pullback(t, vol.decomposition.p)
         p2 = vol2.decomposition.p
-        record(t, "nef-part-pulls-back", p2.ints == p_up.ints,
-               p2.to_doc(), p_up.to_doc())
-        record(t, "nef-part-bounded-by-pullback", p2.leq(p_up),
-               p2.to_doc(), p_up.to_doc())
+        p2_doc, p_up_doc = p2.to_doc(), p_up.to_doc()
+        record(t, "nef-part-pulls-back", p2.ints == p_up.ints, p2_doc, p_up_doc)
+        record(t, "nef-part-bounded-by-pullback", p2.leq(p_up), p2_doc, p_up_doc)
 
         b = g.mumford_pullback_canonical()
         b2 = g2.mumford_pullback_canonical()

@@ -207,6 +207,13 @@ RULED = ("catalog:paper-ruled-surface",)
      "--k must be a positive integer"),
     (("cone", "limiting", *RULED, "--m", "0"), 1, "domain-error",
      "--m must be a positive integer"),
+    # the slope functionals' refusals that a cone command reaches
+    (("cone", "counterexample", "--a-seq", "1/4,1/2"), 1, "not-decreasing",
+     "a_seq must be strictly decreasing"),
+    (("cone", "counterexample", "--a-seq", "1/2,0"), 1, "nonpositive-slope",
+     "a_seq must be positive"),
+    (("cone", "bound", "catalog:cone-g2-d1", "--a", "1/2"), 1, "boundary-not-effective",
+     "no effective boundary at a = 1/2"),
 ])
 def test_refusal_reason_message_and_exit_code(capsys, argv, code, reason, message) -> None:
     assert run(capsys, *argv) == (code, {"error": {"reason": reason, "message": message}})
@@ -323,6 +330,26 @@ def test_cone_valuation_evaluates_the_slope_once(capsys, monkeypatch) -> None:
     assert code == 0
     assert (doc["result"]["natural_valuation"], doc["result"]["valuation_limit"]) == (5, "5/2")
     assert len(calls) == 1
+
+
+def test_cone_bound_builds_one_boundary_class(capsys, monkeypatch) -> None:
+    # the bound and the log discrepancy decide effectivity in integers; only
+    # the reported record is a built class
+    from singvol import cone as cone_module
+
+    built = []
+    boundary = cone_module.BoundaryClass
+
+    def counted(**fields):
+        built.append(fields["a"])
+        return boundary(**fields)
+
+    monkeypatch.setattr(cone_module, "BoundaryClass", counted)
+    code, doc = run(capsys, "cone", "bound", "catalog:paper-ruled-surface", "--a", "1/2")
+    assert code == 0
+    assert doc["result"]["boundary"]["class"] == ["5/2", "1/2"]
+    assert (doc["result"]["log_discrepancy"], doc["result"]["vol_upper_bound"]) == ("-1/2", "1/4")
+    assert len(built) == 1
 
 
 def test_cone_limiting_carries_caveat(capsys) -> None:

@@ -29,7 +29,13 @@ from singvol import (
     volume,
 )
 from singvol.catalog import cone_over_curve
-from singvol.cone import MAX_DCC_CELLS, RigidClass, cone_by_name, ruled_surface_cone
+from singvol.cone import (
+    MAX_DCC_CELLS,
+    RigidClass,
+    _boundary_low,
+    cone_by_name,
+    ruled_surface_cone,
+)
 from singvol.errors import InternalConsistencyError
 
 F = Fraction
@@ -202,10 +208,33 @@ def test_vol_upper_bound_values() -> None:
 
 def test_vol_upper_bound_rejects_nonpositive_or_noneffective() -> None:
     c = ruled_surface_cone()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         vol_upper_bound(c, 0)
-    with pytest.raises(DomainError):
+    assert (exc.value.reason, str(exc.value)) == ("nonpositive-slope", "vol_upper_bound needs a > 0")
+    with pytest.raises(DomainError) as exc:
         vol_upper_bound(curve_cone(2, 1), F(1, 2))  # boundary not effective
+    assert (exc.value.reason, str(exc.value)) == (
+        "boundary-not-effective", "no effective boundary at a = 1/2")
+    assert exc.value.exit_code == 1
+
+
+def test_slope_refusals_reason_and_message() -> None:
+    # a_min = 2 on the genus-2 degree-1 cone: just below it the class is -1/97 pt
+    with pytest.raises(DomainError) as exc:
+        cone_log_discrepancy(curve_cone(2, 1), 2 - F(1, 97))
+    assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
+        "boundary-not-effective",
+        "no effective boundary at a = 193/97: class ['-1/97'] is outside the "
+        "pseudo-effective cone", 1)
+    assert cone_log_discrepancy(curve_cone(2, 1), 2) == -2
+    for slopes, reason, message in (
+        ([], "empty-sequence", "a_seq must be nonempty"),
+        ([F(1, 4), F(1, 2)], "not-decreasing", "a_seq must be strictly decreasing"),
+        ([F(1, 2), F(1, 2)], "not-decreasing", "a_seq must be strictly decreasing"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            vol_plus_table(ruled_surface_cone(), slopes)
+        assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (reason, message, 1)
 
 
 def test_valuation_limit_values() -> None:
@@ -329,6 +358,105 @@ def test_cone_pairs_h_once_for_the_bound_table(monkeypatch) -> None:
         rat_str(2 * F(1, 2**i) ** 3) for i in range(6)]
     assert pairs == [(c.h_class, c.h_class)]
     assert c.h_power() == 2 and len(pairs) == 1  # the table's value, not paired again
+
+
+def _counted_slopes(monkeypatch) -> list:
+    """The classes whose slope ``_slope`` computes: a call that finds the
+    slope kept in the class's entry computes nothing and is not counted."""
+    calls = []
+    slope = PolarizedCone._slope
+
+    def counted(self, cls):
+        last, entry = self._last
+        if cls != last or entry[2] is None:
+            calls.append(cls)
+        return slope(self, cls)
+
+    monkeypatch.setattr(PolarizedCone, "_slope", counted)
+    return calls
+
+
+def test_lc_verdict_and_bound_table_compute_k_v_slope_once(monkeypatch) -> None:
+    c = ruled_surface_cone()
+    calls = _counted_slopes(monkeypatch)
+    verdict = lc_boundary_exists(c)
+    table = vol_plus_table(c, [F(1, 2 ** k) for k in range(6)])
+    assert table["lc_boundary"] == verdict.to_doc() and verdict.exists is False
+    assert calls == [c.k_class]
+    assert lc_boundary_exists(c) is verdict  # kept on the cone
+
+
+def _counted_boundary_classes(monkeypatch) -> list:
+    from singvol import cone as cone_module
+
+    built = []
+    boundary = cone_module.BoundaryClass
+
+    def counted(**fields):
+        built.append(fields["a"])
+        return boundary(**fields)
+
+    monkeypatch.setattr(cone_module, "BoundaryClass", counted)
+    return built
+
+
+def test_bounds_build_no_boundary_class(monkeypatch) -> None:
+    c = ruled_surface_cone()
+    built = _counted_boundary_classes(monkeypatch)
+    assert vol_upper_bound(c, F(1, 2)) == F(1, 4)
+    assert cone_log_discrepancy(c, F(1, 2)) == F(-1, 2)
+    table = vol_plus_table(c, [F(1, 2 ** k) for k in range(6)])
+    assert [row["upper_bound"] for row in table["rows"]] == [
+        rat_str(2 * F(1, 2 ** k) ** 3) for k in range(6)]
+    assert built == []
+    assert boundary_class(c, F(1, 2)).effective and built == [F(1, 2)]
+
+
+def _moment_cone(n, gens, rng):
+    """A cone over ``gens`` with ``H`` their sum (interior), a form under which
+    ``H`` pairs positively with every generator, and a random ``K_V``."""
+    facets = _ref_facets(gens, n)
+    h = sum(gens[1:], gens[0])
+    v = sum(facets[1:], facets[0])  # positive on the cone but at 0
+    form = SymForm([[x * y for y in v] for x in v])  # form . H = (v . H) v
+    k_class = QVector(_random_rational(rng) for _ in range(n))
+    cone = PolarizedCone(dim_x=3, basis=[f"b{i}" for i in range(n)], form=form,
+                         nef_gens=(h,), pseff_gens=gens, k_class=k_class, h_class=h)
+    return cone, facets
+
+
+def test_integer_boundary_test_matches_membership_of_the_built_class() -> None:
+    # -K_V + a H from the kept facet values of K_V and H, against contains on
+    # the built class and the Fraction reference facets, at a_min, a_min +- 1/97
+    # and random slopes
+    rng = Random(97)
+    cones = []
+    for _ in range(300):
+        n, form, nef, gens, k_class, h = _random_cone_data(rng)
+        try:
+            cone = PolarizedCone(dim_x=3, basis=[f"b{i}" for i in range(n)], form=form,
+                                 nef_gens=nef, pseff_gens=gens, k_class=k_class, h_class=h)
+        except MalformedInputError:
+            continue
+        cones.append((cone, _ref_facets(gens, n)))
+    accepted = len(cones)
+    for name, n, gens in _RARE_SHAPES:
+        if name.startswith(("cyclic", "interior", "duplicates")):
+            cones.append(_moment_cone(n, gens, rng))
+    assert accepted >= 150 and len(cones) >= accepted + 12
+    for cone, facets in cones:
+        h, k_class = cone.h_class, cone.k_class
+        a_min = max(_dot(phi, k_class) / _dot(phi, h) for phi in facets)
+        slopes = [a_min, a_min - F(1, 97), a_min + F(1, 97)]
+        slopes += [_random_rational(rng, 9) for _ in range(3)]
+        for a in slopes:
+            low = _boundary_low(cone, a)
+            cls = -k_class + h.scale(a)
+            values = [_dot(phi, cls) for phi in facets]
+            assert (low >= 0) == cone.contains(cls) == (min(values) >= 0), (cone.to_doc(), a)
+            assert (low == 0) == (min(values) == 0) == (a == a_min), (cone.to_doc(), a)
+            bc = boundary_class(cone, a)
+            assert (bc.effective, bc.on_pseff_boundary) == (low >= 0, low == 0)
 
 
 @pytest.mark.parametrize("warm", [False, True])
