@@ -305,13 +305,11 @@ def _cmd_cone_limiting(args) -> tuple[dict, int]:
           "full certificate report on the built-in ruled-surface cone",
           _arg("--a-seq", help="comma-separated decreasing positive slopes"))
 def _cmd_cone_counterexample(args) -> tuple[dict, int]:
-    from .cone import limiting_discrepancy, ruled_surface_cone, vol_plus_table
-    from .io import digest
+    from .cone import limiting_discrepancy, vol_plus_table
     from .lattice import rat, rat_str
 
-    cone = ruled_surface_cone()
-    inputs = args.inputs = {"source": "catalog:paper-ruled-surface",
-                            "digest": digest(cone.to_doc())}
+    args.source = "catalog:paper-ruled-surface"
+    cone, inputs = _load(args)
     if args.a_seq:
         slopes = [rat(p.strip()) for p in args.a_seq.split(",")]
     else:

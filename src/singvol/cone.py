@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Any, Sequence
 
@@ -163,7 +162,7 @@ class PolarizedCone:
 
     # -- cone geometry -----------------------------------------------------
 
-    @cached_property
+    @lazy
     def facet_normals(self) -> tuple[QVector, ...]:
         """Primitive integer inequalities cutting out the pseudo-effective cone.
 
@@ -192,8 +191,8 @@ class PolarizedCone:
         a cone with more than ``MAX_FACET_SUBSETS`` generator subsets is
         still refused first (``reason="too-large"``). The normals span, so
         the cone is salient, when the ``n x n`` Gram matrix of their
-        columns is nonsingular.
-        """
+        columns is nonsingular. Kept by :class:`~singvol.record.lazy`, whose
+        ``functools.cached_property`` base perfbench's tracer re-wraps."""
         n = len(self.basis)
         subsets = math.comb(len(self.pseff_gens), n - 1)
         if subsets > MAX_FACET_SUBSETS:
@@ -324,14 +323,6 @@ class PolarizedCone:
 
     # -- numerical functionals ----------------------------------------------
 
-    def degree(self, cls: QVector) -> Fraction:
-        """Degree functional for curve cones (``dim_X = 2``): the form's
-        single row acts as the functional."""
-        if self.dim_x != 2:
-            raise DomainError("degree functional only applies when dim_X = 2")
-        cls = self._check_vec(cls, "class")
-        return self.form.apply(cls)[0]
-
     def h_power(self) -> Fraction:
         """``H^(dim_X - 1)``: self-intersection for a surface, degree for a
         curve, computed once."""
@@ -339,8 +330,9 @@ class PolarizedCone:
 
     @lazy
     def _h_power(self) -> Fraction:
+        """``H . H``, or on a curve ``deg H``: the form's first row read at ``H``."""
         h = self.h_class
-        return self.form.pair(h, h) if self.dim_x == 3 else self.degree(h)
+        return self.form.pair(h, h) if self.dim_x == 3 else self.form.apply(h)[0]
 
     @lazy
     def _lc_verdict(self) -> LcVerdict:
@@ -468,7 +460,7 @@ def cone_log_discrepancy(cone: PolarizedCone, a) -> Fraction:
         cls = -cone.k_class + cone.h_class.scale(a)
         raise DomainError(
             f"no effective boundary at a = {rat_str(a)}: class "
-            f"{cls.to_doc()} is outside the pseudo-effective cone",
+            f"{_terms(zip(cone.basis, cls))} is outside the pseudo-effective cone",
             reason="boundary-not-effective",
         )
     return -a
@@ -751,8 +743,6 @@ def dcc_scan(g_max: int, a_max: int) -> dict:
                     f"{closed} at (g, a, d) = ({g}, {a}, {d})"
                 )
             rows.append((g, a, d, closed))
-    if not rows:
-        raise DomainError("empty scan grid")
     vmin = min(r[3] for r in rows)
     return {
         "grid": {"g_max": g_max, "a_max": a_max},

@@ -186,10 +186,6 @@ class ResolutionGraph(Record):
         """The exceptional part ``B`` of the canonical pullback."""
         return self._discrepancies.b
 
-    def log_discrepancy_divisor(self) -> "ExcDivisor":
-        """Coefficient vector ``ell = 1 - b``, one entry per vertex."""
-        return self.discrepancy_report().ell
-
     def discrepancy_report(self) -> "DiscrepancyReport":
         """The cached report; its first read (no ``_discrepancies`` in ``__dict__``) runs the
         solve inside :meth:`mumford_pullback_canonical`, traced as ``graph.canonical``."""

@@ -82,14 +82,15 @@ def by_name(name: str, fixed: Mapping, patterns: tuple, kind: str) -> Any:
     """The catalog ``kind`` (graph or cone) called ``name``: ``fixed[name]()``,
     or ``build(match)`` of the first ``(pattern, build)`` that matches. A name
     that matches a pattern but carries out-of-range parameters is still a bad
-    name, not a bad computation."""
+    name, not a bad computation: whichever error class its builder raises, the
+    refusal reads ``catalog name ... has invalid parameters``, unless too large."""
     if name in fixed:
         return fixed[name]()
     for pattern, build in patterns:
         if match := pattern.match(name):
             try:
                 return build(match)
-            except DomainError as exc:
+            except (DomainError, MalformedInputError) as exc:
                 if exc.reason == "too-large":  # a valid name, beyond the size limit
                     raise
                 raise MalformedInputError(

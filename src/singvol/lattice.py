@@ -189,13 +189,8 @@ class SymForm:
 
     def __reduce__(self):
         """Pickle and copy rebuild through the checked dense constructor,
-        from ``Fraction`` rows: O(dim^2) even for a graph's sparse form."""
-        scale, sparse = self._integral
-        rows = [[0] * len(sparse) for _ in sparse]
-        for row, line in zip(sparse, rows):
-            for j, x in row:
-                line[j] = Fraction(x, scale)
-        return SymForm, (rows,)
+        from the rows of :meth:`to_doc`: O(dim^2) even for a graph's sparse form."""
+        return SymForm, (self.to_doc(),)
 
     @property
     def dim(self) -> int:

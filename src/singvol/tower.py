@@ -240,8 +240,8 @@ def invariance_report(tower: ModelTower) -> InvarianceReport:
         record(t, "new-vertex-coefficient", nums2[-1] * den == expected * den2,
                ratio_str(nums2[-1], den2), ratio_str(expected, den))
 
-        a = g.log_discrepancy_divisor()
-        a2 = g2.log_discrepancy_divisor()
+        a = g.discrepancy_report().ell
+        a2 = g2.discrepancy_report().ell
         gap = a2 - tower.pullback(t, a)
         record(t, "discrepancy-gap-nonnegative", min(gap.ints[1]) >= 0,
                gap.to_doc(), "0")

@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -185,8 +187,9 @@ RULED = ("catalog:paper-ruled-surface",)
      "unknown catalog graph 'nosuch'"),
     (("cone", "bound", "catalog:nosuch", "--a", "1/2"), 2, "unknown-catalog-name",
      "unknown catalog cone 'nosuch'"),
-    (("graph", "vol", "catalog:cone-g1-d0"), 2, "malformed-input",
-     "cone graph needs genus >= 0 and degree >= 1"),
+    pytest.param(("graph", "vol", "catalog:cone-g1-d0"), 2, "malformed-input",
+                 "catalog name 'cone-g1-d0' has invalid parameters: cone graph needs genus >= 0 "
+                 "and degree >= 1", id="graph-name-cone-g1-d0"),
     (("cone", "bound", "catalog:cone-g1-d0", "--a", "1/2"), 2, "malformed-input",
      "catalog name 'cone-g1-d0' has invalid parameters: need genus >= 0 and degree >= 1"),
     (("graph", "vol", f"catalog:A{BIG}"), 1, "too-large",
@@ -196,9 +199,11 @@ RULED = ("catalog:paper-ruled-surface",)
     (("cone", "bound", f"catalog:elliptic-cone-{BIG}", "--a", "1/2"), 1, "too-large",
      "catalog number of 5000 digits is too large"),
     # parameter checks of the catalog builders and the commands
-    (("graph", "vol", "catalog:D3"), 2, "malformed-input", "D_n needs n >= 4"),
-    (("graph", "vol", "catalog:simple-elliptic-0"), 2, "malformed-input",
-     "simple elliptic graph needs d >= 1"),
+    pytest.param(("graph", "vol", "catalog:D3"), 2, "malformed-input",
+                 "catalog name 'D3' has invalid parameters: D_n needs n >= 4", id="graph-name-D3"),
+    pytest.param(("graph", "vol", "catalog:simple-elliptic-0"), 2, "malformed-input",
+                 "catalog name 'simple-elliptic-0' has invalid parameters: simple elliptic graph "
+                 "needs d >= 1", id="graph-name-simple-elliptic-0"),
     (("graph", "random-suite", "--count", "0"), 1, "domain-error",
      "need --count >= 1 and --max-vertices >= 1"),
     (("cone", "valuation", *RULED, "--class", "1", "--k", "3"), 2, "malformed-input",
@@ -419,6 +424,79 @@ def test_malformed_cone_document_exits_2(tmp_path, capsys, patch, message) -> No
     assert out["error"] == {"message": message, "reason": "malformed-input"}
 
 
+def _rigid(only_rep) -> dict:
+    return {"rigid": [{"class": ["1", "0"], "only_rep": only_rep}]}
+
+
+@pytest.mark.parametrize("patch, message", [
+    pytest.param({"num_basis": ["C0", "C0"]}, "num_basis must be nonempty and duplicate-free",
+                 id="duplicate-basis"),
+    pytest.param({"form": [["0"]]}, "form dimension does not match num_basis", id="form-size"),
+    pytest.param({"pseff_gens": []}, "need at least one pseff generator", id="no-pseff"),
+    pytest.param(_rigid([]), "rigid annotation needs a representative", id="only-rep-empty"),
+    pytest.param({"K_V": ["-2"]}, "K_V has 1 coordinates for 2 basis classes", id="k-v-length"),
+    pytest.param({"K_V": 3}, "K_V must be a list of rationals", id="k-v-int"),
+    pytest.param({"nef_gens": {}}, "nef_gens must be a list of classes", id="nef-object"),
+    pytest.param(_rigid("x"), "only_rep must be a list of [token, coeff] pairs",
+                 id="only-rep-string"),
+    pytest.param(_rigid([["a"]]), "only_rep entries must be [token, coeff] pairs",
+                 id="only-rep-short"),
+])
+def test_cone_document_refusal_through_cone_bound(tmp_path, capsys, patch, message) -> None:
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({**RULED_DOC, **patch}), encoding="utf-8")
+    assert run(capsys, "cone", "bound", str(path), "--a", "1/2") == (
+        2, {"error": {"reason": "malformed-input", "message": message}})
+
+
+def test_cone_bound_prints_the_rigid_representative(tmp_path, capsys) -> None:
+    # -K_V + 3 H = pt on a one-class curve cone whose class pt is rigid
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({
+        "dim_X": 2, "num_basis": ["pt"], "form": [["1"]], "nef_gens": [["1"]],
+        "pseff_gens": [["1"]], "K_V": ["2"], "H": ["1"],
+        "rigid": [{"class": ["1"], "only_rep": [["p", "1"]]}],
+    }), encoding="utf-8")
+    code, doc = run(capsys, "cone", "bound", str(path), "--a", "3")
+    assert code == 0
+    assert doc["result"]["boundary"] == {"a": "3", "class": ["1"], "effective": True,
+                                         "on_pseff_boundary": False, "rigid_rep": [["p", "1"]]}
+    assert doc["result"]["vol_upper_bound"] == "9"
+
+
+@pytest.mark.parametrize("command, doc, reason, message", [
+    pytest.param("vol", {"vertices": [{"id": "", "self_int": -2, "genus": 0}], "edges": []},
+                 "malformed-input", "vertex id must be a nonempty string: ''", id="empty-id"),
+    pytest.param("blowup", {**TOWER_DOC, "steps": [{"kind": "free", "i": 3}]},
+                 "malformed-input", "free step needs a vertex id string", id="free-step-int"),
+])
+def test_graph_and_tower_document_refusals(tmp_path, capsys, command, doc, reason,
+                                           message) -> None:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "graph", command, str(path)) == (
+        2, {"error": {"reason": reason, "message": message}})
+
+
+def test_graph_vol_on_a_directory_is_unreadable(tmp_path, capsys) -> None:
+    cause = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+    assert run(capsys, "graph", "vol", str(tmp_path)) == (2, {"error": {
+        "reason": "unreadable-file", "message": f"cannot read {tmp_path}: {cause}"}})
+
+
+def test_out_without_a_value_is_refused_on_stdout(capsys) -> None:
+    # the full parser refuses the command line, and _out_of cannot read
+    # --out from it either, so the error goes to stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "vol", "catalog:E8", "--out"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"error": {
+        "reason": "malformed-input",
+        "message": "singvol graph vol: argument --out: expected one argument"}}
+
+
 def test_cone_dcc_scan(capsys) -> None:
     code, doc = run(capsys, "cone", "dcc-scan", "--g-max", "5", "--a-max", "3")
     assert code == 0
@@ -468,6 +546,67 @@ def test_random_suite_failure_says_which_case(capsys, monkeypatch) -> None:
     assert code == 3
     assert out["error"] == {"reason": "internal-consistency", "message": "oracle disagrees",
                             "context": {"seed": 4, "case": 2, "max_vertices": 5}}
+
+
+def _redraw(seed: int, max_vertices: int, case: int) -> tuple:
+    """The graph, divisor and tower of ``case`` of a random suite drawn again
+    from its seed, in the suite's order of draws."""
+    from random import Random
+
+    from singvol.randgen import random_divisor, random_graph, random_tower
+
+    rng = Random(seed)
+    for _ in range(case + 1):
+        graph = random_graph(rng, max_vertices)
+        a = random_divisor(rng, graph)
+        tower = random_tower(rng, graph)
+    return graph, a, tower
+
+
+@pytest.mark.parametrize("module, name, check", [
+    ("envelope", "zariski_oracle", "envelope-vs-oracle"),
+    ("tower", "invariance_report", "tower-invariance"),
+    ("tower", "envelope_pullback_check", "envelope-pullback"),
+])
+def test_random_suite_records_each_failed_check(capsys, monkeypatch, module, name,
+                                                check) -> None:
+    # each patched check runs once per case and fails on its second call, case 1
+    import importlib
+
+    from singvol.envelope import nef_envelope_trace
+    from singvol.tower import InvarianceCheck, InvarianceReport, tower_to_doc
+
+    target = importlib.import_module(f"singvol.{module}")
+    real, calls = getattr(target, name), []
+
+    def faulty(*args):
+        calls.append(args)
+        result = real(*args)
+        if len(calls) != 2:
+            return result
+        if check == "envelope-vs-oracle":
+            return real(args[0], args[1] + args[1])
+        if check == "tower-invariance":
+            return InvarianceReport(False, (InvarianceCheck(0, "injected", False, "1", "0"),))
+        return False
+
+    monkeypatch.setattr(target, name, faulty)
+    code, doc = run(capsys, "graph", "random-suite", "--count", "3", "--seed", "4")
+    assert code == 3
+    assert doc["result"]["ok"] is False
+    [record] = doc["result"]["failures"]
+    graph, a, tower = _redraw(doc["seed"], doc["inputs"]["max_vertices"], record["case"])
+    expected = {"case": 1, "check": check}
+    if check == "envelope-vs-oracle":
+        expected.update(graph=graph.to_doc(), a=a.to_doc(),
+                        trace=nef_envelope_trace(graph, a).to_doc(),
+                        oracle=real(graph, a + a).to_doc())
+    elif check == "tower-invariance":
+        expected.update(tower=tower_to_doc(tower), failures=[
+            {"level": 0, "name": "injected", "passed": False, "lhs": "1", "rhs": "0"}])
+    else:
+        expected.update(tower=tower_to_doc(tower), a=a.to_doc())
+    assert record == expected
 
 
 def test_random_suite_rejects_oversized_graphs(capsys) -> None:

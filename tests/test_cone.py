@@ -97,12 +97,17 @@ def test_membership_and_boundary() -> None:
     assert not c.contains(vec(-1, 2))
 
 
+def test_membership_coerces_a_plain_class() -> None:
+    c = ruled_surface_cone()
+    assert c.contains(["1/2", 0]) and not c.contains(("-1", "2"))
+    assert c.rigid_decomposition([2, 0]) == (("C0", F(2)),)
+
+
 def test_h_power_and_degree() -> None:
     c = ruled_surface_cone()
     assert c.h_power() == F(2)
     g2 = curve_cone(2, 1)
     assert g2.h_power() == F(1)
-    assert g2.degree(vec(3)) == F(3)
 
 
 def test_cone_validation_rejects_bad_data() -> None:
@@ -224,7 +229,7 @@ def test_slope_refusals_reason_and_message() -> None:
         cone_log_discrepancy(curve_cone(2, 1), 2 - F(1, 97))
     assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
         "boundary-not-effective",
-        "no effective boundary at a = 193/97: class ['-1/97'] is outside the "
+        "no effective boundary at a = 193/97: class -1/97*pt is outside the "
         "pseudo-effective cone", 1)
     assert cone_log_discrepancy(curve_cone(2, 1), 2) == -2
     for slopes, reason, message in (

@@ -107,7 +107,7 @@ def test_envelopes_refuse_a_divisor_from_another_graph() -> None:
     # reread as coefficients on another graph with as many vertices
     a2 = chain(-2, -2)
     other = ResolutionGraph.make((("x", -3, 1), ("y", -5, 0)), (("x", "y"),))
-    a = other.log_discrepancy_divisor()
+    a = other.discrepancy_report().ell
     for route in (nef_envelope_trace, zariski_oracle):
         with pytest.raises(MalformedInputError, match="different graphs"):
             route(a2, a)
@@ -367,7 +367,7 @@ def test_trace_matches_fraction_reference_seeded(monkeypatch) -> None:
         elif kind == "nonpositive":
             a = random_divisor(rng, g, -3, 0)
         else:
-            a = g.log_discrepancy_divisor()
+            a = g.discrepancy_report().ell
         expected = reference_trace(g, a)
         del rows[:]
         dec = nef_envelope_trace(g, a)
@@ -516,7 +516,7 @@ def test_trace_eliminates_each_working_vertex_once(monkeypatch, center, arms) ->
         vertices += [(v, -2, 0) for v in ids[1:]]
         edges += list(zip(ids, ids[1:]))
     g = ResolutionGraph.make(vertices, edges)
-    ell = g.log_discrepancy_divisor()
+    ell = g.discrepancy_report().ell
     rows: list[int] = []
     eliminate = lattice._eliminate
 
@@ -581,7 +581,7 @@ def test_volume_refuses_a_negative_volume(monkeypatch) -> None:
     from singvol.lattice import SymForm
 
     g = ResolutionGraph.make([("e", -3, 2)])  # P = -2/3, volume 4/3
-    dec = nef_envelope_trace(g, g.log_discrepancy_divisor())  # caches the solve first
+    dec = nef_envelope_trace(g, g.discrepancy_report().ell)  # caches the solve first
     apply_int = SymForm.apply_int
     monkeypatch.setattr(envelope, "nef_envelope_trace", lambda graph, a: dec)
     monkeypatch.setattr(SymForm, "apply_int", lambda form, v: [-x for x in apply_int(form, v)])

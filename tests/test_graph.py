@@ -67,7 +67,7 @@ def test_canonical_pullback_is_solved_once() -> None:
     g = two_vertex_example()
     assert g.mumford_pullback_canonical() is g.mumford_pullback_canonical()
     assert g.discrepancy_report().b is g.mumford_pullback_canonical()
-    assert g.log_discrepancy_divisor() is g.discrepancy_report().ell
+    assert g.discrepancy_report().ell is g.discrepancy_report().ell
 
 
 # (vertices, edges, components): each component alone is a valid graph
@@ -181,6 +181,32 @@ def test_divisor_arithmetic() -> None:
     assert (-d).coeffs == (F(-1), F(2))
     assert g.divisor((0, 0)).leq(e)
     assert not d.leq(g.divisor((0, 0)))
+
+
+def test_divisors_of_two_graphs_do_not_add() -> None:
+    other = ResolutionGraph.make([("t", -2, 0)])
+    with pytest.raises(MalformedInputError) as exc:
+        two_vertex_example().basis_divisor("t") + other.basis_divisor("t")
+    assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
+        "malformed-input", "divisors live on different graphs", 2)
+
+
+def test_cached_attribute_read_on_the_class_is_its_descriptor() -> None:
+    from singvol.record import lazy
+
+    assert isinstance(ResolutionGraph.ids, lazy)
+    assert ResolutionGraph.ids.attrname == "ids"
+
+
+def test_random_graph_bounds_and_chain_fallback() -> None:
+    with pytest.raises(MalformedInputError) as exc:
+        random_graph(Random(0), 2, 3)
+    assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
+        "malformed-input", "bad vertex bounds", 2)
+    # at 40 vertices every draw is rejected, so the (-2)-chain is returned
+    chain = random_graph(Random(0), 40, 40)
+    assert chain == ResolutionGraph.make([(f"v{k}", -2, 0) for k in range(1, 41)],
+                                         [(f"v{k}", f"v{k + 1}") for k in range(1, 40)])
 
 
 def test_divisor_beyond_int_printing_is_too_large() -> None:

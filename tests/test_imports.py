@@ -357,16 +357,33 @@ def test_only_graph_builds_a_form_from_trusted_rows() -> None:
 
 def test_cached_property_only_on_the_traced_facet_normals() -> None:
     # functools.cached_property takes a lock on every first read on Python
-    # 3.11, record.lazy does not; perfbench re-wraps facet_normals by its
-    # type, so that attribute alone keeps it
-    decorated, uses = set(), 0
+    # 3.11; record.lazy subclasses it with a lock-free __get__ and is the one
+    # cache decorator. perfbench re-wraps facet_normals by the base type
+    import functools
+
+    from singvol.cone import PolarizedCone
+    from singvol.record import lazy
+
+    uses = set()
     for path in sorted((SRC / "singvol").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        uses += sum(getattr(node, "id", getattr(node, "attr", None)) == "cached_property"
-                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
-        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
-            decorated |= {(path.name, cls.name, fn.name) for fn in cls.body
-                          if isinstance(fn, ast.FunctionDef) for d in fn.decorator_list
-                          if getattr(d, "id", getattr(d, "attr", None)) == "cached_property"}
-    assert decorated == {("cone.py", "PolarizedCone", "facet_normals")}
-    assert uses == len(decorated)
+        uses |= {(path.name, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and getattr(node, "id", getattr(node, "attr", None)) == "cached_property"}
+    assert [name for name, _ in uses] == ["record.py"]  # lazy's base, not a decorator
+    assert lazy.__bases__ == (functools.cached_property,)
+    assert "__get__" in vars(lazy) and "__init__" not in vars(lazy)
+    assert type(PolarizedCone.__dict__["facet_normals"]) is lazy
+
+    class NoLock:  # the lock functools.cached_property takes on Python 3.11
+        def __enter__(self):
+            raise AssertionError("lazy took a lock")
+
+    class Holder:
+        @lazy
+        def value(self):
+            return 7
+
+    Holder.__dict__["value"].lock = NoLock()
+    holder = Holder()
+    assert holder.value == 7 and vars(holder) == {"value": 7}

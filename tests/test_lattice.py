@@ -447,6 +447,13 @@ def _random_symmetric(rng: Random, kind: int) -> list[list]:
     return rows
 
 
+def test_integer_solve_checks_the_right_hand_side_length() -> None:
+    with pytest.raises(MalformedInputError) as exc:
+        SymForm([[-2, 1], [1, -2]]).solve_int([1])
+    assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
+        "malformed-input", "rhs length 1 does not match form dimension 2", 2)
+
+
 def test_integer_solve_matches_solve_seeded() -> None:
     # solve_int returns (d, y = d x) with d > 0 for the x that solve and sympy
     # give, on every kind of _random_symmetric; an odd negative-definite

@@ -84,6 +84,13 @@ def test_blowup_rejects_bad_steps() -> None:
         blow_up(g, SatelliteBlowup("v1", "v2", edge=1))  # index out of range
 
 
+def test_blowup_refuses_a_step_that_is_no_blowup() -> None:
+    with pytest.raises(MalformedInputError) as exc:
+        blow_up(a_chain(2), "v1")
+    assert (exc.value.reason, str(exc.value), exc.value.exit_code) == (
+        "malformed-input", "unknown blowup step 'v1'", 2)
+
+
 @pytest.mark.parametrize("base, steps", [
     (MAX_GRAPH_VERTICES, 1),  # the top model would pass the graph size limit
     (MAX_GRAPH_VERTICES - 10, 11),

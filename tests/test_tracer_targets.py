@@ -42,7 +42,7 @@ def test_tracer_records_every_graph_and_envelope_span_of_a_volume() -> None:
     def run(modules):
         graph = catalog.graph_by_name("cone-g2-d1")
         report = modules.envelope.volume(graph)
-        modules.envelope.zariski_oracle(graph, graph.log_discrepancy_divisor())
+        modules.envelope.zariski_oracle(graph, graph.discrepancy_report().ell)
         return report
 
     report, tr = _traced(run)
@@ -92,7 +92,7 @@ def test_oracle_runs_no_production_solve() -> None:
 
     def run(modules):
         graph = catalog.graph_by_name("E8")
-        a = graph.log_discrepancy_divisor() - graph.divisor(graph.basis_divisor("v4").coeffs.scale(3))
+        a = graph.discrepancy_report().ell - graph.divisor(graph.basis_divisor("v4").coeffs.scale(3))
         trace = modules.envelope.nef_envelope_trace(graph, a)
         return trace, modules.envelope.zariski_oracle(graph, a)
 
