@@ -12,14 +12,14 @@ with ``L = 1``, are trusted, so its form costs O(vertices + edges) to
 build, and no dense matrix is ever kept. There is one elimination:
 fraction-free (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968) on Python
-ints over the nonzero entries, with row swaps, in leaf-first order, where a
-tree gets no fill-in. The nef envelope's trace and the cone's facet
-enumeration (on Gram matrices of integer vectors) call it too. One cached
-pass over the whole form gives both the determinant and the definiteness
-test (Sylvester's criterion holds for the leading minors of any symmetric
-reordering). The pass keeps its factor:
-pivots, row swaps, multipliers and upper rows, and a swap-free factor can
-be bordered by more rows without eliminating it again. A solve carries its
+ints over the nonzero entries, one loop per updated row, with row swaps, in
+leaf-first order, where a tree gets no fill-in. The nef envelope's trace
+and the cone's facet enumeration (on Gram matrices of integer vectors) call
+it too. One cached pass over the whole form gives both the determinant and
+the definiteness test (Sylvester's criterion holds for the leading minors
+of any symmetric reordering). The pass keeps its factor: pivots, row
+swaps, multipliers and upper rows, and a swap-free factor can be bordered
+by more rows without eliminating it again. A solve carries its
 integer right-hand side through the cached pass and back-substitutes.
 Solves return integers ``(d, d x)``, the mat-vec and the pairing are sums
 over the one integer mat-vec ``(L M) v``, and a graph's divisors keep their
@@ -188,9 +188,10 @@ class SymForm:
         raise AttributeError("SymForm is immutable")
 
     def __reduce__(self):
-        """Pickle and copy rebuild through the checked dense constructor,
-        from the rows of :meth:`to_doc`: O(dim^2) even for a graph's sparse form."""
-        return SymForm, (self.to_doc(),)
+        """Pickle and copy rebuild through the checked dense constructor from
+        ``Fraction`` rows, no string: O(dim^2) even for a graph's sparse form."""
+        return SymForm, ([[Fraction(r.get(j, 0), self._integral[0]) for j in range(self.dim)]
+                          for r in map(dict, self._integral[1])],)
 
     @property
     def dim(self) -> int:
@@ -210,9 +211,16 @@ class SymForm:
         return [{pos[j]: a for j, a in sparse[i] if j in pos} for i in order[start:]]
 
     def apply_int(self, v: Sequence[int]) -> list[int]:
-        """The integer mat-vec ``(L M) v`` of an integer vector, over the
-        nonzero entries only (no length check)."""
-        return [sum([a * v[j] for j, a in row]) for row in self._integral[1]]
+        """The integer mat-vec ``(L M) v`` over the nonzero entries (no length
+        check), in plain loops: before Python 3.12 (PEP 709) a comprehension
+        is a function call, and a graph's row holds only 2-4 entries."""
+        out = []
+        for row in self._integral[1]:
+            acc = 0
+            for j, a in row:
+                acc += a * v[j]
+            out.append(acc)
+        return out
 
     def apply(self, v: QVector) -> QVector:
         """Matrix-vector product ``M v``: :meth:`apply_int` on the numerators."""
@@ -337,10 +345,12 @@ def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) 
     the upper-triangular rows.
 
     A row without an entry in column k would only be scaled by
-    ``p_k / p_(k-1)``; instead it keeps the step ``stage[i]`` it was last
-    brought to and catches up in one go when next used. Until the first
-    swap the remaining block stays symmetric, so row k names the rows to
-    update. A step then costs only the nonzeros it touches.
+    ``p_k / p_(k-1)``; instead it keeps the step ``s = stage[i]`` it was
+    last brought to and catches up inside its next update, in the same
+    pass: one loop takes ``a_ij`` to ``c (p_k a_ij - a_ik a_kj) / p_(k-1)``,
+    ``c = p_(k-1) / p_s``, drops zeros and fills in row k's other columns.
+    Until the first swap the remaining block stays symmetric, so row k
+    names the rows to update, and a step costs only the nonzeros it touches.
 
     Given the swap-free ``factor`` of an m x m leading block, ``rows`` are
     the n rows that border it (columns numbered from 0 over both), and the
@@ -394,15 +404,25 @@ def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) 
             steps.append((r, updates))
         top, p, prev = rows[k], pivots[k], (pivots[k - 1] if k else 1)
         for i in below:
-            row = catch_up(i, k)
-            a = row.pop(k)
+            row, new, s = rows[i], {}, stage[i]
+            a = row[k]  # column k comes out as 0 below, and is dropped
+            if s == k - 1:
+                for j, b in row.items():
+                    v = (b * p - a * top.get(j, 0)) // prev
+                    if v:
+                        new[j] = v
+            else:  # catch up from step s inside this update
+                mul, div = pivots[k - 1], (pivots[s] if s >= 0 else 1)
+                a = a * mul // div
+                for j, b in row.items():
+                    v = (b * mul // div * p - a * top.get(j, 0)) // prev
+                    if v:
+                        new[j] = v
+            for j, t in top.items():
+                if j not in row:  # fill-in
+                    new[j] = -a * t // prev
             updates.append((i, a))
-            new = {j: b * p for j, b in row.items()}
-            for j, b in top.items():
-                if j != k:
-                    new[j] = new.get(j, 0) - a * b
-            rows[i] = {j: b // prev for j, b in new.items() if b}
-            stage[i] = k
+            rows[i], stage[i] = new, k
     return pivots, swaps, steps, rows
 
 

@@ -6,56 +6,18 @@ re-record them with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from singvol.cli import main
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# Written into the working directory as ``tower.json`` and ``cone.json``; a
-# relative path keeps the report's ``source`` field independent of where the
-# test runs.
-TOWER_DOC = {
-    "base": {
-        "vertices": [
-            {"id": "c", "self_int": -1, "genus": 2},
-            {"id": "t", "self_int": -3, "genus": 0},
-        ],
-        "edges": [{"i": "c", "j": "t"}],
-    },
-    "steps": [
-        {"kind": "free", "i": "c"},
-        {"kind": "satellite", "i": "c", "j": "b1"},
-        {"kind": "satellite", "i": "c", "j": "t"},
-    ],
-}
-
-# A basis-4 cone over six points of the moment curve (1, t, t^2, t^3), one of
-# them at t = 1/2, with half their sum as H: eight facets, rational entries.
-CONE_DOC = {
-    "dim_X": 3,
-    "num_basis": ["e0", "e1", "e2", "e3"],
-    "form": [[110, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
-    "nef_gens": [["3", "3/4", "61/8", "153/16"]],
-    "pseff_gens": [
-        ["1", "-2", "4", "-8"],
-        ["1", "-1", "1", "-1"],
-        ["1", "0", "0", "0"],
-        ["1", "1/2", "1/4", "1/8"],
-        ["1", "1", "1", "1"],
-        ["1", "3", "9", "27"],
-    ],
-    "K_V": ["1/3", "1/3", "1/3", "1/3"],
-    "H": ["3", "3/4", "61/8", "153/16"],
-}
+from replay_goldens import CONE_DOC, GOLDEN, TOWER_DOC, run_report
 
 
 def _cases() -> dict[str, list[str]]:
@@ -96,16 +58,6 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> dict:
-    """Run one command in the current directory; return its golden record."""
-    Path("tower.json").write_text(json.dumps(TOWER_DOC), encoding="utf-8")
-    Path("cone.json").write_text(json.dumps(CONE_DOC), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return {"argv": argv, "exit_code": code, "stdout": out.getvalue()}
-
-
 def test_golden_files_match_cases() -> None:
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
@@ -114,7 +66,7 @@ def test_golden_files_match_cases() -> None:
 def test_report_bytes_match_golden(case: str, tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-    assert _run(CASES[case]) == expected
+    assert run_report(CASES[case]) == expected
 
 
 def _input_doc(group: str, source: str):
@@ -129,6 +81,41 @@ def _input_doc(group: str, source: str):
         return cone_from_doc(CONE_DOC).to_doc()
     name = source.removeprefix("catalog:")
     return (graph_by_name if group == "graph" else cone_by_name)(name).to_doc()
+
+
+def _other_interpreters() -> list[str]:
+    """One interpreter per supported minor version (pyproject's
+    ``requires-python = ">=3.10"``) other than this one, that exists and
+    starts: pyenv's installed versions first, then ``python3.<minor>`` on
+    ``PATH``."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [str(p) for p in sorted(root.glob("versions/3.*/bin/python3"))]
+    candidates += filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 15)))
+    found: dict[tuple[int, ...], str] = {}
+    for exe in candidates:
+        try:
+            run = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                                 capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = tuple(map(int, run.stdout.split())) if run.returncode == 0 else ()
+        if version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, exe)
+    return list(found.values())
+
+
+def test_goldens_replay_on_other_interpreters() -> None:
+    # the same bytes on every supported Python, not only the one running the tests
+    pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip("no other supported Python interpreter starts here")
+    script = str(Path(__file__).with_name("replay_goldens.py"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    runs = [subprocess.Popen([exe, script], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                             text=True, env=env) for exe in pythons]
+    for exe, run in zip(pythons, runs):
+        out = run.communicate(timeout=600)[0]
+        assert run.returncode == 0, f"{exe}: {out}"
 
 
 def test_digest_is_the_sha256_prefix_of_each_golden_input() -> None:
@@ -154,7 +141,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            records = {case: _run(argv) for case, argv in CASES.items()}
+            records = {case: run_report(argv) for case, argv in CASES.items()}
         finally:
             os.chdir(cwd)
     for case, record in records.items():

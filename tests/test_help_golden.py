@@ -8,17 +8,14 @@ user sees. Re-record after a deliberate change with
 ``PYTHONPATH=src python tests/test_help_golden.py`` and review the diff.
 """
 
-import contextlib
-import io
 import json
 import os
-from pathlib import Path
 
 import pytest
 
-from singvol.cli import _COMMANDS, _GROUPS, main
-
-GOLDEN = Path(__file__).resolve().parent / "help_golden.json"
+from replay_goldens import HELP_GOLDEN as GOLDEN
+from replay_goldens import run_help
+from singvol.cli import _COMMANDS, _GROUPS
 
 
 def _cases() -> dict[str, list[str]]:
@@ -40,16 +37,6 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 def test_help_golden_covers_the_cases() -> None:
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
 
@@ -58,10 +45,10 @@ def test_help_golden_covers_the_cases() -> None:
 def test_help_and_refusal_bytes_match_golden(case: str, monkeypatch) -> None:
     monkeypatch.setenv("COLUMNS", "80")
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
-    assert _run(CASES[case]) == expected
+    assert run_help(CASES[case]) == expected
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    records = {case: _run(argv) for case, argv in CASES.items()}
+    records = {case: run_help(argv) for case, argv in CASES.items()}
     GOLDEN.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -610,3 +610,14 @@ def test_symform_pickles_and_copies_through_the_dense_constructor(rows) -> None:
         assert twin.to_doc() == form.to_doc() and twin.det() == det
         with pytest.raises(AttributeError, match="immutable"):
             twin.x = 1
+
+
+def test_symform_with_an_unprintable_entry_pickles_and_copies() -> None:
+    # more digits than int converts to a string: the rebuild takes no string step
+    import copy
+    import pickle
+
+    for rows in ([[-(10**5000)]], [[Fraction(-(10**5000), 3), 1], [1, -2]]):
+        form = SymForm(rows)
+        for twin in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+            assert twin == form and twin is not form
