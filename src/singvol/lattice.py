@@ -188,10 +188,10 @@ class SymForm:
         raise AttributeError("SymForm is immutable")
 
     def __reduce__(self):
-        """Pickle and copy rebuild through the checked dense constructor from
-        ``Fraction`` rows, no string: O(dim^2) even for a graph's sparse form."""
-        return SymForm, ([[Fraction(r.get(j, 0), self._integral[0]) for j in range(self.dim)]
-                          for r in map(dict, self._integral[1])],)
+        """Pickle and copy as ints only, so no string step on any Python: ``L``
+        and the dense rows of ``L * M``, rebuilt by :func:`_from_dense`."""
+        scale, sparse = self._integral
+        return _from_dense, (scale, [[r.get(j, 0) for j in range(self.dim)] for r in map(dict, sparse)])
 
     @property
     def dim(self) -> int:
@@ -310,6 +310,11 @@ class SymForm:
         return out
 
 
+def _from_dense(scale: int, rows: list[list[int]]) -> SymForm:
+    """The form ``rows / scale``, through the checked dense constructor: O(dim^2)."""
+    return SymForm([[Fraction(x, scale) for x in row] for row in rows])
+
+
 def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) -> tuple:
     """Fraction-free Gaussian elimination (Bareiss 1968) with row swaps, in
     place.
@@ -371,12 +376,15 @@ def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) 
     stage = [-1] * n
     lo = min((j for row in rows[m:] for j in row if j < m), default=m) if m else 0
 
-    def catch_up(i: int, k: int) -> dict[int, int]:
+    def scale(i: int, k: int) -> tuple[int, int]:  # row i's catch-up p_(k-1) / p_s
         s = stage[i]
-        if s != k - 1:
-            mul, div = pivots[k - 1], (pivots[s] if s >= 0 else 1)
+        return (1, 1) if s == k - 1 else (pivots[k - 1], pivots[s] if s >= 0 else 1)
+
+    def catch_up(i: int, k: int) -> dict[int, int]:
+        mul, div = scale(i, k)
+        if div != mul:
             rows[i] = {j: a * mul // div for j, a in rows[i].items()}
-            stage[i] = k - 1
+        stage[i] = k - 1
         return rows[i]
 
     for k in range(lo, n):
@@ -404,20 +412,12 @@ def _eliminate(rows: list[dict[int, int]], n: int, factor: tuple | None = None) 
             steps.append((r, updates))
         top, p, prev = rows[k], pivots[k], (pivots[k - 1] if k else 1)
         for i in below:
-            row, new, s = rows[i], {}, stage[i]
-            a = row[k]  # column k comes out as 0 below, and is dropped
-            if s == k - 1:
-                for j, b in row.items():
-                    v = (b * p - a * top.get(j, 0)) // prev
-                    if v:
-                        new[j] = v
-            else:  # catch up from step s inside this update
-                mul, div = pivots[k - 1], (pivots[s] if s >= 0 else 1)
-                a = a * mul // div
-                for j, b in row.items():
-                    v = (b * mul // div * p - a * top.get(j, 0)) // prev
-                    if v:
-                        new[j] = v
+            row, new, (mul, div) = rows[i], {}, scale(i, k)
+            a = row[k] * mul // div  # column k comes out as 0 below, and is dropped
+            for j, b in row.items():
+                v = (b * mul // div * p - a * top.get(j, 0)) // prev
+                if v:
+                    new[j] = v
             for j, t in top.items():
                 if j not in row:  # fill-in
                     new[j] = -a * t // prev

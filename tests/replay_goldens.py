@@ -13,7 +13,7 @@ working directory (where the report cases read ``tower.json`` and
 1 there, or exits 0 when every case matches. ``test_golden.py`` and
 ``test_help_golden.py`` run the same cases under pytest and re-record them
 with the helpers here; ``test_goldens_replay_on_other_interpreters`` runs
-this script under every other supported interpreter it finds.
+this script under pyenv's Python 3.10, 3.12 and 3.13 where they start.
 """
 
 from __future__ import annotations
