@@ -310,10 +310,12 @@ def _cmd_cone_counterexample(args) -> tuple[dict, int]:
 
     args.source = "catalog:paper-ruled-surface"
     cone, inputs = _load(args)
-    if args.a_seq:
-        slopes = [rat(p.strip()) for p in args.a_seq.split(",")]
-    else:
+    if args.a_seq is None:
         slopes = [rat(f"1/{2 ** k}") for k in range(11)]
+    elif args.a_seq.strip():
+        slopes = [rat(p.strip()) for p in args.a_seq.split(",")]
+    else:  # an empty or blank sequence, which vol_plus_table refuses
+        slopes = []
     table = vol_plus_table(cone, slopes)
     limits = {
         str(m): rat_str(limiting_discrepancy(cone, m)) for m in (1, 2, 3, 4, 6, 12)

@@ -810,12 +810,8 @@ def _qvector(value: Any, what: str) -> QVector:
 
 
 def cone_from_doc(doc: Any) -> PolarizedCone:
-    doc = sio.take(
-        sio.require_mapping(doc, "cone"),
-        "cone",
-        ("dim_X", "num_basis", "form", "nef_gens", "pseff_gens", "K_V", "H"),
-        ("rigid",),
-    )
+    doc = sio.take(doc, "cone", ("dim_X", "num_basis", "form", "nef_gens", "pseff_gens",
+                                 "K_V", "H"), ("rigid",))
     basis = doc["num_basis"]
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise MalformedInputError("num_basis must be a list of strings")
@@ -830,7 +826,7 @@ def cone_from_doc(doc: Any) -> PolarizedCone:
         raise MalformedInputError("rigid must be a list of annotations")
     rigid = []
     for r in doc.get("rigid", []):
-        r = sio.take(sio.require_mapping(r, "rigid entry"), "rigid entry", ("class", "only_rep"))
+        r = sio.take(r, "rigid entry", ("class", "only_rep"))
         if not isinstance(r["only_rep"], list):
             raise MalformedInputError("only_rep must be a list of [token, coeff] pairs")
         rep = []

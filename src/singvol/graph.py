@@ -38,7 +38,7 @@ from typing import Any
 
 from . import io as sio
 from .errors import DomainError, InternalConsistencyError, MalformedInputError
-from .lattice import QVector, SymForm, _qvector, numerators, ratio_str
+from .lattice import QVector, SymForm, numerators, ratio_str
 from .record import Record, lazy
 
 # The most vertices of a graph read from a document or a catalog name, set
@@ -267,7 +267,7 @@ class ExcDivisor(Record):
     @lazy
     def coeffs(self) -> QVector:
         den, nums = self.ints
-        return _qvector(Fraction(v, den) for v in nums)
+        return QVector(Fraction(v, den) for v in nums)
 
     def intersections(self) -> QVector:
         """All products ``D . E_j`` at once, i.e. ``M . coeffs``."""
@@ -323,20 +323,20 @@ class DiscrepancyReport(Record):
 
 
 def graph_from_doc(doc: Any) -> ResolutionGraph:
-    doc = sio.take(sio.require_mapping(doc, "graph"), "graph", ("vertices", "edges"))
+    doc = sio.take(doc, "graph", ("vertices", "edges"))
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise MalformedInputError("graph vertices and edges must be lists")
     check_graph_size(len(doc["vertices"]), len(doc["edges"]))
     vertices = []
     for v in doc["vertices"]:
-        v = sio.take(sio.require_mapping(v, "vertex"), "vertex", ("id", "self_int", "genus"))
+        v = sio.take(v, "vertex", ("id", "self_int", "genus"))
         if not isinstance(v["id"], str):
             raise MalformedInputError("vertex id must be a string")
         vertices.append((v["id"], sio.require_int(v["self_int"], "self_int"),
                          sio.require_int(v["genus"], "genus")))
     edges = []
     for e in doc["edges"]:
-        e = sio.take(sio.require_mapping(e, "edge"), "edge", ("i", "j"), ("mult",))
+        e = sio.take(e, "edge", ("i", "j"), ("mult",))
         if not isinstance(e["i"], str) or not isinstance(e["j"], str):
             raise MalformedInputError("edge endpoints must be vertex id strings")
         edges.append((e["i"], e["j"], sio.require_int(e.get("mult", 1), "mult")))
@@ -345,7 +345,7 @@ def graph_from_doc(doc: Any) -> ResolutionGraph:
     if bits > MAX_ENTRY_BITS:
         raise DomainError(f"graph entries have {bits} bits in all, above the limit of "
                           f"{MAX_ENTRY_BITS}", reason="too-large")
-    return ResolutionGraph(tuple(Vertex(*v) for v in vertices), tuple(Edge(*e) for e in edges))
+    return ResolutionGraph.make(vertices, edges)
 
 
 # Bound into ``io`` when this module loads, so ``io.graph_from_doc`` resolves

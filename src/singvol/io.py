@@ -46,8 +46,10 @@ def require_mapping(doc: Any, what: str) -> Mapping:
     return doc
 
 
-def take(doc: Mapping, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    unknown = set(doc) - set(required) - set(optional)
+def take(doc: Any, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``doc`` as a dict, checked to be a mapping (:func:`require_mapping`)
+    with every ``required`` field and no field outside ``optional``."""
+    unknown = set(require_mapping(doc, what)) - set(required) - set(optional)
     if unknown:
         raise MalformedInputError(
             f"{what} has unknown field(s): {', '.join(sorted(map(str, unknown)))}",

@@ -23,7 +23,8 @@ by more rows without eliminating it again. A solve carries its
 integer right-hand side through the cached pass and back-substitutes.
 Solves return integers ``(d, d x)``, the mat-vec and the pairing are sums
 over the one integer mat-vec ``(L M) v``, and a graph's divisors keep their
-integers, so a ``Fraction`` is made only when read.
+integers, so a ``Fraction`` is made only when read, and a :class:`QVector`
+only through its one constructor.
 
 Rationals serialize as ``"p/q"`` in lowest terms with positive denominator,
 or ``"p"`` when the denominator is 1 (:func:`ratio_str`).
@@ -93,7 +94,8 @@ class QVector(tuple):
 
     Supports componentwise addition, subtraction and negation, and
     :meth:`scale` by a rational. Length is fixed at construction; mixing
-    lengths raises.
+    lengths raises. Results come from the one constructor too, whose
+    :func:`rat` is one ``isinstance`` test on an entry that is a Fraction.
     """
 
     __mul__ = __rmul__ = None  # TypeError, not the tuple's repetition
@@ -109,29 +111,24 @@ class QVector(tuple):
 
     def __add__(self, other: "QVector") -> "QVector":
         self._check_len(other)
-        return _qvector(a + b for a, b in zip(self, other))
+        return QVector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other: "QVector") -> "QVector":
         self._check_len(other)
-        return _qvector(a - b for a, b in zip(self, other))
+        return QVector(a - b for a, b in zip(self, other))
 
     def __neg__(self) -> "QVector":
-        return _qvector(-a for a in self)
+        return QVector(-a for a in self)
 
     def scale(self, factor: RationalLike) -> "QVector":
         f = rat(factor)
-        return _qvector(f * a for a in self)
+        return QVector(f * a for a in self)
 
     def to_doc(self) -> list[str]:
         return [rat_str(a) for a in self]
 
     def __repr__(self) -> str:
         return "QVector(" + ", ".join(rat_str(a) for a in self) + ")"
-
-
-def _qvector(entries: Iterable[Fraction]) -> QVector:
-    """A QVector from entries that are already Fractions (no coercion)."""
-    return tuple.__new__(QVector, entries)
 
 
 def numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -227,7 +224,7 @@ class SymForm:
         self._check_len(v)
         den, num = numerators(v)
         den *= self._integral[0]
-        return _qvector(Fraction(x, den) for x in self.apply_int(num))
+        return QVector(Fraction(x, den) for x in self.apply_int(num))
 
     def pair(self, a: QVector, b: QVector) -> Fraction:
         """Evaluate the form, ``a . M . b``, as one integer sum over
@@ -245,7 +242,7 @@ class SymForm:
         denominator."""
         den, num = numerators(rhs)
         d, y = self.solve_int(num)
-        return _qvector(Fraction(v, d * den) for v in y)
+        return QVector(Fraction(v, d * den) for v in y)
 
     def solve_int(self, rhs: Sequence[int]) -> tuple[int, list[int]]:
         """Solve ``M x = rhs`` for an integer ``rhs``: ``(d, y)`` with ``d > 0``

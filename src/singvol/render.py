@@ -19,8 +19,8 @@ def to_json(doc: Any) -> str:
 
     The output is byte-identical to ``json.dumps(doc, indent=2,
     sort_keys=True, ensure_ascii=True) + "\n"``, which never uses the C
-    encoder with an indent; this writer does less per value, and joins a
-    list of strings or a dict of strings to strings (a divisor) in one go.
+    encoder with an indent; this writer does less per value, and quotes a
+    ``str`` element or key in place rather than through a recursive call.
     It renders dicts (str, int, bool or None keys), lists, tuples, str, int,
     bool and None, and raises ``TypeError`` on anything else, as ``json`` does.
     Identical documents always produce identical bytes, which is what the
@@ -54,19 +54,14 @@ def _render(doc: Any, newline: str) -> str:
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        items = sorted(doc.items())
-        if all(type(k) is str and type(v) is str for k, v in items):
-            body = sep.join([_quote(k) + ": " + _quote(v) for k, v in items])
-        else:
-            body = sep.join([_key(k) + ": " + _render(v, inner) for k, v in items])
+        body = sep.join([(_quote(k) if type(k) is str else _key(k)) + ": "
+                         + (_quote(v) if type(v) is str else _render(v, inner))
+                         for k, v in sorted(doc.items())])
         return "{" + inner + body + newline + "}"
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        if all(type(x) is str for x in doc):
-            body = sep.join(map(_quote, doc))
-        else:
-            body = sep.join([_render(x, inner) for x in doc])
+        body = sep.join([_quote(x) if type(x) is str else _render(x, inner) for x in doc])
         return "[" + inner + body + newline + "]"
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 

@@ -130,7 +130,6 @@ class ModelTower:
 
     def __init__(self, base: ResolutionGraph,
                  steps: Sequence[BlowupStep | Callable[[ResolutionGraph], BlowupStep]]) -> None:
-        self.base = base
         # each step adds one vertex, so the sizes are known before any blowup
         if len(steps) > MAX_TOWER_STEPS:
             raise DomainError(f"tower has {len(steps)} steps, above the limit of "
@@ -283,7 +282,7 @@ def envelope_pullback_check(tower: ModelTower, a: ExcDivisor) -> bool:
 
 
 def tower_from_doc(doc: Any) -> ModelTower:
-    doc = sio.take(sio.require_mapping(doc, "tower"), "tower", ("base", "steps"))
+    doc = sio.take(doc, "tower", ("base", "steps"))
     base = graph_from_doc(doc["base"])
     if not isinstance(doc["steps"], list):
         raise MalformedInputError("tower steps must be a list")
@@ -313,7 +312,7 @@ def tower_to_doc(tower: ModelTower) -> dict:
             steps.append({"kind": "free", "i": s.vertex})
         else:
             steps.append({"kind": "satellite", "i": s.i, "j": s.j, "edge": s.edge})
-    return {"base": tower.base.to_doc(), "steps": steps}
+    return {"base": tower.models[0].to_doc(), "steps": steps}
 
 
 # Bound into ``io`` when this module loads: perfbench's tracer wraps

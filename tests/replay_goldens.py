@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Golden replay: run every case of ``tests/golden/`` and
-``tests/help_golden.json`` through ``cli.main`` and compare it byte for byte.
+``tests/help_golden.json`` through ``cli.main`` and compare it byte for byte,
+and check the writer against ``json.dumps`` on :data:`WRITER_DOCS`.
 
 Run from anywhere with any supported interpreter (standard library only)::
 
@@ -12,8 +13,9 @@ working directory (where the report cases read ``tower.json`` and
 ``cone.json``) with ``COLUMNS=80``, prints the first difference and exits
 1 there, or exits 0 when every case matches. ``test_golden.py`` and
 ``test_help_golden.py`` run the same cases under pytest and re-record them
-with the helpers here; ``test_goldens_replay_on_other_interpreters`` runs
-this script under pyenv's Python 3.10, 3.12 and 3.13 where they start.
+with the helpers here, and ``test_io.py`` checks :data:`WRITER_DOCS`;
+``test_goldens_replay_on_other_interpreters`` runs this script under pyenv's
+Python 3.10, 3.12 and 3.13 where they start.
 """
 
 from __future__ import annotations
@@ -67,6 +69,55 @@ CONE_DOC = {
     "H": ["3", "3/4", "61/8", "153/16"],
 }
 
+class Text(str):
+    """A ``str`` subclass, which ``json`` writes as a string too."""
+
+
+ESCAPES = ['"', "\\", "\u2028", "\u00e9", "\U0001f600", 'a"b\\c\u2028\u00e9\U0001f600']
+
+# Documents on which ``render.to_json`` must equal ``json.dumps(doc, indent=2,
+# sort_keys=True) + "\n"``: strings quoted in place next to every other kind
+# of value, as keys, values and list elements, and escapes of every class.
+WRITER_DOCS = [
+    {k: v for k, v in zip(ESCAPES, reversed(ESCAPES))},
+    {"": "", "a": ""},
+    {"": "x", "v1": "1/2", "v10": "-3", "v2": "0"},
+    {"b": "1", "a": 2},
+    {"b": "1", "a": None},
+    {"a": "1", "b": ["x", "y"], "c": {"d": "e"}},
+    {"a": "1", "b": {}},
+    {"P": {"v1": "1/2"}, "N": {"v1": "0"}, "active": []},
+    {None: "x"},
+    {1: "a", 10: "b", 2: "c"},
+    {-1: "\u00e9", 0: {"": "\U0001f600"}},
+    ESCAPES,
+    ["a", 1, None, True, False, "", -7, 10**30],
+    ["x", ["y", 2], {"k": "v"}, [], {}, [None, "z"]],
+    [[], ["", "\u00e9"], [None], [["w"]]],
+    ("t", (1, "u"), None),
+    {"a": 1, "b": "x", "c": None, "d": [1, "2"], "e": {"f": "g", "h": 3}, "i": True},
+    {"": [], "x": {}, "y": ["z", None, -7], "\u2028": ("q", 0)},
+    {False: ["a", 1], True: "x"},
+    {0: None, 3: ["s", {"t": "u"}], -2: "v"},
+    "a bare string",
+    {Text("k"): Text("v"), "a": [Text("\u00e9"), 1]},
+]
+
+
+def check_writer() -> int:
+    """Compare ``to_json`` with ``json.dumps`` on :data:`WRITER_DOCS`; 1 at the
+    first difference."""
+    from singvol.io import to_json
+
+    for k, doc in enumerate(WRITER_DOCS):
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        got = to_json(doc)
+        if got != expected:
+            print(f"WRITER_DOCS[{k}]: to_json differs from json.dumps\n"
+                  f"expected: {expected!r:.400}\ngot:      {got!r:.400}")
+            return 1
+    return 0
+
 
 def run_report(argv: list[str]) -> dict:
     """Run one command in the current directory; return its golden record."""
@@ -113,10 +164,11 @@ def replay() -> int:
                     return 1
         finally:
             os.chdir(cwd)
-    print(f"{len(cases)} goldens replayed byte for byte on Python {sys.version.split()[0]}")
+    print(f"{len(WRITER_DOCS)} writer documents and {len(cases)} goldens replayed byte for "
+          f"byte on Python {sys.version.split()[0]}")
     return 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    sys.exit(replay())
+    sys.exit(check_writer() or replay())

@@ -219,6 +219,8 @@ RULED = ("catalog:paper-ruled-surface",)
      "a_seq must be positive"),
     (("cone", "bound", "catalog:cone-g2-d1", "--a", "1/2"), 1, "boundary-not-effective",
      "no effective boundary at a = 1/2"),
+    (("cone", "counterexample", "--a-seq", ""), 1, "empty-sequence", "a_seq must be nonempty"),
+    (("cone", "counterexample", "--a-seq", " "), 1, "empty-sequence", "a_seq must be nonempty"),
 ])
 def test_refusal_reason_message_and_exit_code(capsys, argv, code, reason, message) -> None:
     assert run(capsys, *argv) == (code, {"error": {"reason": reason, "message": message}})
@@ -441,12 +443,21 @@ def _rigid(only_rep) -> dict:
                  id="only-rep-string"),
     pytest.param(_rigid([["a"]]), "only_rep entries must be [token, coeff] pairs",
                  id="only-rep-short"),
+    pytest.param({"rigid": [["1", "0"]]}, "rigid entry must be an object, got list",
+                 id="rigid-entry-list"),
 ])
 def test_cone_document_refusal_through_cone_bound(tmp_path, capsys, patch, message) -> None:
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({**RULED_DOC, **patch}), encoding="utf-8")
     assert run(capsys, "cone", "bound", str(path), "--a", "1/2") == (
         2, {"error": {"reason": "malformed-input", "message": message}})
+
+
+def test_cone_document_that_is_a_list_exits_2(tmp_path, capsys) -> None:
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps([RULED_DOC]), encoding="utf-8")
+    assert run(capsys, "cone", "bound", str(path), "--a", "1/2") == (2, {"error": {
+        "reason": "malformed-input", "message": "cone must be an object, got list"}})
 
 
 def test_cone_bound_prints_the_rigid_representative(tmp_path, capsys) -> None:
@@ -469,6 +480,17 @@ def test_cone_bound_prints_the_rigid_representative(tmp_path, capsys) -> None:
                  "malformed-input", "vertex id must be a nonempty string: ''", id="empty-id"),
     pytest.param("blowup", {**TOWER_DOC, "steps": [{"kind": "free", "i": 3}]},
                  "malformed-input", "free step needs a vertex id string", id="free-step-int"),
+    # documents and their entries that are not objects
+    pytest.param("vol", [GRAPH_DOC], "malformed-input", "graph must be an object, got list",
+                 id="graph-list"),
+    pytest.param("vol", {**GRAPH_DOC, "vertices": [1]}, "malformed-input",
+                 "vertex must be an object, got int", id="vertex-int"),
+    pytest.param("vol", {**GRAPH_DOC, "edges": [2]}, "malformed-input",
+                 "edge must be an object, got int", id="edge-int"),
+    pytest.param("blowup", {**TOWER_DOC, "steps": [3]}, "malformed-input",
+                 "step must be an object, got int", id="step-int"),
+    pytest.param("blowup", "tower", "malformed-input", "tower must be an object, got str",
+                 id="tower-str"),
 ])
 def test_graph_and_tower_document_refusals(tmp_path, capsys, command, doc, reason,
                                            message) -> None:

@@ -9,6 +9,7 @@ review the diff.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import tempfile
 from pathlib import Path
@@ -81,10 +82,21 @@ def _input_doc(group: str, source: str):
     return (graph_by_name if group == "graph" else cone_by_name)(name).to_doc()
 
 
-# The other interpreters ``requires-python = ">=3.10"`` promises the same bytes on,
-# where pyenv keeps them under the home directory.
+# The other interpreters ``requires-python`` promises the same bytes on, where
+# pyenv keeps them under the home directory.
 OTHER_PYTHONS = [str(Path.home() / ".pyenv" / "versions" / v / "bin" / "python3")
                  for v in ("3.10.13", "3.12.1", "3.13.0")]
+
+
+def test_declared_python_floor_has_the_int_digit_limit() -> None:
+    # lattice.rat calls sys.get_int_max_str_digits(), which Python 3.10.7 added
+    root = GOLDEN.parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    declared = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)[1]
+    stated = re.search(r"^Python ([\d.]+) or newer", readme, re.M)[1]
+    assert declared == stated
+    assert tuple(map(int, declared.split("."))) >= (3, 10, 7)
 
 
 def _starts(exe: str) -> bool:
