@@ -15,15 +15,17 @@ representative. The start simplex and the salience test factor integer Gram
 matrices with :func:`~singvol.lattice._eliminate`, the same exact
 elimination that graphs use; this module has no row reduction of its own.
 
-Each invariant is computed once, in integers: a class's facet values and
-slope are one entry, kept for the last class, so a sweep over ``k`` or ``m``
-scans the facets once; ``H^(dim-1)`` is computed on first use; ``H . g > 0``
-(or ``deg g > 0``) is tested as the sign of the integer dot product of the
-generator's ray with one integer mat-vec. Whether a boundary class ``-K_V +
-a H`` is effective, or on the boundary of the pseudo-effective cone, is the
-sign of an integer combination of the facet values of ``K_V`` (its kept
-entry) and of ``H``, so no class is built to decide it, and the lc verdict
-is decided once per cone and kept.
+Each invariant is computed once, in integers: a class's facet values,
+slope and witness (a facet attaining the slope) are one entry, kept for the
+last class, so a sweep over ``k`` or ``m`` scans the facets once for them and
+then once per valuation, whose minimality is certified by the witness alone:
+one facet violated at ``j - 1`` proves ``j`` least. ``H^(dim-1)`` is computed
+on first use; ``H . g > 0`` (or ``deg g > 0``) is tested as the sign of the
+integer dot product of the generator's ray with one integer mat-vec. Whether
+a boundary class ``-K_V + a H`` is effective, or on the boundary of the
+pseudo-effective cone, is the sign of an integer combination of the facet
+values of ``K_V`` (its kept entry) and of ``H``, so no class is built to
+decide it, and the lc verdict is decided once per cone and kept.
 
 The key quantities:
 
@@ -85,14 +87,14 @@ def claim(name: str, status: str, detail: str) -> dict:
 # double description is spanned by n - 1 of its generators, so C(m, n - 1)
 # bounds the normals kept at each of the m insertions, and with them the
 # work. At the limit, on the moment curve, in order or shuffled, enumeration
-# took 0.05-0.07 s for 316 generators at basis 3 (316 facets), 0.01-0.05 s
-# for 67 at basis 4, 0.06 s for 34 at basis 5 (527 facets) and 0.04-0.09 s
-# for 24 at basis 6; reducing every subset took 1-4 s there (2-vCPU machine,
-# Python 3.11). perfbench's largest cone has C(13, 3) = 286 subsets.
+# took 0.016 s for 316 generators at basis 3 (316 facets), 0.003-0.010 s for
+# 67 at basis 4 (130), 0.011-0.016 s for 34 at basis 5 (527) and 0.007-0.014 s
+# for 24 at basis 6 (420); the tests' subset reference took 15-66 s there
+# (2-vCPU machine, Python 3.11.7). perfbench's largest cone has 286 subsets.
 MAX_FACET_SUBSETS = 50_000
 # The most cells g_max * a_max of a dcc scan grid. Every cell with a | 2g - 2
-# builds and solves a graph, and a_max = 1 makes every cell do so: 10,000 x 1
-# took 1.3 s and 1,000 x 10 0.45 s (2-vCPU machine, Python 3.11).
+# builds and solves a graph, and a_max = 1 makes every cell do so: the command
+# took 0.27 s at 10,000 x 1 and 0.13 s at 1,000 x 10 (2-vCPU, Python 3.11.7).
 MAX_DCC_CELLS = 5_000
 
 
@@ -174,8 +176,8 @@ class PolarizedCone:
         The normals are the extreme rays of the dual cone, found in integers
         by the double description method (Motzkin, Raiffa, Thompson and
         Thrall, 1953). ``n`` independent rays, picked greedily, span a
-        simplicial cone: a ray joins when the Gram matrix of the chosen rays
-        and it is nonsingular (:func:`_gram_factor`). Its normals are the
+        simplicial cone: a ray joins when its Gram row, bordering the chosen rays'
+        factor, leaves it nonsingular (:func:`_gram_factor`). Its normals are the
         columns of ``S^-1`` for ``S`` with those rays as rows: ``S^-1 = S^T
         (S S^T)^-1``, so ``phi_i = S^T y`` with ``(d, y)`` the integer solve
         of ``S S^T y = d e_i``, ``d > 0``. That is ``d`` times column ``i``,
@@ -202,13 +204,15 @@ class PolarizedCone:
                 reason="too-large",
             )
         rays = self._rays
-        start: list[int] = []
+        start, factor = [], _gram_factor([])  # the chosen rays and their Gram factor
         for j, ray in enumerate(rays):
-            factor = _gram_factor([rays[i] for i in start] + [ray])
+            factor = _gram_factor([rays[i] for i in start] + [ray], factor)
             if factor[0][-1]:
                 start.append(j)
                 if len(start) == n:
                     break  # factor is the whole simplex's
+            else:  # the failed border changed the factor in place: refactor
+                factor = _gram_factor([rays[i] for i in start])
         else:
             raise MalformedInputError(
                 "pseff generators must span the class lattice",
@@ -234,11 +238,10 @@ class PolarizedCone:
             for p, vp in enumerate(values):
                 if vp <= 0:
                     continue
-                for q in negative:
-                    meet = zeros[p] & zeros[q]
-                    if meet.bit_count() < n - 2 or any(
-                        zs & meet == meet for k, zs in enumerate(zeros) if k != p and k != q
-                    ):
+                zp = zeros[p]
+                for q in negative:  # p and q contain the meet: a third zero set makes 3
+                    meet = zp & zeros[q]
+                    if meet.bit_count() < n - 2 or len([z for z in zeros if z & meet == meet]) > 2:
                         continue
                     normal = [vp * a - values[q] * b for a, b in zip(normals[q], normals[p])]
                     g = math.gcd(*normal)
@@ -261,17 +264,19 @@ class PolarizedCone:
         return tuple(tuple(x.numerator for x in phi) for phi in self.facet_normals)
 
     def _values(self, cls: QVector) -> list:
-        """The entry ``[den, (den * phi(cls), ...), slope]`` over the facets
-        ``phi``, ``den`` the common denominator of ``cls``: the one evaluation
-        of the facet functionals on a class, in integers. The last class's
-        entry is kept; :meth:`_slope` fills in its slope on first use, and
-        only it reads that slot."""
-        cls = self._check_vec(cls, "class")
+        """The entry ``[den, (den * phi(cls), ...), slope, witness]`` over the
+        facets ``phi``, ``den`` the common denominator of ``cls``: the one
+        evaluation of the facet functionals on a class, in integers. The last
+        class's entry is kept (at once for the same object); :meth:`_slope`
+        fills in its slope and the index of a facet attaining it."""
         last, entry = self._last
+        if cls is last:
+            return entry
+        cls = self._check_vec(cls, "class")
         if cls != last:
             den, num = numerators(cls)
-            entry = [den, tuple([sum(map(mul, row, num)) for row in self._rows]), None]
-            self._last = cls, entry
+            entry = [den, tuple([sum(map(mul, row, num)) for row in self._rows]), None, None]
+        self._last = cls, entry  # an equal class is kept too, for the identity test
         return entry
 
     def contains(self, cls: QVector) -> bool:
@@ -283,15 +288,15 @@ class PolarizedCone:
         """The largest ``phi(cls) / phi(H)`` over the facets, unclamped, as
         ``(p, q)`` with ``q > 0``: ``t H - cls`` is pseudo-effective exactly
         when ``t >= p / q``. Ratios are compared by cross-multiplying, every
-        ``phi(H)`` being positive; the class's entry keeps the result."""
+        ``phi(H)`` being positive; the class's entry keeps it and its witness."""
         entry = self._values(cls)
         if entry[2] is None:
             den, values = entry[:2]
-            best, best_h = values[0], self._phi_h[0]
-            for v, phi_h in zip(values, self._phi_h):
+            best, best_h, witness = values[0], self._phi_h[0], 0
+            for i, (v, phi_h) in enumerate(zip(values, self._phi_h)):
                 if v * best_h > best * phi_h:
-                    best, best_h = v, phi_h
-            entry[2] = best * self._h_den, best_h * den
+                    best, best_h, witness = v, phi_h, i
+            entry[2:] = (best * self._h_den, best_h * den), witness
         return entry[2]
 
     def _validate_geometry(self) -> None:
@@ -372,29 +377,25 @@ class PolarizedCone:
         }
 
 
-def _gram_factor(vectors: Sequence[Sequence[int]]) -> tuple:
+def _gram_factor(vectors: Sequence[Sequence[int]], factor: tuple | None = None) -> tuple:
     """The :func:`~singvol.lattice._eliminate` factor of the Gram matrix
     ``(u . v)`` of integer vectors: its last pivot is nonzero exactly when
-    the vectors are independent."""
+    the vectors are independent. Given the factor of all but the last, the
+    last vector's row borders it in place."""
     rows = [{j: g for j, v in enumerate(vectors) if (g := sum(map(mul, u, v)))}
-            for u in vectors]
-    return _eliminate(rows, len(rows))
+            for u in (vectors[-1:] if factor else vectors)]
+    return _eliminate(rows, len(rows), factor)
 
 
 def _proportionality(a: QVector, b: QVector) -> Fraction | None:
-    """``t`` with ``a = t b``, or None (always when ``b = 0``)."""
-    t: Fraction | None = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return None
-            continue
-        ratio = x / y
-        if t is None:
-            t = ratio
-        elif t != ratio:
-            return None
-    return t
+    """``t`` with ``a = t b``, or None (always when ``b = 0``): the integer
+    numerators are proportional, tested by cross-multiplying against the
+    first nonzero entry ``i`` of ``b``'s."""
+    (da, na), (db, nb) = numerators(a), numerators(b)
+    i = next((i for i, y in enumerate(nb) if y), None)
+    if i is None or any(x * nb[i] != y * na[i] for x, y in zip(na, nb)):
+        return None
+    return Fraction(na[i] * db, nb[i] * da)
 
 
 # -- boundary classes and bounds --------------------------------------------
@@ -478,7 +479,8 @@ def vol_upper_bound(cone: PolarizedCone, a) -> Fraction:
             f"no effective boundary at a = {rat_str(a)}",
             reason="boundary-not-effective",
         )
-    return a**cone.dim_x * cone.h_power()
+    h, d = cone.h_power(), cone.dim_x
+    return Fraction(a.numerator**d * h.numerator, a.denominator**d * h.denominator)
 
 
 # -- valuations ---------------------------------------------------------------
@@ -500,21 +502,22 @@ def natural_valuation(cone: PolarizedCone, cls: QVector, k: int) -> int:
     """Least ``j >= 0`` such that ``j H - k cls`` is pseudo-effective.
 
     The value is ``ceil(k * valuation_limit(cls))`` from the class's slope,
-    re-verified by membership on both sides of the step. By linearity,
-    ``phi(j H - k cls)`` has the sign of ``j phi(H) den - k phi(cls) h_den``
-    over the class's facet values, so the re-checks are integer sign tests.
+    re-verified on both sides of the step. By linearity, ``phi(j H - k cls)``
+    has the sign of ``j phi(H) den - k phi(cls) h_den`` over the class's facet
+    values, so the checks are integer sign tests. Membership at ``j`` is one
+    scan over every facet. Minimality needs one violated facet at ``j - 1``,
+    a complete proof that ``(j - 1) H - k cls`` is outside the cone: the
+    witness, the facet that attains the slope, kept in the class's entry.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("multiple k must be a positive integer")
     p, q = cone._slope(cls)
     j = -(-k * max(p, 0) // q)  # ceil(k * limit), the slope clamped at 0
-    den, values = cone._values(cls)[:2]
-    h_step = [phi_h * den for phi_h in cone._phi_h]
-    kh = k * cone._h_den
-    slack = [j * h - kh * v for h, v in zip(h_step, values)]
-    if min(slack) < 0:
+    den, values, _, w = cone._values(cls)
+    jd, kh = j * den, k * cone._h_den
+    if min([jd * h - kh * v for h, v in zip(cone._phi_h, values)]) < 0:
         raise InternalConsistencyError("valuation optimum fails membership")
-    if j > 0 and all(s >= h for s, h in zip(slack, h_step)):
+    if j > 0 and (jd - den) * cone._phi_h[w] >= kh * values[w]:
         raise InternalConsistencyError("valuation optimum is not minimal")
     return j
 

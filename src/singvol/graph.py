@@ -42,20 +42,20 @@ from .lattice import QVector, SymForm, numerators, ratio_str
 from .record import Record, lazy
 
 # The most vertices of a graph read from a document or a catalog name, set
-# by 50-step towers, whose report runs one trace per level: 2-2.8 s over a
-# 650-vertex (-2)-chain, 14-15 s over a 600-vertex non-lc chain. One `graph
-# vol` costs less: 0.3-0.5 s on a 700-vertex non-lc chain, 0.9-1.3 s on a
-# 700-vertex tree plus 50 chords (2-vCPU machine, Python 3.11).
+# by 50-step towers, whose report runs one trace per level: 0.4-0.8 s over a
+# 650-vertex (-2)-chain, 4.1-4.2 s over a 600-vertex non-lc chain. One `graph
+# vol` costs less: 0.13 s on a 700-vertex non-lc chain, 0.42 s on a 700-vertex
+# tree of (-10)-curves plus 50 chords (2-vCPU machine, Python 3.11.7).
 MAX_GRAPH_VERTICES = 700
 # The largest cycle rank (edges - vertices + 1) of a graph document. Each
 # cycle adds fill-in to the elimination: `graph vol` on a 700-vertex tree of
-# (-10)-curves plus 50 chords took 0.7-1.5 s, on (-6)-curves plus 100 chords
-# 4.2 s (2-vCPU machine, Python 3.11).
+# (-10)-curves plus 50 chords took 0.42 s, on (-6)-curves plus 100 chords
+# 1.07 s (2-vCPU machine, Python 3.11.7).
 MAX_CYCLE_RANK = 50
 # The most bits in all of a graph document's entries (self-intersections,
 # genera, multiplicities), since Bareiss pivots grow with them: 700 vertices
-# plus 50 chords took 1.5-2.6 s at 3,549-3,999 bits, and 18.9 s with
-# (-10,000)-curves at 10,549 bits (2-vCPU machine, Python 3.11).
+# plus 50 chords took 0.42-0.55 s at 3,549-3,999 bits, and 4.5 s with
+# (-10,000)-curves at 10,549 bits (2-vCPU machine, Python 3.11.7).
 MAX_ENTRY_BITS = 4_000
 
 

@@ -45,8 +45,13 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; a
-    string with more digits, or a larger exponent, than int parses is too large."""
+    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational: an exact
+    ``Fraction`` or ``int`` by its type first, ``bool``, subclasses and strings by
+    ``isinstance``. A string with more digits, or exponent, than int parses is too large."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # bool is an int subclass; reject it

@@ -58,9 +58,9 @@ class SatelliteBlowup(Record):
 BlowupStep = FreeBlowup | SatelliteBlowup
 
 # The most steps in a tower. Every level is solved and rendered, so the
-# report grows with steps x top-model size: 50 free blowups took 0.3 s over a
-# 4-vertex chain and 3.5 s (14 MB) over a 650-vertex one, 100 took 0.8 s and
-# 6.8 s over 4 and 600 vertices, 500 took 12.9 s (2-vCPU machine, Python 3.11).
+# report grows with steps x top-model size: 50 free blowups took 0.2-0.4 s on a
+# 4-vertex chain and 0.4-0.8 s (13 MB) on a 650-vertex one, 100 took 0.2 s and
+# 0.8-1.3 s on 4 and 600 vertices, 500 3.4-4.1 s on 4 (2-vCPU, Python 3.11.7).
 MAX_TOWER_STEPS = 50
 
 

@@ -56,7 +56,8 @@ BUDGETED = ("tests/test_acceptance.py::",
 # Mutants that no input tells apart from the original, by name, with the reason.
 EQUIVALENT = {
     "cone: PolarizedCone._slope: v * best_h > best * phi_h: > -> >=":
-        "a tie moves to another facet of the same ratio: the slope (p, q) is the same rational",
+        "a tie moves to another facet of the same ratio: the slope (p, q) is the same rational, "
+        "and that facet, violated at j - 1 too, is as good a witness for natural_valuation",
     "envelope: zariski_oracle: d > 0: > -> >=":
         "d is the walk's nonzero pivot (or 1 for the empty subset): the walk raises on 0",
     "envelope: _feasible_walk: d > 0: > -> >=":

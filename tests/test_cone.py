@@ -33,6 +33,7 @@ from singvol.cone import (
     MAX_DCC_CELLS,
     RigidClass,
     _boundary_low,
+    _proportionality,
     cone_by_name,
     ruled_surface_cone,
 )
@@ -338,13 +339,77 @@ class _Scanned(tuple):
 def test_valuation_sweep_scans_the_facets_once_for_values_and_once_for_the_slope() -> None:
     c = ruled_surface_cone()
     c.__dict__["_rows"] = rows = _Scanned(c._rows)  # the facet rows behind _values
-    c._phi_h = phi_h = _Scanned(c._phi_h)  # phi(H) per facet: the slope and each H-step
+    c._phi_h = phi_h = _Scanned(c._phi_h)  # phi(H) per facet: the slope and each membership
     cls = vec(F(1, 2), F(5, 2))
     assert [natural_valuation(c, cls, k) for k in range(1, 11)] == [
         -(-5 * k // 2) for k in range(1, 11)]
-    assert (rows.scans, phi_h.scans) == (1, 1 + 10)  # values; the slope once, an H-step per k
+    # values once; the slope once and one membership scan per k (the witness is indexed)
+    assert (rows.scans, phi_h.scans) == (1, 1 + 10)
     assert [limiting_discrepancy(c, m) for m in (1, 2, 3)] == [0, 0, 0]
     assert (rows.scans, phi_h.scans) == (2, 11 + 1 + 3)  # the same for K_V
+
+
+def _tight(cone, entry, i) -> bool:
+    """Whether facet ``i`` attains the slope kept in a class's entry."""
+    den, values, (p, q), _ = entry
+    return values[i] * cone._h_den * q == p * cone._phi_h[i] * den
+
+
+@pytest.mark.parametrize("make", ["ruled", "moment"])
+def test_natural_valuation_certifies_minimality_by_the_kept_witness(make) -> None:
+    # the witness attains the slope, so it is violated at j - 1; moved to a
+    # facet that is not tight at the slope and holds at j - 1, it proves
+    # nothing and the check refuses
+    rng = Random(3)
+    if make == "ruled":
+        c, classes = ruled_surface_cone(), [vec(1, 0), vec(F(1, 2), F(5, 2))]
+    else:
+        c = _moment_cone(4, _cyclic(4, 9, rng), rng)[0]
+        classes = [c.k_class] + [QVector(rng.randint(-5, 5) for _ in range(4)) for _ in range(3)]
+    refused = 0
+    for cls in classes:
+        for k in (1, 2, 7):
+            j = natural_valuation(c, cls, k)
+            entry = c._values(cls)
+            den, values, _, witness = entry
+            assert _tight(c, entry, witness)
+            for i in range(len(values)):
+                entry[3] = i
+                holds_below = (j - 1) * den * c._phi_h[i] >= k * c._h_den * values[i]
+                if j > 0 and holds_below:
+                    assert not _tight(c, entry, i)
+                    refused += 1
+                    with pytest.raises(InternalConsistencyError, match="not minimal"):
+                        natural_valuation(c, cls, k)
+                else:  # a facet violated at j - 1 is as good a witness
+                    assert natural_valuation(c, cls, k) == j
+            entry[3] = witness
+    assert refused >= 6
+
+
+def test_equal_but_distinct_classes_share_one_entry() -> None:
+    c = ruled_surface_cone()
+    cls = vec(F(1, 2), F(5, 2))
+    entry = c._values(cls)
+    assert valuation_limit(c, cls) == F(5, 2)
+    twin = QVector(cls)
+    assert twin == cls and twin is not cls
+    assert c._values(twin) is entry and c._last[0] is twin  # kept, now under the twin
+    assert c._values([F(1, 2), F(5, 2)]) is entry  # converted, compared, kept
+    other = c._values(vec(1, 0))
+    assert other is not entry and other[:2] != entry[:2]
+    again = c._values(QVector(cls))
+    assert again[:2] == entry[:2] and again[2:] == [None, None]  # recomputed, slope not yet
+    assert [natural_valuation(c, QVector(cls), k) for k in (1, 2, 3)] == [3, 5, 8]
+
+
+def test_proportionality_reads_the_first_nonzero_entry() -> None:
+    assert _proportionality(vec(0, 2, F(4, 3)), vec(0, F(1, 2), F(1, 3))) == 4
+    assert _proportionality(vec(0, -1, 0), vec(0, F(1, 3), 0)) == -3
+    assert _proportionality(vec(0, 0, 0), vec(0, 1, 5)) == 0
+    assert _proportionality(vec(1, 2, 4), vec(0, 1, 2)) is None
+    assert _proportionality(vec(0, 2, 5), vec(0, 1, 2)) is None
+    assert _proportionality(vec(0, 0), vec(0, 0)) is None  # b = 0
 
 
 def test_cone_pairs_h_once_for_the_bound_table(monkeypatch) -> None:

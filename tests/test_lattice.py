@@ -19,6 +19,30 @@ def test_rat_accepts_ints_fractions_and_strings() -> None:
     assert rat("-7/2") == Fraction(-7, 2)
 
 
+def test_rat_fast_paths_take_exact_types_only() -> None:
+    # an exact Fraction comes back as itself and an exact int as a Fraction;
+    # bool, subclasses and strings still go through the isinstance chain
+    half = Fraction(1, 2)
+    assert rat(half) is half
+    assert type(rat(7)) is Fraction and rat(7) == 7
+    for flag in (True, False):
+        with pytest.raises(MalformedInputError, match="not a rational"):
+            rat(flag)
+
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    assert type(rat(Count(3))) is Fraction and rat(Count(3)) == 3
+    ratio = Ratio(2, 3)
+    assert rat(ratio) is ratio  # a Fraction subclass is kept as it is
+    assert QVector([Count(2), ratio, "1/5"]) == (2, Fraction(2, 3), Fraction(1, 5))
+    with pytest.raises(MalformedInputError):
+        QVector([1, True])
+
+
 @pytest.mark.parametrize("bad", [True, False, 1.5, "1/0", "abc", "", None, [1]])
 def test_rat_rejects_non_rationals(bad) -> None:
     with pytest.raises(MalformedInputError):
